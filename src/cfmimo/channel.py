@@ -115,14 +115,19 @@ def spatial_correlation_batch(
     w2 = az_w[:, :, None] * el_w[:, None, :]
     w2 /= w2.sum(axis=(1, 2), keepdims=True)
 
-    # Effective horizontal wavenumber term sin(az)*cos(el) per node pair.
-    sc = np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
+    # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring antennas,
+    # per node pair; offset d takes its d-th power.
+    step = 1j * np.pi * np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
+    np.exp(step, out=step)
 
     offsets = np.arange(N)
     # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d
     r = np.empty((P, N), dtype=complex)
-    for d in offsets:
-        r[:, d] = (w2 * np.exp(1j * np.pi * d * sc)).sum(axis=(1, 2))
+    term = w2.astype(complex)
+    r[:, 0] = term.sum(axis=(1, 2))
+    for d in offsets[1:]:
+        term *= step
+        r[:, d] = term.sum(axis=(1, 2))
 
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n
     R = np.where(idx >= 0, r[:, np.abs(idx)], np.conj(r[:, np.abs(idx)]))

@@ -175,19 +175,13 @@ def _read_association_csv(path: str, K: int, L: int, M: int) -> np.ndarray:
                 continue
             k, m, served = int(row[0]), int(row[1]), int(row[2])
             delta_km[k, m] = bool(served)
-    # Expansion to (K, L) happens against the campaign partition later; the
-    # file therefore pins EDU-granularity associations.
+    # Each drop expands this to (K, L) through the campaign's partition.
     return delta_km
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     cfg, options = _apply_sim_overrides(cfg, args)
-    if options.association_delta is not None:
-        genome, _ = resolve_partition(
-            cfg, args.deployment, genome_file=args.partition_file
-        )
-        options.association_delta = options.association_delta[:, genome]
     campaign = run_campaign(
         cfg,
         out_dir=args.out,

@@ -26,6 +26,7 @@ from .scenario import ScenarioConfig, Topology, build_topology, rng_stream
 from .transceiver import (
     SCHEMES,
     Association,
+    CombinerWorkspace,
     SinrReport,
     downlink_sinr,
     uplink_sinr,
@@ -40,7 +41,7 @@ class DropOptions:
 
     links: tuple[str, ...] = LINKS
     association_mode: str = "all"  # "all" | "ql" | "file"
-    association_delta: np.ndarray | None = None  # (K, L) for "file"
+    association_delta: np.ndarray | None = None  # (K, M) EDU-level, for "file"
     phase_drift_deg: float = 0.0
     quantizer_bits: int | str | None = None  # None -> config value
     ql_config: QlConfig | None = None
@@ -66,9 +67,15 @@ def _dcc_association(
     if options.association_mode == "all":
         return Association.all_serve(K, L), {}
     if options.association_mode == "file":
-        if options.association_delta is None:
+        delta_km = options.association_delta
+        if delta_km is None:
             raise ValueError("association_mode 'file' needs association_delta")
-        return Association(options.association_delta), {}
+        if np.shape(delta_km) != (K, topology.num_edu):
+            raise ValueError(
+                f"association is {np.shape(delta_km)}, expected (num_ue, num_edu) = "
+                f"{(K, topology.num_edu)}"
+            )
+        return Association.from_edu(delta_km, topology.edu_partition), {}
     if options.association_mode == "ql":
         genome = topology.edu_partition
         table = EduSinrTable.from_statistics(
@@ -100,8 +107,9 @@ def run_drop(
     """Simulate one drop for every enabled scheme.
 
     Builds topology and channel statistics, resolves the dynamic-cluster
-    association, draws the realization batch, and evaluates uplink and/or
-    downlink SINR per scheme. Deterministic in (master_seed, drop_index).
+    association, draws the realization batch, builds each scheme's combiners
+    once for the batch, and evaluates uplink and/or downlink SINR from them.
+    Deterministic in (master_seed, drop_index).
     """
     options = options or DropOptions()
     try:
@@ -124,7 +132,11 @@ def run_drop(
 
         reports: dict[str, dict[str, SinrReport]] = {}
         for scheme in config.schemes:
-            assoc = dcc if SCHEMES[scheme].dcc else all_serve
+            spec = SCHEMES[scheme]
+            assoc = dcc if spec.dcc else all_serve
+            v = CombinerWorkspace(
+                spec, assoc, topology.edu_partition, stats.C, p_ul, stats.noise_mw
+            ).combiners(hhat)
             per_link: dict[str, SinrReport] = {}
             if "ul" in options.links:
                 per_link["ul"] = uplink_sinr(
@@ -137,6 +149,7 @@ def run_drop(
                     p_ul,
                     stats.noise_mw,
                     quantizer_bits=qbits,
+                    combiners=v,
                 )
             if "dl" in options.links:
                 drift_rng = rng_stream(config.master_seed, drop_index, "phase-drift")
@@ -154,6 +167,7 @@ def run_drop(
                     config.dl_pmax_mw,
                     phase_drift_deg=options.phase_drift_deg,
                     drift_rng=drift_rng,
+                    combiners=v,
                 )
                 per_link["dl"] = dl.report
             reports[scheme] = per_link

@@ -1,10 +1,12 @@
 """Combiners, precoders, and use-and-then-forget SINR evaluation.
 
-Every scheme produces a stacked (K, L, N) combiner/precoder per realization;
+Every scheme produces stacked (K, L, N) combiners/precoders per realization;
 detection units (the blocks) are the full array, the EDUs, or single O-RUs
-depending on the scheme. SINR expectations are estimated by sample means
-over the realization batch, with the transceivers recomputed per realization
-from that realization's channel estimates only.
+depending on the scheme. Each realization's combiners come from that
+realization's channel estimates only, but they are built in one batched
+kernel for the whole realization batch (``CombinerWorkspace.combiners``),
+once per drop and scheme, and the same array serves as uplink combiners and
+downlink precoders. SINR expectations are sample means over the batch.
 """
 
 from __future__ import annotations
@@ -108,14 +110,16 @@ def se_from_sinr(gamma):
     return np.log2(1.0 + gamma)
 
 
-def quantize(samples: np.ndarray, bits: int | str) -> np.ndarray:
+def quantize(samples: np.ndarray, bits: int | str, axis=None) -> np.ndarray:
     """Uniform mid-rise quantizer applied per real/imag component.
 
     The +/-4-standard-deviation range of the batch sets the step size
     (2^bits cells across it); values beyond the range snap to the nearest
     lattice point rather than saturating, so the reconstruction error is at
     most half a step everywhere. ``bits="infinite"`` is the identity, as is
-    a batch whose spread is negligible against its magnitude.
+    a batch whose spread is negligible against its magnitude. ``axis`` names
+    the axes that form one batch (all by default); the remaining axes index
+    batches that are quantized on their own statistics.
     """
     if bits == "infinite":
         return samples
@@ -125,12 +129,12 @@ def quantize(samples: np.ndarray, bits: int | str) -> np.ndarray:
     x = np.asarray(samples)
 
     def _q(v: np.ndarray) -> np.ndarray:
-        sigma = v.std()
+        sigma = v.std(axis=axis, keepdims=True)
         step = 8.0 * sigma / (2**bits)
-        peak = np.abs(v).max() if v.size else 0.0
-        if sigma == 0.0 or step * 2.0**52 <= peak:
-            return v
-        return (np.floor(v / step) + 0.5) * step
+        peak = np.abs(v).max(axis=axis, keepdims=True, initial=0.0)
+        keep = (sigma == 0.0) | (step * 2.0**52 <= peak)
+        step = np.where(keep, 1.0, step)
+        return np.where(keep, v, (np.floor(v / step) + 0.5) * step)
 
     if np.iscomplexobj(x):
         return _q(x.real) + 1j * _q(x.imag)
@@ -149,31 +153,61 @@ def scheme_blocks(granularity: str, genome: np.ndarray, num_oru: int) -> list[np
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
-def _solve_regularized(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for the noise-regularized Gram matrix A.
+def _unit_matrix(granularity: str, genome: np.ndarray, num_oru: int) -> np.ndarray:
+    """One-hot (L, U) map of the O-RUs onto the scheme's detection units."""
+    blocks = scheme_blocks(granularity, genome, num_oru)
+    E = np.zeros((num_oru, len(blocks)))
+    for m, b in enumerate(blocks):
+        E[b, m] = 1.0
+    return E
 
-    The sigma^2 ridge makes singularity unreachable in exact arithmetic; if a
-    factorization still fails, a diagonal jitter of 1e-12 * trace/N is added
-    once and the event reported.
+
+def _solve_regularized(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B for a batch of noise-regularized Gram matrices A.
+
+    The sigma^2 ridge makes singularity unreachable in exact arithmetic; if
+    a factorization still fails, each failing matrix (and only it) gets a
+    diagonal jitter of 1e-12 * trace/N, once, and the event is reported.
     """
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        n = A.shape[-1]
-        jitter = 1e-12 * np.trace(A).real / n
-        warnings.warn(
-            f"ill-conditioned combiner solve (cond > {COND_LIMIT:.0e}); "
-            f"added diagonal jitter {jitter:.3e}"
-        )
-        return np.linalg.solve(A + jitter * np.eye(n), B)
+        pass
+    n = A.shape[-1]
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, batch + A.shape[-2:]).reshape(-1, n, n)
+    B = np.broadcast_to(B, batch + B.shape[-2:]).reshape(-1, n, B.shape[-1])
+    X = np.empty(B.shape, dtype=np.result_type(A, B))
+    for i in range(A.shape[0]):
+        try:
+            X[i] = np.linalg.solve(A[i], B[i])
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * np.trace(A[i]).real / n
+            warnings.warn(
+                f"ill-conditioned combiner solve (cond > {COND_LIMIT:.0e}); "
+                f"added diagonal jitter {jitter:.3e}"
+            )
+            X[i] = np.linalg.solve(A[i] + jitter * np.eye(n), B[i])
+    return X.reshape(batch + X.shape[-2:])
 
 
 class CombinerWorkspace:
-    """Per-drop preparation shared across realizations for one scheme.
+    """One scheme's combiners for a whole realization batch.
 
-    Precomputes the block antenna layout, the association masks, and the
-    power-weighted error-covariance sums so each realization only pays for
-    the Gram assembly and solve.
+    The MMSE combiner of UE k on its serving antennas S inside a unit is
+    v_k = p_k (sum_i p_i (hh_i hh_i^H + C_i) + sigma^2 I)_S^-1 hh_k,S, the
+    sum running over every UE. With D_l = sum_i p_i C_il + sigma^2 I
+    (block diagonal over O-RUs, inverted once) it is solved in one of two
+    forms, both batched over realizations:
+
+    - units of one O-RU with N <= K: the N x N Gram of each (realization,
+      O-RU) directly;
+    - every other unit: the K x K Woodbury form
+      v_k = p_k D^-1 H (I + P Q)^-1 e_k with Q = sum over S of the per-O-RU
+      partials Q_l = hh_l^H D_l^-1 hh_l. Each distinct serving set of a unit
+      (one per unit for all-serve and EDU-consistent masks, up to one per UE
+      otherwise) is one K x K system. (I + P Q) rather than (P^-1 + Q)
+      keeps a UE with zero power well defined.
     """
 
     def __init__(
@@ -186,127 +220,62 @@ class CombinerWorkspace:
         noise_mw: float,
     ):
         self.spec = spec
-        self.assoc = association
-        K, L = association.delta.shape
-        self.K, self.L = K, L
-        self.N = C.shape[-1]
+        self.delta = association.delta
+        K, L = self.delta.shape
+        N = C.shape[-1]
         self.p = np.asarray(p_mw, dtype=float)
-        self.noise = float(noise_mw)
-        self.blocks = scheme_blocks(spec.granularity, genome, L)
-        self.num_units = len(self.blocks)
-        # Membership matrix mapping O-RU partial sums onto detection units.
-        self.unit_of = np.empty(L, dtype=int)
-        for m, b in enumerate(self.blocks):
-            self.unit_of[b] = m
-        self.Emat = np.zeros((L, self.num_units))
-        self.Emat[np.arange(L), self.unit_of] = 1.0
+        if spec.rule != "mmse":
+            return
+        E = _unit_matrix(spec.granularity, genome, L)
+        D = np.einsum("i,ilnm->lnm", self.p, C) + float(noise_mw) * np.eye(N)
+        local = (E @ E.sum(axis=0) == 1) & (N <= K)
+        self.local = np.flatnonzero(local)
+        self.D_local = D[local]
+        self.wide = np.flatnonzero(~local)
+        if not self.wide.size:
+            return
+        self.Dinv = _solve_regularized(D[~local], np.eye(N))
+        # Serving set of every (UE, unit) over the Woodbury O-RUs; each
+        # distinct set is one system, the empty set included (it is masked).
+        Ew = E[self.wide]
+        sets = self.delta[:, None, self.wide] & (Ew.T > 0)[None]
+        sets, which = np.unique(
+            sets.reshape(-1, self.wide.size), axis=0, return_inverse=True
+        )
+        self.sets = sets.astype(float)  # (S, Lw)
+        self.set_of = which.reshape(K, -1)[:, np.argmax(Ew, axis=1)].T  # (Lw, K)
 
-        if spec.rule == "mmse":
-            # sum_i p_i C_{i,l}: the mask acts identically on every term, so
-            # the masked error-covariance sum is a submatrix of this.
-            self.Csum = np.einsum("i,ilnm->lnm", self.p, C)
-            self._prepare_mmse_layout()
-
-    def _prepare_mmse_layout(self):
-        delta = self.assoc.delta
-        self.block_plans = []
-        for b in self.blocks:
-            sub = delta[:, b]  # (K, |b|)
-            rows_uniform = np.all(sub.any(axis=1) == sub.all(axis=1))
-            all_on = bool(sub.all())
-            served = np.flatnonzero(sub.any(axis=1))
-            self.block_plans.append(
-                {
-                    "orus": b,
-                    "shared": all_on or rows_uniform,
-                    "served": served,
-                    "sub": sub,
-                }
-            )
-
-    def _block_csum(self, orus: np.ndarray) -> np.ndarray:
-        A = orus.size * self.N
-        out = np.zeros((A, A), dtype=complex)
-        for j, l in enumerate(orus):
-            s = j * self.N
-            out[s : s + self.N, s : s + self.N] = self.Csum[l]
-        return out
-
-    def combiners(self, hhat_t: np.ndarray) -> np.ndarray:
-        """Stacked combiner/precoder vectors (K, L, N) for one realization."""
+    def combiners(self, hhat: np.ndarray) -> np.ndarray:
+        """Stacked combiner/precoder vectors (T, K, L, N) for a batch."""
         if self.spec.rule == "mrc":
-            return np.where(self.assoc.delta[:, :, None], hhat_t, 0.0)
-        return self._mmse_combiners(hhat_t)
-
-    def _mmse_combiners(self, hhat_t: np.ndarray) -> np.ndarray:
-        K, N = self.K, self.N
-        v = np.zeros_like(hhat_t)
-        for plan in self.block_plans:
-            orus = plan["orus"]
-            A_dim = orus.size * N
-            Hb = hhat_t[:, orus, :].reshape(K, A_dim).T  # (A, K)
-            if plan["shared"]:
-                served = plan["served"]
-                if served.size == 0:
-                    continue
-                G = (Hb * self.p) @ np.conj(Hb.T)
-                G += self._block_csum(orus)
-                G[np.diag_indices_from(G)] += self.noise
-                sol = _solve_regularized(G, Hb[:, served])
-                sol = sol * self.p[served]
-                v[served[:, None], orus[None, :], :] += sol.T.reshape(
-                    served.size, orus.size, N
-                )
-            else:
-                # Per-UE antenna subsets inside the block.
-                csum_full = self._block_csum(orus)
-                for k in range(K):
-                    mask = np.repeat(plan["sub"][k], N)
-                    if not mask.any():
-                        continue
-                    Hs = Hb[mask]
-                    G = (Hs * self.p) @ np.conj(Hs.T)
-                    G += csum_full[np.ix_(mask, mask)]
-                    G[np.diag_indices_from(G)] += self.noise
-                    sol = self.p[k] * _solve_regularized(G, Hs[:, k])
-                    full = np.zeros(A_dim, dtype=complex)
-                    full[mask] = sol
-                    v[k, orus, :] = full.reshape(orus.size, N)
+            return np.where(self.delta[:, :, None], hhat, 0.0)
+        T, K = hhat.shape[:2]
+        p = self.p
+        H = hhat.transpose(0, 2, 3, 1)  # (T, L, N, K): columns are UEs
+        v = np.zeros_like(hhat)
+        if self.local.size:
+            Hl = H[:, self.local] * p
+            G = Hl @ np.conj(H[:, self.local]).swapaxes(-1, -2) + self.D_local
+            v[:, :, self.local] = _solve_regularized(G, Hl).transpose(0, 3, 1, 2)
+        if self.wide.size:
+            Hw = H[:, self.wide]
+            F = self.Dinv @ Hw  # D_l^-1 hh_l
+            Q = np.conj(Hw).swapaxes(-1, -2) @ F  # (T, Lw, K, K)
+            Qs = (self.sets @ Q.reshape(T, self.wide.size, K * K)).reshape(
+                T, -1, K, K
+            )
+            del Q
+            X = _solve_regularized(np.eye(K) + p[:, None] * Qs, np.eye(K))
+            # Y[t, l, j, k] = X[t, set of (k, l), j, k]
+            Y = X.swapaxes(-1, -2)[:, self.set_of, np.arange(K)].swapaxes(-1, -2)
+            v[:, :, self.wide] = ((F @ Y) * p).transpose(0, 3, 1, 2)
+        v[:, ~self.delta] = 0.0
         return v
 
 
-def mrc_combiner(hhat_t: np.ndarray, association: Association) -> np.ndarray:
-    """Association-masked conjugate matched filter, stacked (K, L, N)."""
-    return np.where(association.delta[:, :, None], hhat_t, 0.0)
-
-
-def mmse_combiner_edu(
-    hhat_t: np.ndarray,
-    C: np.ndarray,
-    association: Association,
-    genome: np.ndarray,
-    p_mw: np.ndarray,
-    noise_mw: float,
-    granularity: str = "edu",
-) -> np.ndarray:
-    """Per-unit regularized MMSE combiners for one realization.
-
-    The Gram matrix sums the estimate outer products and error covariances of
-    all UEs, masked to the target UE's serving antennas within the unit; a
-    single unit spanning all O-RUs yields the centralized joint solution and
-    per-O-RU units the fully distributed one.
-    """
-    spec = SchemeSpec(granularity, "mmse", False)
-    ws = CombinerWorkspace(spec, association, genome, C, p_mw, noise_mw)
-    return ws.combiners(hhat_t)
-
-
-def _unit_coefficients(
-    v_t: np.ndarray, h_t: np.ndarray, Emat: np.ndarray
-) -> np.ndarray:
-    """Per-unit detection coefficients g[k, i, m] = v_k(m)^H h_i(m)."""
-    per_oru = np.einsum("kln,iln->kil", np.conj(v_t), h_t)
-    return per_oru @ Emat
+def _stack(x: np.ndarray) -> np.ndarray:
+    """(T, K, L, N) -> (T, K, L*N)."""
+    return x.reshape(x.shape[0], x.shape[1], -1)
 
 
 def uplink_sinr(
@@ -319,36 +288,33 @@ def uplink_sinr(
     p_mw: np.ndarray,
     noise_mw: float,
     quantizer_bits: int | str = "infinite",
+    combiners: np.ndarray | None = None,
 ) -> SinrReport:
     """Uplink use-and-then-forget SINR/SE per UE, Monte Carlo over realizations.
 
-    Per realization the combiners are rebuilt from that realization's
-    estimates, the per-unit detected-symbol coefficients are (optionally)
-    quantized, summed over units, and the coherent/interference/noise
-    moments accumulated.
+    The combiners (built here unless given) come from each realization's
+    own estimates. The per-unit detected-symbol coefficients are optionally
+    quantized, each realization on its own statistics, summed over units,
+    and the coherent/interference/noise moments averaged over the batch.
     """
     spec = SCHEMES[scheme]
     T, K = h.shape[0], h.shape[1]
     if T < 2:
         raise ValueError("need at least 2 realizations")
     p = np.asarray(p_mw, dtype=float)
-    ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
+    v = combiners
+    if v is None:
+        v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
 
-    num = np.zeros(K, dtype=complex)
-    isq = np.zeros((K, K))
-    nrm = np.zeros(K)
-    for t in range(T):
-        v = ws.combiners(hhat[t])
-        g = _unit_coefficients(v, h[t], ws.Emat)
-        if quantizer_bits != "infinite":
-            g = quantize(g, quantizer_bits)
-        s = g.sum(axis=-1)
-        num += np.diag(s)
-        isq += np.abs(s) ** 2
-        nrm += np.einsum("kln->k", np.abs(v) ** 2)
-    num /= T
-    isq /= T
-    nrm /= T
+    if quantizer_bits == "infinite":
+        s = np.conj(_stack(v)) @ np.swapaxes(_stack(h), 1, 2)  # s[t, k, i] = v_k^H h_i
+    else:
+        E = _unit_matrix(spec.granularity, genome, h.shape[2])
+        g = np.einsum("tkln,tiln->tkil", np.conj(v), h) @ E  # per-unit coefficients
+        s = quantize(g, quantizer_bits, axis=(1, 2, 3)).sum(axis=-1)
+    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
+    isq = (np.abs(s) ** 2).mean(axis=0)
+    nrm = (np.abs(v) ** 2).sum(axis=(2, 3)).mean(axis=0)
 
     signal = p * np.abs(num) ** 2
     interference = (isq * p[None, :]).sum(axis=1) - p * isq[np.arange(K), np.arange(K)]
@@ -425,26 +391,26 @@ def downlink_sinr(
     p_max_mw: float,
     phase_drift_deg: float = 0.0,
     drift_rng: np.random.Generator | None = None,
+    combiners: np.ndarray | None = None,
 ) -> DownlinkResult:
     """Downlink use-and-then-forget SINR/SE with heuristic power allocation.
 
-    Raw precoders reuse the uplink combiner construction (duality, with the
-    uplink noise level as printed in the design), are normalized to unit
-    average energy per UE, and carry the per-UE downlink powers allocated
-    from large-scale gains and the per-O-RU cap. Optional per-O-RU phase
-    drift rotates the true channels used for reception while the precoders
-    stay matched to the undrifted estimates.
+    Raw precoders are the uplink combiners (built here unless given; by
+    duality, with the uplink noise level as printed in the design), are
+    normalized to unit average energy per UE, and carry the per-UE downlink
+    powers allocated from large-scale gains and the per-O-RU cap. Optional
+    per-O-RU phase drift rotates the true channels used for reception while
+    the precoders stay matched to the undrifted estimates.
     """
     spec = SCHEMES[scheme]
     T, K, L, N = h.shape
     if T < 2:
         raise ValueError("need at least 2 realizations")
-    p_ul = np.asarray(p_ul_mw, dtype=float)
-    ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
-
-    w_prime = np.empty_like(hhat)
-    for t in range(T):
-        w_prime[t] = ws.combiners(hhat[t])
+    w_prime = combiners
+    if w_prime is None:
+        p_ul = np.asarray(p_ul_mw, dtype=float)
+        ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
+        w_prime = ws.combiners(hhat)
 
     w_bar, omega, excluded = normalize_precoders(w_prime, association)
     p_dl, power_excluded = downlink_power(
@@ -458,17 +424,10 @@ def downlink_sinr(
             raise ValueError("phase drift requires an rng")
         h_rx, _ = apply_phase_drift(h, phase_drift_deg, drift_rng)
 
-    amp = np.sqrt(p_dl)
-    num = np.zeros(K, dtype=complex)
-    isq = np.zeros((K, K))
-    for t in range(T):
-        w_t = w_bar[t] * amp[:, None, None]
-        g = _unit_coefficients(h_rx[t], w_t, ws.Emat)  # g[k, i, m] = h_k^H w_i
-        s = g.sum(axis=-1)
-        num += np.diag(s)
-        isq += np.abs(s) ** 2
-    num /= T
-    isq /= T
+    w = _stack(w_bar * np.sqrt(p_dl)[:, None, None])
+    s = np.conj(_stack(h_rx)) @ np.swapaxes(w, 1, 2)  # s[t, k, i] = h_k^H w_i
+    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
+    isq = (np.abs(s) ** 2).mean(axis=0)
 
     signal = np.abs(num) ** 2
     total_i = isq.sum(axis=1)

@@ -113,6 +113,35 @@ def test_correlation_invariants_random_links():
     assert np.all(eigs.min(axis=-1) >= -1e-10 * traces)
 
 
+def _per_offset_exp_correlation(az, el, s_az, s_el, N, beta):
+    """The quadrature with one complex exponential per antenna offset."""
+    az_nodes, az_w = ch._axis_nodes(az, s_az, ch.QUAD_NODES)
+    el_nodes, el_w = ch._axis_nodes(el, s_el, ch.QUAD_NODES)
+    w2 = az_w[:, :, None] * el_w[:, None, :]
+    w2 /= w2.sum(axis=(1, 2), keepdims=True)
+    sc = np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
+    r = np.empty((az.size, N), dtype=complex)
+    for d in range(N):
+        r[:, d] = (w2 * np.exp(1j * np.pi * d * sc)).sum(axis=(1, 2))
+    idx = np.arange(N)[:, None] - np.arange(N)[None, :]
+    R = np.where(idx >= 0, r[:, np.abs(idx)], np.conj(r[:, np.abs(idx)]))
+    R = R * beta[:, None, None]
+    return 0.5 * (R + np.conj(np.swapaxes(R, -1, -2)))
+
+
+def test_correlation_matches_per_offset_exponentials():
+    rng = np.random.default_rng(12)
+    P, N = 300, 8
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 3, 0.0, P)
+    beta = rng.uniform(0.01, 10.0, P)
+    s = np.deg2rad(15)
+    R = ch.spatial_correlation_batch(az, el, s, s, N, beta)
+    ref = _per_offset_exp_correlation(az, el, s, s, N, beta)
+    rel = np.abs(R - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-12
+
+
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
         ch.spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)

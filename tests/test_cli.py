@@ -123,6 +123,60 @@ def test_sweep_num_edu(tmp_path, cfg_file):
     assert set(combined) == {"num_edu=1", "num_edu=2"}
 
 
+def _write_association(path, num_ue, num_edu):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("ue_index,edu_index,served\n")
+        for k in range(num_ue):
+            for m in range(num_edu):
+                fh.write(f"{k},{m},{int(m == k % num_edu)}\n")
+
+
+def test_sweep_association_file_completes_every_drop(tmp_path, cfg_file):
+    assoc = tmp_path / "assoc.csv"
+    _write_association(assoc, 8, 4)
+    out = str(tmp_path / "sweep")
+    rc = main(
+        [
+            "sweep", "--config", cfg_file, "--out", out,
+            "--param", "num_edu", "--values", "4",
+            "--links", "ul", "--deployment", "clustered",
+            "--schemes", "p-mmse,edu-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ]
+    )
+    assert rc == 0
+    summary = json.load(open(out + "/num_edu=4/summary.json"))
+    assert summary["failures"] == []
+    assert summary["drops_completed"] == 1
+
+
+def test_simulate_association_file_runs_ga_once(tmp_path, cfg_file, monkeypatch):
+    import cfmimo.harness as hz
+    from cfmimo.deployment import GaConfig
+
+    calls = []
+    real = hz.ga_optimize
+
+    def counting(pairwise, num_edu, config, rng):
+        calls.append(num_edu)
+        return real(pairwise, num_edu, GaConfig(generations=5), rng)
+
+    monkeypatch.setattr(hz, "ga_optimize", counting)
+    assoc = tmp_path / "assoc.csv"
+    _write_association(assoc, 8, 4)
+    out = str(tmp_path / "sim")
+    rc = main(
+        [
+            "simulate", "--config", cfg_file, "--out", out,
+            "--links", "ul", "--deployment", "ga", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    assert json.load(open(out + "/summary.json"))["drops_completed"] == 1
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cfmimo.cli", "--version"],

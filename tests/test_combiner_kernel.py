@@ -1,0 +1,141 @@
+"""Agreement of the batched combiner kernel with the per-realization loop.
+
+``reference_combiner`` keeps the loop the kernel replaced. The kernel solves
+the same regularized systems in another order (antenna domain or K x K
+Woodbury form, batched over realizations), so combiners and SINRs must agree
+to 1e-8 relative, not bit for bit.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from cfmimo.transceiver import (
+    SCHEMES,
+    Association,
+    CombinerWorkspace,
+    _solve_regularized,
+    downlink_sinr,
+    uplink_sinr,
+)
+
+from conftest import random_channels, random_error_covs
+from reference_combiner import (
+    ReferenceWorkspace,
+    reference_downlink_gamma,
+    reference_uplink_gamma,
+)
+
+RTOL = 1e-8
+
+# (K, L, N, genome). "mixed": the joint unit and the 3-O-RU EDU go through
+# the Woodbury form, single-O-RU units through the antenna domain. "wide":
+# N > K, so single O-RUs go through the Woodbury form as well.
+INSTANCES = {
+    "mixed": (5, 5, 2, [0, 0, 0, 1, 2]),
+    "wide": (3, 4, 4, [0, 0, 1, 2]),
+}
+MASKS = ("all-serve", "edu-dcc", "random-dcc")
+
+
+def _instance(name, mask):
+    K, L, N, genome = INSTANCES[name]
+    genome = np.array(genome)
+    M = genome.max() + 1
+    rng = np.random.default_rng([sum(map(ord, name)), MASKS.index(mask)])
+    T = 6
+    hhat = random_channels(rng, (T, K, L, N))
+    h = hhat + 0.3 * random_channels(rng, (T, K, L, N))
+    C = random_error_covs(rng, K, L, N)
+    beta = rng.uniform(0.1, 2.0, (K, L))
+    if mask == "all-serve":
+        assoc = Association.all_serve(K, L)
+    elif mask == "edu-dcc":
+        delta_km = rng.random((K, M)) < 0.5
+        delta_km[np.arange(K), rng.integers(0, M, K)] = True
+        delta_km[-1] = False  # served by nobody
+        assoc = Association.from_edu(delta_km, genome)
+        assert assoc.edu_consistent(genome)
+    else:
+        delta = rng.random((K, L)) < 0.5
+        delta[np.arange(K), rng.integers(0, L, K)] = True
+        delta[0, :2] = [True, False]  # splits EDU 0 for UE 0
+        delta[-1] = False
+        assoc = Association(delta)
+        assert not assoc.edu_consistent(genome)
+    return h, hhat, C, beta, assoc, genome
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_kernel_matches_per_realization_loop(name, mask, scheme):
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    K = h.shape[1]
+    spec = SCHEMES[scheme]
+    noise = 0.4
+    p_all = np.linspace(0.5, 2.0, K)
+    p_zero = p_all.copy()
+    p_zero[1] = 0.0  # a UE that transmits nothing
+    for p in (p_all, p_zero):
+        v = CombinerWorkspace(spec, assoc, genome, C, p, noise).combiners(hhat)
+        ref_ws = ReferenceWorkspace(spec, assoc, genome, C, p, noise)
+        v_ref = np.stack([ref_ws.combiners(x) for x in hhat])
+        assert _rel(v, v_ref) <= RTOL
+        assert np.all(v[:, ~assoc.delta] == 0)
+
+        for bits in ("infinite", 4):
+            args = (scheme, h, hhat, C, assoc, genome, p, noise)
+            try:
+                g_ref = reference_uplink_gamma(*args, quantizer_bits=bits)
+            except AssertionError:
+                # an MMSE combiner of a served zero-power UE is zero
+                with pytest.raises(AssertionError, match="nonpositive"):
+                    uplink_sinr(*args, quantizer_bits=bits)
+                continue
+            gamma = uplink_sinr(*args, quantizer_bits=bits).gamma
+            np.testing.assert_allclose(gamma, g_ref, rtol=RTOL, atol=0)
+            shared = uplink_sinr(*args, quantizer_bits=bits, combiners=v).gamma
+            np.testing.assert_array_equal(shared, gamma)
+
+        dl_args = (scheme, h, hhat, C, assoc, genome, beta, p, noise, 0.7, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
+            g_ref, p_ref = reference_downlink_gamma(*dl_args)
+            dl = downlink_sinr(*dl_args)
+            shared = downlink_sinr(*dl_args, combiners=v)
+        np.testing.assert_allclose(dl.report.gamma, g_ref, rtol=RTOL, atol=0)
+        np.testing.assert_allclose(dl.dl_power_mw, p_ref, rtol=RTOL, atol=0)
+        np.testing.assert_array_equal(shared.report.gamma, dl.report.gamma)
+
+
+def test_quantizer_step_per_realization():
+    # realizations of very different scale each keep their own step
+    h, hhat, C, beta, assoc, genome = _instance("mixed", "all-serve")
+    scale = np.geomspace(1e-3, 1e3, h.shape[0])[:, None, None, None]
+    h, hhat = h * scale, hhat * scale
+    p = np.ones(h.shape[1])
+    args = ("joint-mrc", h, hhat, C, assoc, genome, p, 0.4)
+    gamma = uplink_sinr(*args, quantizer_bits=4).gamma
+    np.testing.assert_allclose(
+        gamma, reference_uplink_gamma(*args, quantizer_bits=4), rtol=RTOL, atol=0
+    )
+
+
+def test_jitter_fallback_resolves_only_failing_matrices():
+    rng = np.random.default_rng(31)
+    A = random_channels(rng, (3, 2, 2)) + 3.0 * np.eye(2)
+    A[1] = [[1.0, 1.0], [1.0, 1.0]]  # exactly singular
+    B = random_channels(rng, (3, 2, 2))
+    with pytest.warns(UserWarning, match="jitter") as record:
+        X = _solve_regularized(A, B)
+    assert len(record) == 1
+    for i in (0, 2):
+        np.testing.assert_array_equal(X[i], np.linalg.solve(A[i], B[i]))
+    jitter = 1e-12 * np.trace(A[1]).real / 2
+    np.testing.assert_array_equal(X[1], np.linalg.solve(A[1] + jitter * np.eye(2), B[1]))

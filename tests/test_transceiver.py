@@ -7,9 +7,8 @@ from cfmimo.transceiver import (
     SCHEMES,
     Association,
     CombinerWorkspace,
+    SchemeSpec,
     downlink_sinr,
-    mmse_combiner_edu,
-    mrc_combiner,
     normalize_precoders,
     quantize,
     scheme_blocks,
@@ -54,6 +53,19 @@ def stacked_downlink_sinr(w, h, s2_dl):
     return signal / (isq.sum(1) - signal + s2_dl)
 
 
+def _combiners(hhat_t, C, assoc, genome, p, s2, granularity, rule="mmse"):
+    """One realization's (K, L, N) combiners through the batched kernel."""
+    ws = CombinerWorkspace(SchemeSpec(granularity, rule, False), assoc, genome, C, p, s2)
+    return ws.combiners(hhat_t[None])[0]
+
+
+def _mrc(hhat_t, assoc):
+    K, L, N = hhat_t.shape
+    C0 = np.zeros((K, L, N, N), dtype=complex)
+    genome = np.zeros(L, dtype=int)
+    return _combiners(hhat_t, C0, assoc, genome, np.ones(K), 1.0, "joint", "mrc")
+
+
 def _setup(rng, K=3, L=4, N=2, T=8):
     hhat = random_channels(rng, (T, K, L, N))
     h = hhat + 0.2 * random_channels(rng, (T, K, L, N))
@@ -68,7 +80,7 @@ def _setup(rng, K=3, L=4, N=2, T=8):
 def test_mrc_single_oru_is_estimate():
     rng = np.random.default_rng(0)
     hhat = random_channels(rng, (2, 1, 4))
-    v = mrc_combiner(hhat, Association.all_serve(2, 1))
+    v = _mrc(hhat, Association.all_serve(2, 1))
     np.testing.assert_array_equal(v, hhat)
 
 
@@ -76,7 +88,7 @@ def test_mrc_masking_zeroes_entries():
     rng = np.random.default_rng(1)
     hhat = random_channels(rng, (2, 3, 4))
     delta = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
-    v = mrc_combiner(hhat, Association(delta))
+    v = _mrc(hhat, Association(delta))
     assert np.all(v[0, 1] == 0)
     assert np.all(v[1, 0] == 0)
     assert np.all(v[1, 2] == 0)
@@ -88,9 +100,8 @@ def test_mmse_single_unit_matches_direct_joint_solve():
     h, hhat, C, p = _setup(rng)
     K, L, N = 3, 4, 2
     s2 = 0.3
-    v = mmse_combiner_edu(
-        hhat[0], C, Association.all_serve(K, L), np.zeros(L, dtype=int), p, s2,
-        granularity="joint",
+    v = _combiners(
+        hhat[0], C, Association.all_serve(K, L), np.zeros(L, dtype=int), p, s2, "joint"
     )
     Hs = hhat[0].reshape(K, L * N).T
     G = np.zeros((L * N, L * N), dtype=complex)
@@ -108,10 +119,7 @@ def test_mmse_per_oru_matches_direct_local_solves():
     h, hhat, C, p = _setup(rng)
     K, L, N = 3, 4, 2
     s2 = 0.3
-    v = mmse_combiner_edu(
-        hhat[0], C, Association.all_serve(K, L), np.arange(L), p, s2,
-        granularity="oru",
-    )
+    v = _combiners(hhat[0], C, Association.all_serve(K, L), np.arange(L), p, s2, "oru")
     for l in range(L):
         G = s2 * np.eye(N, dtype=complex)
         for i in range(K):
@@ -133,7 +141,7 @@ def test_mmse_single_ue_reduces_to_matched_filter():
     assoc = Association.all_serve(K, L)
     genome = np.zeros(L, dtype=int)
     for t in range(4):
-        vm = mmse_combiner_edu(hhat[t], C, assoc, genome, p, s2, "joint")[0].ravel()
+        vm = _combiners(hhat[t], C, assoc, genome, p, s2, "joint")[0].ravel()
         vr = hhat[t, 0].ravel()
         cos = abs(vm.conj() @ vr) / (np.linalg.norm(vm) * np.linalg.norm(vr))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -149,9 +157,7 @@ def test_mmse_dcc_masked_entries_zero():
         [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 1, 1]],
         dtype=bool,
     )
-    v = mmse_combiner_edu(
-        hhat[0], C, Association(delta), np.zeros(5, dtype=int), p, 0.4, "joint"
-    )
+    v = _combiners(hhat[0], C, Association(delta), np.zeros(5, dtype=int), p, 0.4, "joint")
     for k in range(4):
         assert np.abs(v[k, ~delta[k]]).max() == 0.0
         assert np.abs(v[k, delta[k]]).max() > 0.0
@@ -168,8 +174,8 @@ def test_mmse_beats_mrc_in_model_sinr():
     genome = np.array([0, 0, 1, 1])
     for t in range(3):
         for gran in ("joint", "edu", "oru"):
-            vm = mmse_combiner_edu(hhat[t], C, assoc, genome, p, s2, gran)
-            vr = mrc_combiner(hhat[t], assoc)
+            vm = _combiners(hhat[t], C, assoc, genome, p, s2, gran)
+            vr = _mrc(hhat[t], assoc)
             for k in range(K):
                 for block in scheme_blocks(gran, genome, L):
                     svm = vm[k, block].ravel()
@@ -232,7 +238,7 @@ def test_uplink_edu_sum_equals_centralized_form():
     genome = np.zeros(L, dtype=int)
     rep = uplink_sinr("edu-mmse", h, hhat, C, assoc, genome, p, s2)
     ws = CombinerWorkspace(SCHEMES["edu-mmse"], assoc, genome, C, p, s2)
-    v = np.stack([ws.combiners(hhat[t]) for t in range(h.shape[0])])
+    v = ws.combiners(hhat)
     ref = stacked_uplink_sinr(
         v.reshape(-1, K, L * N), h.reshape(-1, K, L * N), p, s2
     )
@@ -333,7 +339,7 @@ def test_downlink_edu_sum_equals_centralized_form():
         "edu-mmse", h, hhat, C, assoc, genome, np.ones((K, L)), p, 0.5, 0.7, 4.0
     )
     ws = CombinerWorkspace(SCHEMES["edu-mmse"], assoc, genome, C, p, 0.5)
-    w_prime = np.stack([ws.combiners(hhat[t]) for t in range(h.shape[0])])
+    w_prime = ws.combiners(hhat)
     w_bar, omega, _ = normalize_precoders(w_prime, assoc)
     w = w_bar * np.sqrt(res.dl_power_mw)[None, :, None, None]
     ref = stacked_downlink_sinr(
