@@ -49,7 +49,7 @@ from .association import (  # noqa: F401
     ql_associate,
     exhaustive_oracle,
 )
-from .power import uplink_power, downlink_power, PowerAllocation  # noqa: F401
+from .power import uplink_power, downlink_power  # noqa: F401
 from .harness import (  # noqa: F401
     DropOptions,
     DropResult,

@@ -144,7 +144,6 @@ class QlResult:
     r_sum_all: float
     episode_rewards: np.ndarray  # (EP,) mean reward per episode
     episode_best: np.ndarray  # (EP,) best feasible R_sum seen so far
-    final_delta: np.ndarray  # association at the end of the last episode
     q_table_sizes: list[int]
 
 
@@ -230,7 +229,6 @@ def ql_associate(
         r_sum_all=r_sum_all,
         episode_rewards=ep_rewards,
         episode_best=ep_best,
-        final_delta=delta.copy(),
         q_table_sizes=[len(t) for t in q_tables],
     )
 

@@ -352,22 +352,3 @@ def sample_drop_channels(
         h, stats.W, stats.pilot_power_mw, stats.pilot_len, stats.noise_mw, rng_e
     )
     return h, hhat
-
-
-def dump_statistics_csv(stats: ChannelStatistics, path: str) -> None:
-    """Debug dump of the large-scale gain matrix (row = UE, col = O-RU)."""
-    header = (
-        f"# large-scale linear gains, {stats.num_ue} UEs x {stats.num_oru} O-RUs\n"
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        np.savetxt(fh, stats.beta, delimiter=",")
-
-
-def dump_correlation_npz(stats: ChannelStatistics, path: str) -> None:
-    """Binary dump of the correlation blocks for debugging.
-
-    Stores ``R`` with shape (num_ue, num_oru, N, N), row-major, plus the
-    ``beta`` matrix; load with ``numpy.load``.
-    """
-    np.savez_compressed(path, R=stats.R, beta=stats.beta)

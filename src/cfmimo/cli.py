@@ -3,7 +3,9 @@
 Subcommands: ``simulate`` (Monte Carlo campaign), ``deploy-ga`` (partition
 optimization), ``associate-ql`` (association learning for one drop), and
 ``sweep`` (vary the EDU count or the deployment mode). Errors exit nonzero
-with a machine-readable JSON record on stderr.
+with a machine-readable JSON record on stderr: 2 for bad usage or input
+(config, partition or association file), 1 for a runtime failure or a
+campaign with failed drops (its summary is still written).
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import numpy as np
 from . import __version__
 from .association import EduSinrTable, QlConfig, ql_associate
 from .channel import build_statistics
-from .deployment import GaConfig, ga_optimize
+from .deployment import GaConfig
 from .harness import (
     DropOptions,
-    _config_header,
     resolve_partition,
     run_campaign,
+    write_csv,
+    write_json,
+    write_partition,
 )
 from .power import uplink_power
 from .scenario import (
@@ -153,7 +157,7 @@ def _apply_sim_overrides(cfg: ScenarioConfig, args) -> tuple[ScenarioConfig, Dro
         if not args.association_file:
             _fail("--association file requires --association-file")
         assoc_delta = _read_association_csv(
-            args.association_file, cfg.num_ue, cfg.num_oru, cfg.num_edu
+            args.association_file, cfg.num_ue, cfg.num_edu
         )
     options = DropOptions(
         links=links,
@@ -165,17 +169,24 @@ def _apply_sim_overrides(cfg: ScenarioConfig, args) -> tuple[ScenarioConfig, Dro
     return cfg, options
 
 
-def _read_association_csv(path: str, K: int, L: int, M: int) -> np.ndarray:
-    """ue_index,edu_index,served rows expanded through the active partition."""
+def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
+    """(K, M) EDU-level association from ``ue_index,edu_index,served`` rows.
+
+    Each drop expands it to (K, L) through the campaign's partition.
+    """
     delta_km = np.zeros((K, M), dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
         for row in reader:
             if not row or row[0] == "ue_index":
                 continue
-            k, m, served = int(row[0]), int(row[1]), int(row[2])
+            k, m, served = (int(v) for v in row[:3])
+            if not (0 <= k < K and 0 <= m < M and served in (0, 1)):
+                _fail(
+                    f"{path}: association row {','.join(row)} needs "
+                    f"0 <= ue_index < {K}, 0 <= edu_index < {M} and served in {{0, 1}}"
+                )
             delta_km[k, m] = bool(served)
-    # Each drop expands this to (K, L) through the campaign's partition.
     return delta_km
 
 
@@ -191,51 +202,33 @@ def cmd_simulate(args) -> int:
         workers=args.workers,
     )
     print(f"wrote {args.out}/summary.json ({len(campaign.drops)} drops)")
-    if campaign.failures:
-        print(f"{len(campaign.failures)} drop(s) failed; see summary.json")
+    return _failed_drops_exit(campaign.failures)
+
+
+def _failed_drops_exit(failures) -> int:
+    if failures:
+        print(f"{len(failures)} drop(s) failed; see summary.json")
+        return 1
     return 0
 
 
 def cmd_deploy_ga(args) -> int:
     cfg = _load(args)
-    topo = build_topology(cfg, 0)
     ga_cfg = GaConfig()
     if args.generations:
         ga_cfg.generations = args.generations
     if args.population:
         ga_cfg.population_size = args.population
-    result = ga_optimize(
-        topo.oru_pairwise,
-        cfg.num_edu,
-        ga_cfg,
-        rng_stream(cfg.master_seed, 0, "ga"),
-    )
+    genome, meta = resolve_partition(cfg, "ga", ga_cfg)
     os.makedirs(args.out, exist_ok=True)
-    genome = result.partition.genome
-    with open(os.path.join(args.out, "partition.json"), "w", encoding="utf-8") as fh:
-        json.dump({str(i): int(m) for i, m in enumerate(genome)}, fh, indent=2)
-        fh.write("\n")
-    with open(
-        os.path.join(args.out, "partition.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["oru_index", "edu_index"])
-        for i, m in enumerate(genome):
-            writer.writerow([i, int(m)])
-    with open(
-        os.path.join(args.out, "fitness_trajectory.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_fitness"])
-        for g, f in enumerate(result.history):
-            writer.writerow([g, f"{f:.10e}"])
-    print(
-        f"partition fitness {result.partition.fitness:.6e}; wrote {args.out}/partition.json"
+    write_partition(args.out, cfg, genome)
+    write_csv(
+        os.path.join(args.out, "fitness_trajectory.csv"),
+        cfg,
+        ["generation", "best_fitness"],
+        ([g, f"{f:.10e}"] for g, f in enumerate(meta["history"])),
     )
+    print(f"partition fitness {meta['fitness']:.6e}; wrote {args.out}/partition.json")
     return 0
 
 
@@ -260,34 +253,28 @@ def cmd_associate_ql(args) -> int:
         rng_stream(cfg.master_seed, args.drop, "ql"),
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(
-        os.path.join(args.out, "association.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["ue_index", "edu_index", "served"])
-        for k in range(cfg.num_ue):
-            for m in range(cfg.num_edu):
-                writer.writerow([k, m, int(result.best_delta[k, m])])
-    with open(
-        os.path.join(args.out, "reward_trajectory.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "mean_reward", "best_r_sum"])
-        for e, (r, b) in enumerate(zip(result.episode_rewards, result.episode_best)):
-            writer.writerow([e, f"{r:.6e}", f"{b:.6f}"])
+    write_csv(
+        os.path.join(args.out, "association.csv"),
+        cfg,
+        ["ue_index", "edu_index", "served"],
+        ([k, m, int(served)] for (k, m), served in np.ndenumerate(result.best_delta)),
+    )
+    write_csv(
+        os.path.join(args.out, "reward_trajectory.csv"),
+        cfg,
+        ["episode", "mean_reward", "best_r_sum"],
+        (
+            [e, f"{r:.6e}", f"{b:.6f}"]
+            for e, (r, b) in enumerate(zip(result.episode_rewards, result.episode_best))
+        ),
+    )
     qstats = {
         "config": cfg.to_dict(),
         "q_table_sizes": result.q_table_sizes,
         "best_r_sum": result.best_r_sum,
         "r_sum_all": result.r_sum_all,
     }
-    with open(os.path.join(args.out, "qtable_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(qstats, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "qtable_summary.json"), qstats)
     print(
         f"best R_sum {result.best_r_sum:.4f} of all-serve {result.r_sum_all:.4f}; "
         f"wrote {args.out}/association.csv"
@@ -299,6 +286,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     cfg, options = _apply_sim_overrides(cfg, args)
     summaries = {}
+    failures = []
     if args.param == "num_edu":
         if not args.values:
             _fail("--param num_edu requires --values")
@@ -318,6 +306,7 @@ def cmd_sweep(args) -> int:
                 workers=args.workers,
             )
             summaries[f"num_edu={m}"] = campaign.summary
+            failures += campaign.failures
     else:
         for mode in ("ga", "clustered"):
             out = os.path.join(args.out, f"deployment={mode}")
@@ -326,12 +315,11 @@ def cmd_sweep(args) -> int:
                 workers=args.workers,
             )
             summaries[f"deployment={mode}"] = campaign.summary
+            failures += campaign.failures
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summaries, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "sweep_summary.json"), summaries)
     print(f"wrote {args.out}/sweep_summary.json")
-    return 0
+    return _failed_drops_exit(failures)
 
 
 def main(argv: list[str] | None = None) -> int:

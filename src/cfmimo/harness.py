@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .association import EduSinrTable, QlConfig, ql_associate
 from .channel import build_statistics, sample_drop_channels
-from .deployment import GaConfig, clustered_baseline, ga_optimize
+from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
 from .scenario import ScenarioConfig, Topology, build_topology, rng_stream
 from .transceiver import (
@@ -63,21 +63,21 @@ def _dcc_association(
     options: DropOptions,
     drop_index: int,
 ) -> tuple[Association, dict]:
-    K, L = config.num_ue, config.num_oru
+    K, L, M = config.num_ue, config.num_oru, config.num_edu
+    genome = topology.edu_partition
     if options.association_mode == "all":
         return Association.all_serve(K, L), {}
     if options.association_mode == "file":
         delta_km = options.association_delta
         if delta_km is None:
             raise ValueError("association_mode 'file' needs association_delta")
-        if np.shape(delta_km) != (K, topology.num_edu):
+        if np.shape(delta_km) != (K, M):
             raise ValueError(
                 f"association is {np.shape(delta_km)}, expected (num_ue, num_edu) = "
-                f"{(K, topology.num_edu)}"
+                f"{(K, M)}"
             )
-        return Association.from_edu(delta_km, topology.edu_partition), {}
+        return Association.from_edu(delta_km, genome), {}
     if options.association_mode == "ql":
-        genome = topology.edu_partition
         table = EduSinrTable.from_statistics(
             stats, genome, uplink_power(K, config.ul_power_mw), stats.noise_mw
         )
@@ -85,7 +85,7 @@ def _dcc_association(
         result = ql_associate(
             table.r_sum,
             K,
-            topology.num_edu,
+            M,
             qcfg,
             rng_stream(config.master_seed, drop_index, "ql"),
         )
@@ -101,21 +101,20 @@ def _dcc_association(
 def run_drop(
     config: ScenarioConfig,
     drop_index: int,
-    genome: np.ndarray | None = None,
+    genome: np.ndarray,
     options: DropOptions | None = None,
 ) -> DropResult:
     """Simulate one drop for every enabled scheme.
 
-    Builds topology and channel statistics, resolves the dynamic-cluster
+    Builds topology and channel statistics under the campaign's O-RU to EDU
+    ``genome`` (from :func:`resolve_partition`), resolves the dynamic-cluster
     association, draws the realization batch, builds each scheme's combiners
     once for the batch, and evaluates uplink and/or downlink SINR from them.
-    Deterministic in (master_seed, drop_index).
+    Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
     try:
-        topology = build_topology(config, drop_index)
-        if genome is not None:
-            topology = topology.with_partition(genome)
+        topology = build_topology(config, drop_index).with_partition(genome)
         stats = build_statistics(config, topology, drop_index)
         all_serve = Association.all_serve(config.num_ue, config.num_oru)
         dcc, meta = _dcc_association(config, topology, stats, options, drop_index)
@@ -176,7 +175,7 @@ def run_drop(
         return DropResult(
             drop_index=drop_index,
             reports=reports,
-            genome=topology.edu_partition.copy(),
+            genome=topology.edu_partition,
             association_delta=dcc.delta.copy(),
             metadata=meta,
         )
@@ -190,10 +189,13 @@ def resolve_partition(
     ga_config: GaConfig | None = None,
     genome_file: str | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Compute the O-RU to EDU partition once per campaign.
+    """The campaign's O-RU to EDU partition genome and its metadata.
 
-    The O-RU layout does not depend on the drop index, so the partition is
-    shared by all drops.
+    This is the only producer of a partition: ``run_drop`` and the CLI take
+    the genome it returns. The O-RU layout does not depend on the drop index,
+    so one partition serves every drop. Every genome is a balanced
+    :class:`Partition` over ``config.num_edu`` EDUs; a partition file that
+    is not raises ``ValueError``.
     """
     topology = build_topology(config, 0)
     if deployment_mode == "clustered":
@@ -219,23 +221,34 @@ def resolve_partition(
         if genome_file is None:
             raise ValueError("deployment 'file' needs a partition file")
         genome = _load_partition_file(genome_file, config.num_oru)
-        return genome, {"deployment": "file", "path": genome_file}
+        try:
+            part = Partition(genome, config.num_edu)
+        except ValueError as exc:
+            msg = f"{genome_file}: {exc} (num_edu={config.num_edu})"
+            raise ValueError(msg) from None
+        return part.genome, {"deployment": "file", "path": genome_file}
     raise ValueError(f"unknown deployment mode {deployment_mode!r}")
 
 
 def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
+    """Genome from ``oru_index,edu_index`` CSV rows or a JSON mapping.
+
+    Each O-RU index in [0, num_oru) must appear exactly once.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         if path.endswith(".json"):
-            mapping = json.load(fh)
-            genome = np.zeros(num_oru, dtype=int)
-            for oru, edu in mapping.items():
-                genome[int(oru)] = int(edu)
-            return genome
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        rows = [r for r in reader if r and r[0] != "oru_index"]
-    genome = np.zeros(num_oru, dtype=int)
-    for oru, edu in rows:
-        genome[int(oru)] = int(edu)
+            pairs = list(json.load(fh).items())
+        else:
+            reader = csv.reader(row for row in fh if not row.startswith("#"))
+            pairs = [r for r in reader if r and r[0] != "oru_index"]
+    orus = [int(oru) for oru, _ in pairs]
+    if sorted(orus) != list(range(num_oru)):
+        raise ValueError(
+            f"{path}: partition must list every O-RU index 0..{num_oru - 1} "
+            f"exactly once, got {len(orus)} rows"
+        )
+    genome = np.empty(num_oru, dtype=int)
+    genome[orus] = [int(edu) for _, edu in pairs]
     return genome
 
 
@@ -358,12 +371,57 @@ def run_campaign(
     return campaign
 
 
-def _config_header(config: ScenarioConfig) -> list[str]:
-    return [
-        f"# cfmimo {__version__}",
-        f"# config: {json.dumps(config.to_dict(), sort_keys=True)}",
-        f"# master_seed: {config.master_seed}",
-    ]
+def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> None:
+    """CSV file: the config echo as ``#`` lines, a header row, then ``rows``.
+
+    The echo (code version, full config, seed) is enough to rerun the
+    campaign that produced the file.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            f"# cfmimo {__version__}\n"
+            f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n"
+            f"# master_seed: {config.master_seed}\n"
+        )
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def write_partition(out_dir: str, config: ScenarioConfig, genome) -> dict[str, str]:
+    """Write ``partition.csv`` and ``partition.json``; either one loads back
+    with ``--deployment file``."""
+    paths = {
+        "partition_csv": os.path.join(out_dir, "partition.csv"),
+        "partition_json": os.path.join(out_dir, "partition.json"),
+    }
+    write_csv(
+        paths["partition_csv"],
+        config,
+        ["oru_index", "edu_index"],
+        ([i, int(m)] for i, m in enumerate(genome)),
+    )
+    mapping = {str(i): int(m) for i, m in enumerate(genome)}
+    write_json(paths["partition_json"], mapping)
+    return paths
+
+
+def _raw_rows(drops: list[DropResult]):
+    for drop in drops:
+        for scheme, per_link in drop.reports.items():
+            for link, report in per_link.items():
+                for k in range(report.se.size):
+                    g = report.gamma[k]
+                    sinr_db = f"{10.0 * np.log10(g):.6f}" if g > 0 else ""
+                    se = f"{report.se[k]:.6f}"
+                    yield [drop.drop_index, scheme, k, link, sinr_db, se]
+                yield [drop.drop_index, scheme, "sum", link, "", f"{report.sum_se:.6f}"]
 
 
 def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
@@ -372,48 +430,13 @@ def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
     paths = {
         "raw": os.path.join(out_dir, "raw_samples.csv"),
         "summary": os.path.join(out_dir, "summary.json"),
-        "partition_csv": os.path.join(out_dir, "partition.csv"),
-        "partition_json": os.path.join(out_dir, "partition.json"),
     }
-    cfg = campaign.config
-    with open(paths["raw"], "w", encoding="utf-8", newline="") as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["drop", "scheme", "ue", "link", "sinr_db", "se_bpshz"])
-        for drop in campaign.drops:
-            for scheme, per_link in drop.reports.items():
-                for link, report in per_link.items():
-                    for k in range(report.se.size):
-                        sinr_db = (
-                            10.0 * np.log10(report.gamma[k])
-                            if report.gamma[k] > 0
-                            else ""
-                        )
-                        writer.writerow(
-                            [
-                                drop.drop_index,
-                                scheme,
-                                k,
-                                link,
-                                f"{sinr_db:.6f}" if sinr_db != "" else "",
-                                f"{report.se[k]:.6f}",
-                            ]
-                        )
-                    writer.writerow(
-                        [drop.drop_index, scheme, "sum", link, "", f"{report.sum_se:.6f}"]
-                    )
-    with open(paths["summary"], "w", encoding="utf-8") as fh:
-        json.dump(campaign.summary, fh, indent=2)
-        fh.write("\n")
-    with open(paths["partition_csv"], "w", encoding="utf-8", newline="") as fh:
-        for line in _config_header(cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["oru_index", "edu_index"])
-        for i, m in enumerate(campaign.genome):
-            writer.writerow([i, int(m)])
-    with open(paths["partition_json"], "w", encoding="utf-8") as fh:
-        json.dump({str(i): int(m) for i, m in enumerate(campaign.genome)}, fh, indent=2)
-        fh.write("\n")
+    write_csv(
+        paths["raw"],
+        campaign.config,
+        ["drop", "scheme", "ue", "link", "sinr_db", "se_bpshz"],
+        _raw_rows(campaign.drops),
+    )
+    write_json(paths["summary"], campaign.summary)
+    paths.update(write_partition(out_dir, campaign.config, campaign.genome))
     return paths

@@ -9,16 +9,8 @@ serving O-RU exactly meets the cap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class PowerAllocation:
-    ul_mw: np.ndarray  # (K,)
-    dl_mw: np.ndarray  # (K,)
-    per_oru_mw: np.ndarray | None = None  # (L,) radiated totals, if audited
 
 
 def uplink_power(num_ue: int, p_fixed_mw: float) -> np.ndarray:

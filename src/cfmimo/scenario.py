@@ -103,9 +103,9 @@ class Topology:
     ue_positions: np.ndarray  # (K, 3), z = 0
     distance_matrix: np.ndarray  # (K, L), 3-D distances
     oru_pairwise: np.ndarray  # (L, L)
-    edu_partition: np.ndarray  # (L,) EDU index per O-RU
     placement: str = "grid"  # "grid" or "random" (fallback)
     grid_shape: tuple[int, int] | None = None
+    edu_partition: np.ndarray | None = None  # (L,) EDU per O-RU, via with_partition
 
     @property
     def num_oru(self) -> int:
@@ -114,10 +114,6 @@ class Topology:
     @property
     def num_ue(self) -> int:
         return self.ue_positions.shape[0]
-
-    @property
-    def num_edu(self) -> int:
-        return int(self.edu_partition.max()) + 1
 
     def with_partition(self, genome: np.ndarray) -> "Topology":
         genome = np.asarray(genome, dtype=int)
@@ -192,7 +188,9 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
     O-RUs sit on a centered regular grid (cell centers of the most-square
     subdivision of the area); if no 2-D grid exists for L, placement falls
     back to uniform random and is flagged. O-RU placement does not depend on
-    drop_index: the infrastructure is fixed, only UEs are re-dropped.
+    drop_index: the infrastructure is fixed, only UEs are re-dropped. The
+    O-RU to EDU partition is a campaign property (``resolve_partition``);
+    attach it with :meth:`Topology.with_partition`.
     """
     errors = validate_config(config)
     if errors:
@@ -225,20 +223,11 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
     odiff = oru[:, None, :] - oru[None, :, :]
     opair = np.linalg.norm(odiff, axis=-1)
 
-    # Default partition: balanced geographic clustering, replaced by the GA
-    # when interleaved deployment is requested.
-    from .deployment import clustered_baseline
-
-    genome = clustered_baseline(
-        oru[:, :2], config.num_edu, rng_stream(config.master_seed, 0, "clustering")
-    ).genome
-
     return Topology(
         oru_positions=oru,
         ue_positions=ue,
         distance_matrix=dist,
         oru_pairwise=opair,
-        edu_partition=genome,
         placement=placement,
         grid_shape=grid_shape,
     )

@@ -72,9 +72,6 @@ class Association:
     def serving_orus(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.delta[k])
 
-    def served_ues(self, l: int) -> np.ndarray:
-        return np.flatnonzero(self.delta[:, l])
-
     def edu_consistent(self, genome: np.ndarray) -> bool:
         """True if every UE's indicator is constant over each EDU's O-RUs."""
         genome = np.asarray(genome, dtype=int)

@@ -203,7 +203,10 @@ def test_criterion_6_ql_vs_oracle():
     topo = build_topology(cfg, 0)
     stats = build_statistics(cfg, topo, 0)
     table = EduSinrTable.from_statistics(
-        stats, topo.edu_partition, uplink_power(4, cfg.ul_power_mw), stats.noise_mw
+        stats,
+        resolve_partition(cfg, "clustered")[0],
+        uplink_power(4, cfg.ul_power_mw),
+        stats.noise_mw,
     )
     _, r_opt = exhaustive_oracle(table.r_sum, 4, 2, 2)
     wins = 0

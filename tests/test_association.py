@@ -12,6 +12,7 @@ from cfmimo.association import (
     reward,
 )
 from cfmimo.channel import build_statistics
+from cfmimo.harness import resolve_partition
 from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology
 from cfmimo.transceiver import Association
@@ -90,7 +91,8 @@ def test_qlconfig_validation():
 # learning loop and oracle
 # ---------------------------------------------------------------------------
 def _toy_table(tiny_config):
-    topo = build_topology(tiny_config, 0)
+    genome = resolve_partition(tiny_config, "clustered")[0]
+    topo = build_topology(tiny_config, 0).with_partition(genome)
     stats = build_statistics(tiny_config, topo, 0)
     table = EduSinrTable.from_statistics(
         stats,

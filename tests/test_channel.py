@@ -272,25 +272,3 @@ def test_phase_drift_uniform_distribution():
 def test_phase_drift_rejects_negative():
     with pytest.raises(ValueError):
         ch.apply_phase_drift(np.ones((1, 1, 1), dtype=complex), -1.0, np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-# ---------------------------------------------------------------------------
-def test_statistics_dumps(tmp_path):
-    from cfmimo import ScenarioConfig, build_topology
-
-    cfg = ScenarioConfig(num_oru=4, num_ue=2, num_edu=2, pilot_count=2,
-                         antennas_per_oru=2)
-    topo = build_topology(cfg, 0)
-    stats = ch.build_statistics(cfg, topo, 0)
-    csv_path = tmp_path / "beta.csv"
-    ch.dump_statistics_csv(stats, str(csv_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 1 + 2  # header + one row per UE
-    npz_path = tmp_path / "r.npz"
-    ch.dump_correlation_npz(stats, str(npz_path))
-    loaded = np.load(npz_path)
-    np.testing.assert_array_equal(loaded["R"], stats.R)
-    np.testing.assert_array_equal(loaded["beta"], stats.beta)

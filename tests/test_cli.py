@@ -185,3 +185,85 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_simulate_rejects_one_row_partition_file(tmp_path, cfg_file, capsys):
+    part = tmp_path / "partition.csv"
+    part.write_text("oru_index,edu_index\n0,7\n")
+    out = tmp_path / "sim"
+    rc = _exit_code(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ]
+    )
+    assert rc == 2
+    assert not (out / "summary.json").exists()
+    assert not (out / "raw_samples.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "partition" in json.loads(err)["detail"]
+
+
+def test_association_row_out_of_range_exits_2(tmp_path, cfg_file, capsys):
+    assoc = tmp_path / "assoc.csv"
+    assoc.write_text("ue_index,edu_index,served\n9,0,1\n")
+    rc = _exit_code(
+        [
+            "simulate", "--config", cfg_file, "--out", str(tmp_path / "sim"),
+            "--links", "ul", "--deployment", "clustered", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err)["error"] == "usage"
+
+
+def _fail_drop(monkeypatch, drop):
+    import cfmimo.harness as hz
+
+    real = hz.run_drop
+
+    def flaky(config, drop_index, genome, options=None):
+        if drop_index == drop:
+            raise RuntimeError("injected")
+        return real(config, drop_index, genome, options)
+
+    monkeypatch.setattr(hz, "run_drop", flaky)
+
+
+def test_simulate_with_failed_drop_exits_1(tmp_path, cfg_file, monkeypatch):
+    _fail_drop(monkeypatch, 1)
+    out = tmp_path / "sim"
+    rc = main(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--drops", "2",
+            "--links", "ul", "--deployment", "clustered",
+        ]
+    )
+    assert rc == 1
+    summary = json.load(open(out / "summary.json"))
+    assert summary["drops_completed"] == 1
+    assert summary["failures"][0]["drop"] == 1
+
+
+def test_sweep_with_failed_drop_exits_1(tmp_path, cfg_file, monkeypatch):
+    _fail_drop(monkeypatch, 0)
+    out = tmp_path / "sweep"
+    rc = main(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", "2",
+            "--links", "ul", "--deployment", "clustered",
+        ]
+    )
+    assert rc == 1
+    combined = json.load(open(out / "sweep_summary.json"))
+    assert combined["num_edu=2"]["drops_completed"] == 0

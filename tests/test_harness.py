@@ -1,6 +1,9 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmimo import ScenarioConfig
 from cfmimo.harness import (
@@ -9,6 +12,7 @@ from cfmimo.harness import (
     resolve_partition,
     run_campaign,
     run_drop,
+    write_partition,
 )
 from cfmimo.scenario import config_from_dict
 
@@ -31,8 +35,9 @@ def test_run_drop_special_case_identity(desk_config):
 
 
 def test_run_drop_deterministic(desk_config):
-    r1 = run_drop(desk_config, 1)
-    r2 = run_drop(desk_config, 1)
+    genome = resolve_partition(desk_config, "clustered")[0]
+    r1 = run_drop(desk_config, 1, genome)
+    r2 = run_drop(desk_config, 1, genome)
     for scheme in desk_config.schemes:
         for link in ("ul", "dl"):
             np.testing.assert_array_equal(
@@ -43,7 +48,10 @@ def test_run_drop_deterministic(desk_config):
 def test_run_drop_ql_association_mode(tiny_config):
     cfg = ScenarioConfig(**{**tiny_config.to_dict()})
     cfg.schemes = ("edu-pmmse", "edu-mmse")
-    res = run_drop(cfg, 0, options=DropOptions(association_mode="ql", links=("ul",)))
+    genome = resolve_partition(cfg, "clustered")[0]
+    res = run_drop(
+        cfg, 0, genome, options=DropOptions(association_mode="ql", links=("ul",))
+    )
     assert "ql_best_r_sum" in res.metadata
     # the DCC association respects EDU granularity and the fronthaul cap
     from cfmimo.transceiver import Association
@@ -203,3 +211,67 @@ def test_ga_deployment_beats_clustered_fitness(desk_config):
     f_ga = fitness(ga_genome, topo.oru_pairwise, desk_config.num_edu)
     f_cl = fitness(cl_genome, topo.oru_pairwise, desk_config.num_edu)
     assert f_ga >= f_cl
+
+
+def test_clustered_campaign_clusters_once(desk_config, monkeypatch):
+    import cfmimo.deployment as dp
+    import cfmimo.harness as hz
+
+    calls = []
+    real = dp.clustered_baseline
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "clustered_baseline", counting)
+    monkeypatch.setattr(hz, "clustered_baseline", counting)
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
+    cfg.schemes = ("edu-mmse",)
+    campaign = run_campaign(
+        cfg, deployment_mode="clustered", options=DropOptions(links=("ul",))
+    )
+    assert len(campaign.drops) == 3
+    assert len(calls) == 1
+
+
+def _csv(rows):
+    return "oru_index,edu_index\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, match",
+    [
+        # the one-row file, a repeated O-RU, an O-RU and an EDU out of range
+        ("p.csv", _csv(["0,7"]), "every O-RU"),
+        ("p.csv", _csv([f"{i},{i % 4}" for i in range(16)] + ["3,1"]), "every O-RU"),
+        ("p.csv", _csv([f"{i},{i % 4}" for i in range(15)] + ["16,3"]), "every O-RU"),
+        ("p.csv", _csv([f"{i},{i % 4}" for i in range(15)] + ["15,4"]), "every EDU"),
+        # EDU sizes 12 and 4 out of 4 EDUs; a JSON map missing O-RU 15
+        ("p.csv", _csv([f"{i},{int(i < 4)}" for i in range(16)]), "every EDU"),
+        ("p.json", json.dumps({str(i): i % 4 for i in range(15)}), "every O-RU"),
+    ],
+)
+def test_partition_file_is_validated(tmp_path, desk_config, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        resolve_partition(desk_config, "file", genome_file=str(path))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_edu=st.integers(1, 6),
+    num_oru=st.integers(6, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_files_round_trip(tmp_path_factory, num_edu, num_oru, seed):
+    from cfmimo.deployment import random_balanced_genome
+
+    cfg = ScenarioConfig(num_oru=num_oru, num_edu=num_edu, num_ue=2, pilot_count=2)
+    genome = random_balanced_genome(num_oru, num_edu, np.random.default_rng(seed))
+    paths = write_partition(str(tmp_path_factory.mktemp("p")), cfg, genome)
+    for path in paths.values():
+        loaded, meta = resolve_partition(cfg, "file", genome_file=path)
+        np.testing.assert_array_equal(loaded, genome)
+        assert meta == {"deployment": "file", "path": path}

@@ -271,9 +271,9 @@ def test_uplink_requires_two_realizations():
 
 
 def test_uplink_report_invariants(desk_config):
-    from cfmimo.harness import run_drop
+    from cfmimo.harness import resolve_partition, run_drop
 
-    res = run_drop(desk_config, 0)
+    res = run_drop(desk_config, 0, resolve_partition(desk_config, "clustered")[0])
     for scheme, per_link in res.reports.items():
         rep = per_link["ul"]
         assert np.all(rep.signal >= 0)
@@ -406,11 +406,12 @@ def test_quantize_rejects_zero_bits():
 
 
 def test_quantized_uplink_close_to_infinite(desk_config):
-    from cfmimo.harness import DropOptions, run_drop
+    from cfmimo.harness import DropOptions, resolve_partition, run_drop
 
     cfg = desk_config
-    a = run_drop(cfg, 0, options=DropOptions(links=("ul",)))
-    b = run_drop(cfg, 0, options=DropOptions(links=("ul",), quantizer_bits=16))
+    genome = resolve_partition(cfg, "clustered")[0]
+    a = run_drop(cfg, 0, genome, options=DropOptions(links=("ul",)))
+    b = run_drop(cfg, 0, genome, options=DropOptions(links=("ul",), quantizer_bits=16))
     for scheme in cfg.schemes:
         se_a = a.reports[scheme]["ul"].sum_se
         se_b = b.reports[scheme]["ul"].sum_se
