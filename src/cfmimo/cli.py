@@ -19,25 +19,24 @@ import sys
 import numpy as np
 
 from . import __version__
-from .association import EduSinrTable, QlConfig, ql_associate
+from .association import QlConfig
 from .channel import build_statistics
 from .deployment import GaConfig
 from .harness import (
     DropOptions,
+    ql_association,
     resolve_partition,
     run_campaign,
     write_csv,
     write_json,
     write_partition,
 )
-from .power import uplink_power
 from .scenario import (
     VALID_SCHEMES,
     ConfigError,
     ScenarioConfig,
     build_topology,
     load_config,
-    rng_stream,
 )
 
 USAGE_EXIT = 2
@@ -239,19 +238,10 @@ def cmd_associate_ql(args) -> int:
     )
     topo = build_topology(cfg, args.drop).with_partition(genome)
     stats = build_statistics(cfg, topo, args.drop)
-    table = EduSinrTable.from_statistics(
-        stats, genome, uplink_power(cfg.num_ue, cfg.ul_power_mw), stats.noise_mw
-    )
-    qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap)
+    qcfg = None
     if args.episodes:
-        qcfg.episodes = args.episodes
-    result = ql_associate(
-        table.r_sum,
-        cfg.num_ue,
-        cfg.num_edu,
-        qcfg,
-        rng_stream(cfg.master_seed, args.drop, "ql"),
-    )
+        qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap, episodes=args.episodes)
+    result = ql_association(cfg, stats, genome, args.drop, qcfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "association.csv"),

@@ -2,8 +2,9 @@
 
 A genetic algorithm searches length-L genomes of EDU labels for the
 partition whose cross-EDU tuples are geographically tightest, which spreads
-each EDU's own O-RUs apart (interleaving). The comparison arm is a balanced
-geographic clustering.
+each EDU's own O-RUs apart (interleaving). Its crossover and mutation keep
+every EDU's group size, so each child is balanced by construction. The
+comparison arm is a balanced geographic clustering.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 MAX_EXACT_TUPLES = 10_000_000
-_REJECTION_TRIES = 20  # per child pair before falling back to repair
 
 
 @dataclass
@@ -69,27 +69,13 @@ def is_balanced(genome: np.ndarray, num_edu: int) -> bool:
     return counts.min() >= 1 and counts.max() - counts.min() <= 1
 
 
-def _balanced_labels(L: int, M: int) -> np.ndarray:
-    return np.arange(L) % M
-
-
 def random_balanced_genome(L: int, M: int, rng: np.random.Generator) -> np.ndarray:
-    labels = _balanced_labels(L, M)
-    return rng.permutation(labels)
+    return rng.permutation(np.arange(L) % M)
 
 
-def _repair(genome: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Move genes from over-full to under-full groups until balanced."""
-    g = genome.copy()
-    counts = np.bincount(g, minlength=M)
-    while counts.max() - counts.min() > 1 or counts.min() < 1:
-        donor = int(np.argmax(counts))
-        taker = int(np.argmin(counts))
-        pick = rng.choice(np.flatnonzero(g == donor))
-        g[pick] = taker
-        counts[donor] -= 1
-        counts[taker] += 1
-    return g
+def _one_hot(genomes: np.ndarray, M: int) -> np.ndarray:
+    """(..., L) EDU labels as (..., L, M) booleans."""
+    return genomes[..., None] == np.arange(M)
 
 
 def exact_fitness_denominator(genome: np.ndarray, dist: np.ndarray, M: int) -> float:
@@ -112,17 +98,27 @@ def exact_fitness_denominator(genome: np.ndarray, dist: np.ndarray, M: int) -> f
     return total
 
 
-def surrogate_fitness_denominator(
-    genome: np.ndarray, dist: np.ndarray, M: int
-) -> float:
-    """Sum of pairwise distances between O-RUs of different EDUs."""
-    total = dist.sum() / 2.0
-    within = 0.0
-    for m in range(M):
-        idx = np.flatnonzero(genome == m)
-        if idx.size > 1:
-            within += dist[np.ix_(idx, idx)].sum() / 2.0
-    return total - within
+def surrogate_denominators(genomes: np.ndarray, dist: np.ndarray, M: int) -> np.ndarray:
+    """Sum of pairwise distances between O-RUs of different EDUs, per genome.
+
+    For the one-hot (P, L, M) X of a (P, L) genome batch this is the total
+    spread ½·Σ D minus the within-EDU spread ½·Σ diag(XᵀDX), summed as
+    ½·Σ (1 − X)∘(DX) so that no subtraction cancels.
+    """
+    X = _one_hot(genomes, M).astype(float)
+    return 0.5 * np.einsum("plm,plm->p", 1.0 - X, dist @ X)
+
+
+def _scores(genomes: np.ndarray, dist: np.ndarray, M: int, mode: str) -> np.ndarray:
+    """Fitness of each (P, L) genome row; a zero spread scores +inf."""
+    if mode == "exact":
+        denom = np.array([exact_fitness_denominator(g, dist, M) for g in genomes])
+    elif mode == "pairwise-surrogate":
+        denom = surrogate_denominators(genomes, dist, M)
+    else:
+        raise ValueError(f"unknown fitness mode {mode!r}")
+    with np.errstate(divide="ignore"):
+        return 1.0 / denom
 
 
 def fitness(
@@ -138,46 +134,48 @@ def fitness(
     genome = np.asarray(genome, dtype=int)
     if not is_balanced(genome, num_edu):
         raise ValueError("fitness requires a balanced partition")
-    if mode == "exact":
-        denom = exact_fitness_denominator(genome, oru_distances, num_edu)
-    elif mode == "pairwise-surrogate":
-        denom = surrogate_fitness_denominator(genome, oru_distances, num_edu)
-    else:
-        raise ValueError(f"unknown fitness mode {mode!r}")
-    return math.inf if denom == 0.0 else 1.0 / denom
+    dist = np.asarray(oru_distances, dtype=float)
+    return float(_scores(genome[None], dist, num_edu, mode)[0])
 
 
-def _select_parents(
-    pop: list[np.ndarray], scores: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    finite = np.isfinite(scores)
-    if not finite.all():
-        weights = np.where(finite, 0.0, 1.0)
-    else:
-        weights = scores - scores.min() if scores.min() < 0 else scores.copy()
-    tot = weights.sum()
-    probs = np.full(len(pop), 1.0 / len(pop)) if tot <= 0 else weights / tot
-    i, j = rng.choice(len(pop), size=2, p=probs)
-    return pop[i].copy(), pop[j].copy()
+def _crossover(
+    a: np.ndarray, b: np.ndarray, M: int, rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Single-point crossover of parent rows ``a`` and ``b`` (each (n, L)).
+
+    Returns the 2n children: a's head with b's tail, then b's head with a's
+    tail. Each child then gets its head parent's group sizes back without
+    any random draw: the last surplus genes of each over-full EDU, which lie
+    in the tail, take the labels of the under-full EDUs in index order.
+    """
+    n, L = a.shape
+    cut = np.where(rng.random(n) < rate, rng.integers(1, L, size=n), L)
+    in_head = np.arange(L) < cut[:, None]
+    heads = np.concatenate([a, b])
+    kids = np.concatenate([np.where(in_head, a, b), np.where(in_head, b, a)])
+    X = _one_hot(kids, M)
+    excess = X.sum(1) - _one_hot(heads, M).sum(1)  # (2n, M)
+    # 1 for the last gene of its label, 2 for the one before it, ...
+    from_end = np.cumsum(X[:, ::-1], axis=1)[:, ::-1]
+    rank = np.take_along_axis(from_end, kids[..., None], 2)[..., 0]
+    move = rank <= np.take_along_axis(excess, kids, 1)
+    # The k-th moved gene takes the k-th slot of the under-full EDUs' list.
+    slots_end = np.cumsum(np.maximum(-excess, 0), axis=1)
+    k = np.cumsum(move, axis=1) - 1
+    label = (k[..., None] >= slots_end[:, None, :]).sum(-1)
+    return np.where(move, label, kids)
 
 
-def _crossover(a: np.ndarray, b: np.ndarray, rate: float, rng: np.random.Generator):
-    if rng.random() < rate and a.size > 1:
-        x = int(rng.integers(1, a.size))
-        a2 = np.concatenate([a[:x], b[x:]])
-        b2 = np.concatenate([b[:x], a[x:]])
-        return a2, b2
-    return a.copy(), b.copy()
-
-
-def _mutate(g: np.ndarray, M: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    if rate <= 0:
-        return g
-    hits = rng.random(g.size) < rate
-    if hits.any():
-        g = g.copy()
-        g[hits] = rng.integers(0, M, size=int(hits.sum()))
-    return g
+def _mutate(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Swap mutation, in place: each hit gene swaps its label with a
+    uniformly drawn position of the same genome, which keeps every group
+    size."""
+    hits = rng.random(genomes.shape) < rate
+    rows, cols = np.nonzero(hits)
+    partners = rng.integers(0, genomes.shape[1], size=rows.size)
+    for p, i, j in zip(rows, cols, partners):
+        genomes[p, i], genomes[p, j] = genomes[p, j], genomes[p, i]
+    return genomes
 
 
 @dataclass
@@ -194,14 +192,14 @@ def ga_optimize(
 ) -> GaResult:
     """Evolve a balanced O-RU partition maximizing the interleaving fitness.
 
-    Parents are drawn with probability proportional to normalized fitness;
-    children come from single-point crossover plus per-gene resampling and
-    must satisfy the balance constraint. Invalid children are discarded and
-    regenerated; after a bounded number of tries they are repaired by moving
-    genes out of over-full groups, which keeps the operator usable at large
-    L where exact-balance rejection almost never succeeds. Survivor
-    selection merges parents and children and keeps the best, so the
-    best-so-far fitness never decreases.
+    The population is a (P, L) array of genomes with the group sizes of
+    :func:`random_balanced_genome`. Each generation draws P/2 parent pairs
+    with probability proportional to fitness, makes two children per pair by
+    single-point crossover that restores the head parent's group sizes,
+    applies swap mutation, and scores all P children in one call. Both
+    operators keep group sizes, so every child is balanced without checks.
+    Survivor selection merges parents and children and keeps the best, so
+    the best-so-far fitness never decreases.
     """
     config = config or GaConfig()
     config.validate()
@@ -212,40 +210,33 @@ def ga_optimize(
     if L < M:
         raise ValueError("cannot split fewer O-RUs than EDUs")
 
-    def score(g: np.ndarray) -> float:
-        return fitness(g, dist, M, config.fitness_mode)
+    def score(genomes: np.ndarray) -> np.ndarray:
+        return _scores(genomes, dist, M, config.fitness_mode)
 
     if M == 1:
         genome = np.zeros(L, dtype=int)
-        part = Partition(genome, 1, fitness=score(genome))
+        part = Partition(genome, 1, fitness=float(score(genome[None])[0]))
         return GaResult(part, np.array([part.fitness]))
 
     n_p = config.population_size
-    pop = [random_balanced_genome(L, M, rng) for _ in range(n_p)]
-    scores = np.array([score(g) for g in pop])
+    pop = np.stack([random_balanced_genome(L, M, rng) for _ in range(n_p)])
+    scores = score(pop)
     history = np.empty(config.generations)
 
     for gen in range(config.generations):
-        children: list[np.ndarray] = []
-        while len(children) < n_p:
-            made = None
-            for _ in range(_REJECTION_TRIES):
-                pa, pb = _select_parents(pop, scores, rng)
-                c1, c2 = _crossover(pa, pb, config.crossover_rate, rng)
-                c1 = _mutate(c1, M, config.mutation_rate, rng)
-                c2 = _mutate(c2, M, config.mutation_rate, rng)
-                if is_balanced(c1, M) and is_balanced(c2, M):
-                    made = (c1, c2)
-                    break
-            if made is None:
-                made = (_repair(c1, M, rng), _repair(c2, M, rng))
-            children.extend(made)
-        children = children[:n_p]
+        # Fitness is positive or +inf; any +inf genomes share all the weight.
+        finite = np.isfinite(scores)
+        weights = scores if finite.all() else (~finite).astype(float)
+        pairs = rng.choice(n_p, size=(n_p // 2, 2), p=weights / weights.sum())
+        children = _crossover(
+            pop[pairs[:, 0]], pop[pairs[:, 1]], M, config.crossover_rate, rng
+        )
+        children = _mutate(children, config.mutation_rate, rng)
 
-        merged = pop + children
-        merged_scores = np.concatenate([scores, [score(g) for g in children]])
+        merged = np.concatenate([pop, children])
+        merged_scores = np.concatenate([scores, score(children)])
         order = np.argsort(-merged_scores, kind="stable")[:n_p]
-        pop = [merged[i] for i in order]
+        pop = merged[order]
         scores = merged_scores[order]
         history[gen] = scores[0]
 

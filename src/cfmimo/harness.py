@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .association import EduSinrTable, QlConfig, ql_associate
+from .association import EduSinrTable, QlConfig, QlResult, ql_associate
 from .channel import build_statistics, sample_drop_channels
 from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
@@ -56,6 +56,32 @@ class DropResult:
     metadata: dict = field(default_factory=dict)
 
 
+def ql_association(
+    config: ScenarioConfig,
+    stats,
+    genome: np.ndarray,
+    drop_index: int,
+    ql_config: QlConfig | None = None,
+) -> QlResult:
+    """Q-learning EDU association of one drop.
+
+    Learns on the drop's statistical EDU SINR table at the configured uplink
+    power, with ``ql_config`` (default: ``QlConfig`` capped at
+    ``config.fronthaul_ue_cap``) and the drop's ``"ql"`` RNG stream.
+    """
+    table = EduSinrTable.from_statistics(
+        stats, genome, uplink_power(config.num_ue, config.ul_power_mw), stats.noise_mw
+    )
+    qcfg = ql_config or QlConfig(fronthaul_ue_cap=config.fronthaul_ue_cap)
+    return ql_associate(
+        table.r_sum,
+        config.num_ue,
+        config.num_edu,
+        qcfg,
+        rng_stream(config.master_seed, drop_index, "ql"),
+    )
+
+
 def _dcc_association(
     config: ScenarioConfig,
     topology: Topology,
@@ -78,17 +104,7 @@ def _dcc_association(
             )
         return Association.from_edu(delta_km, genome), {}
     if options.association_mode == "ql":
-        table = EduSinrTable.from_statistics(
-            stats, genome, uplink_power(K, config.ul_power_mw), stats.noise_mw
-        )
-        qcfg = options.ql_config or QlConfig(fronthaul_ue_cap=config.fronthaul_ue_cap)
-        result = ql_associate(
-            table.r_sum,
-            K,
-            M,
-            qcfg,
-            rng_stream(config.master_seed, drop_index, "ql"),
-        )
+        result = ql_association(config, stats, genome, drop_index, options.ql_config)
         assoc = Association.from_edu(result.best_delta, genome)
         meta = {
             "ql_best_r_sum": result.best_r_sum,
@@ -114,6 +130,7 @@ def run_drop(
     """
     options = options or DropOptions()
     try:
+        Partition(genome, config.num_edu)  # EDU range and balance
         topology = build_topology(config, drop_index).with_partition(genome)
         stats = build_statistics(config, topology, drop_index)
         all_serve = Association.all_serve(config.num_ue, config.num_oru)

@@ -3,16 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfmimo import ScenarioConfig
 from cfmimo.deployment import (
     GaConfig,
     Partition,
+    _crossover,
+    _mutate,
     clustered_baseline,
     fitness,
     ga_optimize,
     is_balanced,
     random_balanced_genome,
+    surrogate_denominators,
 )
+from cfmimo.harness import resolve_partition
+from cfmimo.scenario import build_topology, rng_stream
 
 
 def line_distances(L):
@@ -74,6 +82,24 @@ def test_fitness_surrogate_equals_exact_for_two_groups():
             )
 
 
+def test_surrogate_denominators_match_pair_sum():
+    # the batched one-hot form against a plain loop over cross-EDU pairs
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        L = int(rng.integers(2, 30))
+        M = int(rng.integers(1, L + 1))
+        pos = rng.uniform(0, 1000, (L, 2))
+        dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+        genomes = rng.integers(0, M, (4, L))
+        got = surrogate_denominators(genomes, dist, M)
+        for g, d in zip(genomes, got):
+            want = 0.0
+            for i, j in itertools.combinations(range(L), 2):
+                if g[i] != g[j]:
+                    want += dist[i, j]
+            assert d == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_fitness_exact_refuses_huge_tuple_counts():
     L, M = 64, 8
     dist = np.abs(np.arange(L)[:, None] - np.arange(L)[None, :]).astype(float)
@@ -123,6 +149,44 @@ def test_ga_best_fitness_nondecreasing():
     dist = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
     res = ga_optimize(dist, 3, GaConfig(population_size=12, generations=40), rng)
     assert np.all(np.diff(res.history) >= 0)
+
+
+def test_ga_beats_clustered_on_default_grid():
+    cfg = ScenarioConfig()
+    dist = build_topology(cfg, 0).oru_pairwise
+    res = ga_optimize(
+        dist, cfg.num_edu, GaConfig(generations=40), rng_stream(cfg.master_seed, 0, "ga")
+    )
+    clustered = resolve_partition(cfg, "clustered")[0]
+    assert res.partition.fitness > fitness(clustered, dist, cfg.num_edu)
+
+
+def _group_sizes(genomes, M):
+    return np.stack([np.bincount(g, minlength=M) for g in genomes])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    pairs=st.integers(1, 4),
+    crossover_rate=st.floats(0.0, 1.0),
+    mutation_rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operators_keep_group_sizes(data, pairs, crossover_rate, mutation_rate, seed):
+    L = data.draw(st.integers(2, 40), label="L")
+    M = data.draw(st.integers(1, L), label="M")
+    rng = np.random.default_rng(seed)
+    # parents with arbitrary, mutually different group sizes
+    a = rng.integers(0, M, (pairs, L))
+    b = rng.integers(0, M, (pairs, L))
+    children = _crossover(a, b, M, crossover_rate, rng)
+    # child i of a pair has its head parent's sizes: a's, then b's
+    np.testing.assert_array_equal(
+        _group_sizes(children, M), _group_sizes(np.concatenate([a, b]), M)
+    )
+    mutated = _mutate(children.copy(), mutation_rate, rng)
+    np.testing.assert_array_equal(_group_sizes(mutated, M), _group_sizes(children, M))
 
 
 def test_ga_rejects_more_edus_than_orus():

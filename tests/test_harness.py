@@ -60,6 +60,13 @@ def test_run_drop_ql_association_mode(tiny_config):
     assert assoc.edu_consistent(res.genome)
 
 
+@pytest.mark.parametrize("mode", ["all", "ql"])
+def test_run_drop_rejects_genome_beyond_num_edu(tiny_config, mode):
+    # four labels for num_edu=2 would run edu-mmse as four EDUs
+    with pytest.raises(RuntimeError, match="every EDU"):
+        run_drop(tiny_config, 0, [0, 1, 2, 3], DropOptions(association_mode=mode))
+
+
 def test_raw_csv_row_counts(tmp_path):
     cfg = ScenarioConfig(
         num_oru=16,
