@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics
-from .transceiver import se_from_sinr
 
 REWARD_CAP = 1e6  # sentinel where the reward ratio diverges
 
@@ -93,8 +92,15 @@ class EduSinrTable:
     """
 
     def __init__(self, gamma: np.ndarray):
-        self.gamma = np.asarray(gamma, dtype=float)
-        self.num_ue, self.num_edu = self.gamma.shape
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.ndim != 2:
+            raise ValueError(f"SINR table must be 2-D (K, M), got shape {gamma.shape}")
+        if not np.all(np.isfinite(gamma)):
+            raise ValueError("SINR table must be finite")
+        if np.any(gamma < 0):
+            raise ValueError("SINR table must be >= 0")
+        self.gamma = gamma
+        self.num_ue, self.num_edu = gamma.shape
 
     @classmethod
     def from_statistics(
@@ -128,13 +134,9 @@ class EduSinrTable:
                 gamma[k, m] = p[k] * np.trace(sol).real
         return cls(gamma)
 
-    def per_ue_se(self, delta_km: np.ndarray) -> np.ndarray:
-        delta_km = np.asarray(delta_km, dtype=bool)
-        g = (self.gamma * delta_km).sum(axis=1)
-        return se_from_sinr(g)
-
     def r_sum(self, delta_km: np.ndarray) -> float:
-        return float(self.per_ue_se(delta_km).sum())
+        """Sum over UEs of log2(1 + SINR) for a boolean (K, M) association."""
+        return float(np.log2(1.0 + (self.gamma * delta_km).sum(axis=1)).sum())
 
 
 @dataclass
@@ -156,18 +158,29 @@ def ql_associate(
 ) -> QlResult:
     """Learn a UE-EDU association maximizing the constrained sum rate.
 
-    ``evaluator`` maps a (K, M) boolean association to its sum rate. Actions
-    per agent: no-op, associate UE k, disassociate UE k. The best feasible
-    association observed anywhere during training is returned, which is the
-    quantity a deployment would keep.
+    ``evaluator`` maps a (K, M) boolean association to its sum rate. It must
+    be a pure function of the association: it is called once for the
+    all-serve reference, once at the start of each episode (the empty
+    association) and once after each action that changes the association;
+    no-ops and redundant toggles reuse the last rate. Actions per agent:
+    no-op, associate UE k, disassociate UE k. The best feasible association
+    observed anywhere during training is returned, which is the quantity a
+    deployment would keep.
+
+    Each EDU's state is its K-bit serving set held as an int, and each
+    visited (EDU, state) owns one row of 2K+1 Q values plus a mask of the
+    actions written so far; a state without a row has all Q values 0.
     """
     config.validate()
     K, M = num_ue, num_edu
     n_actions = 2 * K + 1
     steps = config.steps_per_episode or 4 * K * M
+    cap = config.fronthaul_ue_cap
+    alpha, kappa = config.learning_rate, config.discount
     r_sum_all = float(evaluator(np.ones((K, M), dtype=bool)))
 
-    q_tables: list[dict[tuple[int, int], float]] = [dict() for _ in range(M)]
+    q_rows: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
+    written: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
     delta = np.zeros((K, M), dtype=bool)
 
     best_delta = np.zeros((K, M), dtype=bool)
@@ -176,46 +189,45 @@ def ql_associate(
     ep_rewards = np.zeros(config.episodes)
     ep_best = np.zeros(config.episodes)
 
-    def state_key(m: int) -> int:
-        bits = 0
-        col = delta[:, m]
-        for k in range(K):
-            if col[k]:
-                bits |= 1 << k
-        return bits
-
-    def best_q(table: dict, s: int) -> tuple[int, float]:
-        vals = np.array([table.get((s, a), 0.0) for a in range(n_actions)])
-        return int(np.argmax(vals)), float(vals.max())
-
     for e in range(config.episodes):
         delta[:] = False
+        states = [0] * M
+        load = [0] * M
+        chi = 1  # no EDU serves anyone
+        r_sum = float(evaluator(delta))
+        r = reward(chi, r_sum, r_sum_all)
         eps = epsilon_schedule(e, config.epsilon_init, config.attenuation, n_actions)
         acc_reward = 0.0
         for t in range(steps):
             m = t % M
-            s = state_key(m)
+            rows = q_rows[m]
+            s = states[m]
+            row = rows.get(s)
             if rng.random() < eps:
                 a = int(rng.integers(n_actions))
             else:
-                a, _ = best_q(q_tables[m], s)
+                a = 0 if row is None else int(row.argmax())
 
-            if 1 <= a <= K:
-                delta[a - 1, m] = True
-            elif a > K:
-                delta[a - K - 1, m] = False
-
-            chi = fronthaul_ok(delta, config.fronthaul_ue_cap)
-            r_sum = float(evaluator(delta))
-            r = reward(chi, r_sum, r_sum_all)
+            s_next = s
+            if a:
+                on = a <= K
+                k = a - 1 if on else a - K - 1
+                if bool(s >> k & 1) != on:
+                    s_next = states[m] = s ^ (1 << k)
+                    delta[k, m] = on
+                    load[m] += 1 if on else -1
+                    chi = int(max(load) <= cap)
+                    r_sum = float(evaluator(delta))
+                    r = reward(chi, r_sum, r_sum_all)
             acc_reward += r
 
-            s_next = state_key(m)
-            _, max_next = best_q(q_tables[m], s_next)
-            q_old = q_tables[m].get((s, a), 0.0)
-            q_tables[m][(s, a)] = q_update(
-                q_old, r, max_next, config.learning_rate, config.discount
-            )
+            row_next = row if s_next == s else rows.get(s_next)
+            max_next = 0.0 if row_next is None else float(row_next.max())
+            if row is None:
+                row = rows[s] = np.zeros(n_actions)
+                written[m][s] = np.zeros(n_actions, dtype=bool)
+            row[a] = q_update(row.item(a), r, max_next, alpha, kappa)
+            written[m][s][a] = True
 
             if chi and r_sum > best_r:
                 best_r = r_sum
@@ -229,7 +241,9 @@ def ql_associate(
         r_sum_all=r_sum_all,
         episode_rewards=ep_rewards,
         episode_best=ep_best,
-        q_table_sizes=[len(t) for t in q_tables],
+        q_table_sizes=[
+            sum(int(mask.sum()) for mask in w.values()) for w in written
+        ],
     )
 
 

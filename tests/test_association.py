@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmimo.association import (
     EduSinrTable,
@@ -15,7 +17,9 @@ from cfmimo.channel import build_statistics
 from cfmimo.harness import resolve_partition
 from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology
-from cfmimo.transceiver import Association
+from cfmimo.transceiver import Association, se_from_sinr
+
+from reference_ql import reference_ql_associate
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +209,31 @@ def test_oracle_refuses_large_state_space():
         exhaustive_oracle(table.r_sum, 10, 4, 4)
 
 
+@pytest.mark.parametrize(
+    "gamma, match",
+    [
+        (np.array([[1.0, np.nan]]), "finite"),
+        (np.array([[1.0, np.inf]]), "finite"),
+        (np.array([[1.0, -0.5]]), ">= 0"),
+        (np.array([1.0, 2.0]), "2-D"),
+        (np.ones((2, 2, 2)), "2-D"),
+    ],
+)
+def test_sinr_table_rejects_bad_gamma(gamma, match):
+    with pytest.raises(ValueError, match=match):
+        EduSinrTable(gamma)
+
+
+def test_r_sum_matches_se_from_sinr():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        K, M = rng.integers(1, 12, size=2)
+        table = _random_table(K, M, int(rng.integers(1 << 30)))
+        delta = rng.random((K, M)) < 0.5
+        g = (table.gamma * delta).sum(axis=1)
+        assert table.r_sum(delta) == float(se_from_sinr(g).sum())
+
+
 def test_sinr_table_monotone_in_edus(tiny_config):
     table, _ = _toy_table(tiny_config)
     none = np.zeros((4, 2), dtype=bool)
@@ -215,3 +244,92 @@ def test_sinr_table_monotone_in_edus(tiny_config):
     assert table.r_sum(none) == 0.0
     assert table.r_sum(one) > 0.0
     assert table.r_sum(both) > table.r_sum(one)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the frozen dict-based loop
+# ---------------------------------------------------------------------------
+def _assert_same_result(res, ref):
+    np.testing.assert_array_equal(res.best_delta, ref.best_delta)
+    assert res.best_r_sum == ref.best_r_sum
+    assert res.r_sum_all == ref.r_sum_all
+    np.testing.assert_array_equal(res.episode_rewards, ref.episode_rewards)
+    np.testing.assert_array_equal(res.episode_best, ref.episode_best)
+    assert res.q_table_sizes == ref.q_table_sizes
+
+
+def _random_table(K, M, seed):
+    rng = np.random.default_rng(seed)
+    return EduSinrTable(rng.exponential(size=(K, M)) * (rng.random((K, M)) < 0.8))
+
+
+def _gate_instances(tiny_config):
+    toy, _ = _toy_table(tiny_config)
+    wide = _random_table(24, 8, 11)
+    single = _random_table(5, 1, 12)
+    return {
+        "toy": (toy.r_sum, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2), 7),
+        "toy-rescaled": (
+            lambda d: 2.5 * toy.r_sum(d), 4, 2,
+            QlConfig(episodes=120, fronthaul_ue_cap=2), 7,
+        ),
+        "k24-m8-binding-cap": (
+            wide.r_sum, 24, 8, QlConfig(episodes=6, fronthaul_ue_cap=5), 3,
+        ),
+        "steps-per-episode": (
+            toy.r_sum, 4, 2,
+            QlConfig(episodes=40, fronthaul_ue_cap=1, steps_per_episode=7), 4,
+        ),
+        "m1": (single.r_sum, 5, 1, QlConfig(episodes=60, fronthaul_ue_cap=3), 5),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["toy", "toy-rescaled", "k24-m8-binding-cap", "steps-per-episode", "m1"]
+)
+def test_ql_matches_frozen_reference(tiny_config, name):
+    evaluator, K, M, qcfg, seed = _gate_instances(tiny_config)[name]
+    res = ql_associate(evaluator, K, M, qcfg, np.random.default_rng(seed))
+    ref = reference_ql_associate(evaluator, K, M, qcfg, np.random.default_rng(seed))
+    _assert_same_result(res, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 5),
+    M=st.integers(1, 3),
+    cap=st.integers(0, 5),
+    episodes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ql_matches_frozen_reference_on_random_tables(K, M, cap, episodes, seed, data):
+    # small integer SINRs and zero entries make rate ties common
+    gamma = data.draw(
+        st.lists(st.integers(0, 3), min_size=K * M, max_size=K * M), label="gamma"
+    )
+    table = EduSinrTable(np.array(gamma, dtype=float).reshape(K, M))
+    qcfg = QlConfig(episodes=episodes, fronthaul_ue_cap=cap)
+    res = ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
+    ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
+    _assert_same_result(res, ref)
+
+
+def test_ql_evaluates_once_per_association_change(tiny_config):
+    table, _ = _toy_table(tiny_config)
+    calls = []
+
+    def evaluator(delta):
+        calls.append(delta.copy())
+        return table.r_sum(delta)
+
+    qcfg = QlConfig(episodes=30, fronthaul_ue_cap=2)
+    ql_associate(evaluator, 4, 2, qcfg, np.random.default_rng(0))
+    assert calls[0].all()  # the all-serve reference
+    starts = [i for i, d in enumerate(calls) if not d.any()]
+    assert len(starts) >= qcfg.episodes
+    assert starts[0] == 1
+    for prev, cur in zip(calls[1:], calls[2:]):
+        # each later call either starts an episode or follows one toggle
+        assert not cur.any() or np.count_nonzero(prev != cur) == 1
+    assert len(calls) < 1 + qcfg.episodes * 4 * 4 * 2
