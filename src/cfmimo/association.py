@@ -110,29 +110,23 @@ class EduSinrTable:
         p_mw: np.ndarray,
         noise_mw: float,
     ) -> "EduSinrTable":
+        """Table from the drop's correlation matrices and an O-RU genome.
+
+        An EDU's expected covariance is block diagonal over its O-RUs, so
+        its SINR is a sum of per-O-RU terms:
+        gamma[k, m] = p_k sum_{l in m} tr(Sigma_kl^-1 Phi_kl) with
+        Sigma_kl = sum_i p_i R_il - p_k Phi_kl + sigma^2 I. The (K, L) terms
+        come from one batched N x N solve and are summed per EDU.
+        """
         genome = np.asarray(genome, dtype=int)
-        K = stats.num_ue
         N = stats.antennas_per_oru
-        M = int(genome.max()) + 1
         p = np.asarray(p_mw, dtype=float)
-        gamma = np.zeros((K, M))
-        for m in range(M):
-            orus = np.flatnonzero(genome == m)
-            A = orus.size * N
-            # Expected received covariance of the EDU's stacked antennas.
-            G = np.zeros((A, A), dtype=complex)
-            Phi_blocks = np.zeros((K, A, A), dtype=complex)
-            for j, l in enumerate(orus):
-                s = slice(j * N, (j + 1) * N)
-                G[s, s] = np.einsum("i,inm->nm", p, stats.R[:, l])
-                for k in range(K):
-                    Phi_blocks[k][s, s] = stats.Phi[k, l]
-            eye = np.eye(A)
-            for k in range(K):
-                Sigma = G - p[k] * Phi_blocks[k] + noise_mw * eye
-                sol = np.linalg.solve(Sigma, Phi_blocks[k])
-                gamma[k, m] = p[k] * np.trace(sol).real
-        return cls(gamma)
+        G = np.einsum("i,ilnm->lnm", p, stats.R)
+        Sigma = G - p[:, None, None, None] * stats.Phi + noise_mw * np.eye(N)
+        per_oru = np.trace(np.linalg.solve(Sigma, stats.Phi), axis1=-2, axis2=-1).real
+        edu_of = np.zeros((genome.size, int(genome.max()) + 1))
+        edu_of[np.arange(genome.size), genome] = 1.0
+        return cls(p[:, None] * (per_oru @ edu_of))
 
     def r_sum(self, delta_km: np.ndarray) -> float:
         """Sum over UEs of log2(1 + SINR) for a boolean (K, M) association."""

@@ -209,6 +209,42 @@ def test_oracle_refuses_large_state_space():
         exhaustive_oracle(table.r_sum, 10, 4, 4)
 
 
+def _reference_gamma(stats, genome, p, noise_mw):
+    # The per-EDU block-diagonal solve that the per-O-RU form replaced.
+    K, N = stats.num_ue, stats.antennas_per_oru
+    M = int(genome.max()) + 1
+    gamma = np.zeros((K, M))
+    for m in range(M):
+        orus = np.flatnonzero(genome == m)
+        A = orus.size * N
+        G = np.zeros((A, A), dtype=complex)
+        Phi_blocks = np.zeros((K, A, A), dtype=complex)
+        for j, l in enumerate(orus):
+            s = slice(j * N, (j + 1) * N)
+            G[s, s] = np.einsum("i,inm->nm", p, stats.R[:, l])
+            for k in range(K):
+                Phi_blocks[k][s, s] = stats.Phi[k, l]
+        eye = np.eye(A)
+        for k in range(K):
+            Sigma = G - p[k] * Phi_blocks[k] + noise_mw * eye
+            sol = np.linalg.solve(Sigma, Phi_blocks[k])
+            gamma[k, m] = p[k] * np.trace(sol).real
+    return gamma
+
+
+@pytest.mark.parametrize("mode", ["clustered", "ga"])
+def test_sinr_table_matches_block_solve(desk_config, mode):
+    genome = resolve_partition(desk_config, mode)[0]
+    stats = build_statistics(desk_config, build_topology(desk_config, 0), 0)
+    p = uplink_power(desk_config.num_ue, desk_config.ul_power_mw)
+    p[2] = 0.0  # a silent UE rates 0 everywhere
+    table = EduSinrTable.from_statistics(stats, genome, p, stats.noise_mw)
+    ref = _reference_gamma(stats, genome, p, stats.noise_mw)
+    assert table.gamma.shape == ref.shape
+    assert np.all(table.gamma[2] == 0.0)
+    np.testing.assert_allclose(table.gamma, ref, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize(
     "gamma, match",
     [
