@@ -260,6 +260,29 @@ def test_uplink_unserved_ue_gets_zero_sinr():
     assert rep.gamma[0] > 0 and rep.gamma[2] > 0
 
 
+@pytest.mark.parametrize(
+    "scheme", sorted(name for name, spec in SCHEMES.items() if spec.rule == "mmse")
+)
+@pytest.mark.parametrize("bits", ["infinite", 4])
+def test_uplink_zero_power_served_ue_gets_zero_sinr(scheme, bits):
+    # a served UE that transmits nothing has a zero MMSE combiner; like an
+    # unserved UE it gets SINR 0, and the others are rated as if it were
+    # not served at all
+    rng = np.random.default_rng(22)
+    h, hhat, C, p = _setup(rng, K=3, L=4, T=6)
+    p[1] = 0.0
+    genome = np.array([0, 0, 1, 1])
+    served = Association(np.ones((3, 4), dtype=bool))
+    rep = uplink_sinr(scheme, h, hhat, C, served, genome, p, 0.5, bits)
+    assert rep.gamma[1] == 0.0
+    assert rep.se[1] == 0.0
+    delta = np.ones((3, 4), dtype=bool)
+    delta[1] = False
+    ref = uplink_sinr(scheme, h, hhat, C, Association(delta), genome, p, 0.5, bits)
+    np.testing.assert_allclose(rep.gamma, ref.gamma, rtol=1e-12, atol=0)
+    assert rep.gamma[0] > 0 and rep.gamma[2] > 0
+
+
 def test_uplink_requires_two_realizations():
     rng = np.random.default_rng(10)
     h, hhat, C, p = _setup(rng, T=1)
