@@ -317,11 +317,12 @@ def uplink_sinr(
     interference = (isq * p[None, :]).sum(axis=1) - p * isq[np.arange(K), np.arange(K)]
     noise = noise_mw * nrm
     denom = interference + noise
-    served = association.delta.any(axis=1)
-    if np.any(denom[served] <= 0):
+    # An unserved UE and a silent one (p_k = 0: zero MMSE combiner) rate 0.
+    active = association.delta.any(axis=1) & (p > 0)
+    if np.any(denom[active] <= 0):
         raise AssertionError("nonpositive SINR denominator for a served UE")
     gamma = np.zeros(K)
-    gamma[served] = signal[served] / denom[served]
+    gamma[active] = signal[active] / denom[active]
     return SinrReport(
         scheme=scheme,
         link="ul",
