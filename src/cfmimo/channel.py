@@ -8,6 +8,7 @@ antennas. Arrays are indexed (k, l) or (realization, k, l).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,6 +62,15 @@ def large_scale_gain(
     raise ValueError(f"unknown pathloss model {model!r}")
 
 
+@cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], made once per size."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _axis_nodes(center: np.ndarray, std: float, n_nodes: int):
     """Quadrature nodes/weights for a Gaussian axis truncated at +/-4 std.
 
@@ -70,7 +80,7 @@ def _axis_nodes(center: np.ndarray, std: float, n_nodes: int):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if std == 0.0:
         return center[:, None], np.ones((center.size, 1))
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     half = ANGLE_TRUNC_SIGMAS * std
     nodes = center[:, None] + half * x[None, :]
     pdf = np.exp(-0.5 * ((nodes - center[:, None]) / std) ** 2)

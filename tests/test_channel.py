@@ -142,6 +142,29 @@ def test_correlation_matches_per_offset_exponentials():
     assert rel.max() <= 1e-12
 
 
+def test_quadrature_nodes_cached_read_only():
+    x, w = ch._gauss_legendre(ch.QUAD_NODES)
+    assert ch._gauss_legendre(ch.QUAD_NODES)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    x_ref, w_ref = np.polynomial.legendre.leggauss(ch.QUAD_NODES)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("n_nodes", [ch.QUAD_NODES, 7])
+def test_correlation_bit_identical_to_direct_leggauss(monkeypatch, n_nodes):
+    rng = np.random.default_rng(13)
+    P, N = 50, 4
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 3, 0.0, P)
+    beta = rng.uniform(0.01, 10.0, P)
+    s = np.deg2rad(15)
+    R = ch.spatial_correlation_batch(az, el, s, s, N, beta, n_nodes)
+    monkeypatch.setattr(ch, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    ref = ch.spatial_correlation_batch(az, el, s, s, N, beta, n_nodes)
+    np.testing.assert_array_equal(R, ref)
+
+
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
         ch.spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)
