@@ -1,4 +1,4 @@
-"""Combiners, precoders, and use-and-then-forget SINR evaluation.
+"""Combiners, precoders, and Monte Carlo SINR evaluation for both links.
 
 Every scheme produces stacked (K, L, N) combiners/precoders per realization;
 detection units (the blocks) are the full array, the EDUs, or single O-RUs
@@ -7,6 +7,13 @@ realization's channel estimates only, but they are built in one batched
 kernel for the whole realization batch (``CombinerWorkspace.combiners``),
 once per drop and scheme, and the same array serves as uplink combiners and
 downlink precoders. SINR expectations are sample means over the batch.
+
+The downlink SINR is the use-and-then-forget (UatF) bound,
+|E[h_k^H w_k]|^2 / (sum_i E|h_k^H w_i|^2 - |E[h_k^H w_k]|^2 + sigma^2).
+The uplink SINR is p_k |E[v_k^H h_k]|^2 over
+sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
+without the beamforming-uncertainty term p_k Var(v_k^H h_k) in the
+denominator, so it is not the UatF lower bound and can exceed it.
 """
 
 from __future__ import annotations
@@ -287,7 +294,13 @@ def uplink_sinr(
     quantizer_bits: int | str = "infinite",
     combiners: np.ndarray | None = None,
 ) -> SinrReport:
-    """Uplink use-and-then-forget SINR/SE per UE, Monte Carlo over realizations.
+    """Uplink SINR/SE per UE, Monte Carlo over realizations.
+
+    gamma_k = p_k |E[v_k^H h_k]|^2 /
+    (sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2). This is the
+    use-and-then-forget (UatF) form without its beamforming-uncertainty
+    term p_k Var(v_k^H h_k), so it is at least the UatF bound and not a
+    lower bound on capacity. A UE that is unserved or has p_k = 0 gets 0.
 
     The combiners (built here unless given) come from each realization's
     own estimates. The per-unit detected-symbol coefficients are optionally
