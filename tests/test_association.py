@@ -89,6 +89,11 @@ def test_qlconfig_validation():
         QlConfig(discount=1.0).validate()
     with pytest.raises(ValueError):
         QlConfig(epsilon_init=1.0).validate()
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps_per_episode"):
+            QlConfig(steps_per_episode=steps).validate()
+    QlConfig(steps_per_episode=None).validate()
+    QlConfig(steps_per_episode=1).validate()
 
 
 # ---------------------------------------------------------------------------
