@@ -43,6 +43,8 @@ class QlConfig:
             raise ValueError("episodes must be >= 1")
         if self.fronthaul_ue_cap < 0:
             raise ValueError("fronthaul_ue_cap must be >= 0")
+        if self.steps_per_episode is not None and self.steps_per_episode < 1:
+            raise ValueError("steps_per_episode must be None or >= 1")
 
 
 def epsilon_schedule(
