@@ -267,3 +267,40 @@ def test_sweep_with_failed_drop_exits_1(tmp_path, cfg_file, monkeypatch):
     assert rc == 1
     combined = json.load(open(out / "sweep_summary.json"))
     assert combined["num_edu=2"]["drops_completed"] == 0
+
+
+def test_quant_bits_is_echoed_and_reruns_byte_for_byte(tmp_path, cfg_file):
+    flags = ["--links", "ul", "--deployment", "clustered", "--schemes", "edu-mmse"]
+    first = tmp_path / "first"
+    rc = main(
+        ["simulate", "--config", cfg_file, "--out", str(first), "--quant-bits", "2"]
+        + flags
+    )
+    assert rc == 0
+    raw = (first / "raw_samples.csv").read_text()
+    echo_line = next(l for l in raw.splitlines() if l.startswith("# config: "))
+    echo = json.loads(echo_line[len("# config: "):])
+    assert echo["quantizer_bits"] == 2
+    echo_file = tmp_path / "echo.json"
+    echo_file.write_text(json.dumps(echo))
+    second = tmp_path / "second"
+    rc = main(["simulate", "--config", str(echo_file), "--out", str(second)] + flags)
+    assert rc == 0
+    assert (second / "raw_samples.csv").read_bytes() == (
+        first / "raw_samples.csv"
+    ).read_bytes()
+
+
+def test_quant_bits_zero_exits_2_before_any_drop(tmp_path, cfg_file, capsys):
+    out = tmp_path / "sim"
+    rc = _exit_code(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--quant-bits", "0",
+        ]
+    )
+    assert rc == 2
+    assert not (out / "summary.json").exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "usage"
+    assert "quantizer_bits" in record["detail"]

@@ -138,6 +138,22 @@ def test_parallel_matches_serial(desk_config):
     np.testing.assert_array_equal(a, b)
 
 
+def test_parallel_matches_serial_when_drops_fail(desk_config):
+    # a (K, M + 1) association fails every drop on both paths
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
+    cfg.schemes = ("edu-mmse",)
+    delta = np.ones((cfg.num_ue, cfg.num_edu + 1), dtype=bool)
+    opts = DropOptions(
+        links=("ul",), association_mode="file", association_delta=delta
+    )
+    serial = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=1)
+    parallel = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=2)
+    assert [i for i, _ in serial.failures] == [0, 1, 2]
+    assert parallel.failures == serial.failures
+    assert parallel.summary["drops_completed"] == serial.summary["drops_completed"] == 0
+    assert parallel.summary == serial.summary
+
+
 def test_campaign_records_failures_and_continues(desk_config, monkeypatch):
     import cfmimo.harness as hz
 
