@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,11 +33,11 @@ from .harness import (
     write_partition,
 )
 from .scenario import (
-    VALID_SCHEMES,
     ConfigError,
     ScenarioConfig,
     build_topology,
     load_config,
+    validate_config,
 )
 
 USAGE_EXIT = 2
@@ -129,28 +130,26 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _apply_sim_overrides(cfg: ScenarioConfig, args) -> tuple[ScenarioConfig, DropOptions]:
+def _apply_sim_overrides(cfg: ScenarioConfig, args) -> DropOptions:
+    """Apply the config-field flags to ``cfg`` in place, validate it, and
+    return the per-drop options of the flags that are not config fields."""
     if args.drops is not None:
         cfg.mc_drops = args.drops
     if args.schemes:
-        tags = tuple(t.strip() for t in args.schemes.split(",") if t.strip())
-        bad = [t for t in tags if t not in VALID_SCHEMES]
-        if bad:
-            _fail(
-                f"unknown schemes {bad}; valid tags: {', '.join(VALID_SCHEMES)}"
-            )
-        cfg.schemes = tags
+        cfg.schemes = tuple(t.strip() for t in args.schemes.split(",") if t.strip())
+    if args.quant_bits == "infinite":
+        cfg.quantizer_bits = "infinite"
+    elif args.quant_bits is not None:
+        try:
+            cfg.quantizer_bits = int(args.quant_bits)
+        except ValueError:
+            _fail('--quant-bits must be an integer or "infinite"')
+    errors = validate_config(cfg)
+    if errors:
+        _fail("; ".join(errors))
     links = tuple(t.strip() for t in args.links.split(",") if t.strip())
     if any(l not in ("ul", "dl") for l in links) or not links:
         _fail("--links must be a subset of ul,dl")
-    qbits = None
-    if args.quant_bits is not None:
-        qbits = "infinite" if args.quant_bits == "infinite" else None
-        if qbits is None:
-            try:
-                qbits = int(args.quant_bits)
-            except ValueError:
-                _fail('--quant-bits must be an integer or "infinite"')
     assoc_delta = None
     if args.association == "file":
         if not args.association_file:
@@ -158,14 +157,12 @@ def _apply_sim_overrides(cfg: ScenarioConfig, args) -> tuple[ScenarioConfig, Dro
         assoc_delta = _read_association_csv(
             args.association_file, cfg.num_ue, cfg.num_edu
         )
-    options = DropOptions(
+    return DropOptions(
         links=links,
         association_mode=args.association,
         association_delta=assoc_delta,
         phase_drift_deg=args.phase_drift_deg,
-        quantizer_bits=qbits,
     )
-    return cfg, options
 
 
 def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
@@ -191,7 +188,7 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    cfg, options = _apply_sim_overrides(cfg, args)
+    options = _apply_sim_overrides(cfg, args)
     campaign = run_campaign(
         cfg,
         out_dir=args.out,
@@ -274,9 +271,7 @@ def cmd_associate_ql(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    cfg, options = _apply_sim_overrides(cfg, args)
-    summaries = {}
-    failures = []
+    options = _apply_sim_overrides(cfg, args)
     if args.param == "num_edu":
         if not args.values:
             _fail("--param num_edu requires --values")
@@ -284,28 +279,23 @@ def cmd_sweep(args) -> int:
             values = [int(v) for v in args.values.split(",")]
         except ValueError:
             _fail("--values must be a comma list of integers")
-        for m in values:
-            sub_cfg = ScenarioConfig(**{**cfg.to_dict(), "num_edu": m})
-            sub_cfg.schemes = cfg.schemes
-            out = os.path.join(args.out, f"num_edu={m}")
-            campaign = run_campaign(
-                sub_cfg,
-                out_dir=out,
-                deployment_mode=args.deployment,
-                options=options,
-                workers=args.workers,
-            )
-            summaries[f"num_edu={m}"] = campaign.summary
-            failures += campaign.failures
+        runs = [
+            (f"num_edu={m}", replace(cfg, num_edu=m), args.deployment) for m in values
+        ]
     else:
-        for mode in ("ga", "clustered"):
-            out = os.path.join(args.out, f"deployment={mode}")
-            campaign = run_campaign(
-                cfg, out_dir=out, deployment_mode=mode, options=options,
-                workers=args.workers,
-            )
-            summaries[f"deployment={mode}"] = campaign.summary
-            failures += campaign.failures
+        runs = [(f"deployment={mode}", cfg, mode) for mode in ("ga", "clustered")]
+    summaries = {}
+    failures = []
+    for label, run_cfg, mode in runs:
+        campaign = run_campaign(
+            run_cfg,
+            out_dir=os.path.join(args.out, label),
+            deployment_mode=mode,
+            options=options,
+            workers=args.workers,
+        )
+        summaries[label] = campaign.summary
+        failures += campaign.failures
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "sweep_summary.json"), summaries)
     print(f"wrote {args.out}/sweep_summary.json")

@@ -43,7 +43,6 @@ class DropOptions:
     association_mode: str = "all"  # "all" | "ql" | "file"
     association_delta: np.ndarray | None = None  # (K, M) EDU-level, for "file"
     phase_drift_deg: float = 0.0
-    quantizer_bits: int | str | None = None  # None -> config value
     ql_config: QlConfig | None = None
 
 
@@ -140,11 +139,6 @@ def run_drop(
             stats, config.mc_realizations, config, drop_index
         )
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
-        qbits = (
-            config.quantizer_bits
-            if options.quantizer_bits is None
-            else options.quantizer_bits
-        )
 
         reports: dict[str, dict[str, SinrReport]] = {}
         for scheme in config.schemes:
@@ -164,7 +158,7 @@ def run_drop(
                     topology.edu_partition,
                     p_ul,
                     stats.noise_mw,
-                    quantizer_bits=qbits,
+                    quantizer_bits=config.quantizer_bits,
                     combiners=v,
                 )
             if "dl" in options.links:
@@ -328,11 +322,9 @@ def summarize(
 
 
 def _run_drop_task(args):
-    config_dict, drop_index, genome, options = args
-    from .scenario import config_from_dict
-
+    config, drop_index, genome, options = args
     try:
-        return run_drop(config_from_dict(config_dict), drop_index, genome, options)
+        return run_drop(config, drop_index, genome, options)
     except Exception as exc:
         return (drop_index, str(exc))
 
@@ -348,31 +340,28 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute all drops, aggregate CDFs, and optionally write result files.
 
-    Individual drop failures are recorded and the campaign continues.
+    Drops run in index order, in this process or on ``workers`` processes,
+    with the same results either way. Individual drop failures are recorded
+    and the campaign continues.
     """
     options = options or DropOptions()
     genome, deploy_meta = resolve_partition(
         config, deployment_mode, ga_config, genome_file
     )
 
+    tasks = [(config, i, genome, options) for i in range(config.mc_drops)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_drop_task, tasks))
+    else:
+        outcomes = map(_run_drop_task, tasks)
     results: list[DropResult] = []
     failures: list[tuple[int, str]] = []
-    indices = list(range(config.mc_drops))
-    if workers > 1:
-        tasks = [(config.to_dict(), i, genome, options) for i in indices]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_drop_task, tasks):
-                if isinstance(outcome, DropResult):
-                    results.append(outcome)
-                else:
-                    failures.append(outcome)
-    else:
-        for i in indices:
-            try:
-                results.append(run_drop(config, i, genome, options))
-            except Exception as exc:
-                failures.append((i, str(exc)))
-    results.sort(key=lambda d: d.drop_index)
+    for outcome in outcomes:
+        if isinstance(outcome, DropResult):
+            results.append(outcome)
+        else:
+            failures.append(outcome)
 
     summary = summarize(config, results, failures)
     summary["deployment"] = deploy_meta

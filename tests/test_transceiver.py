@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -434,7 +436,12 @@ def test_quantized_uplink_close_to_infinite(desk_config):
     cfg = desk_config
     genome = resolve_partition(cfg, "clustered")[0]
     a = run_drop(cfg, 0, genome, options=DropOptions(links=("ul",)))
-    b = run_drop(cfg, 0, genome, options=DropOptions(links=("ul",), quantizer_bits=16))
+    b = run_drop(
+        dataclasses.replace(cfg, quantizer_bits=16),
+        0,
+        genome,
+        options=DropOptions(links=("ul",)),
+    )
     for scheme in cfg.schemes:
         se_a = a.reports[scheme]["ul"].sum_se
         se_b = b.reports[scheme]["ul"].sum_se
