@@ -61,8 +61,7 @@ def downlink_power(
     t[served] = s[served] * np.sqrt(omega[served])
 
     col_sum = t @ delta  # (L,) sum of t_i over UEs served by each O-RU
+    denom = np.where(delta, col_sum, -np.inf).max(axis=1)  # most loaded server
     p = np.zeros(K)
-    for k in np.flatnonzero(served):
-        denom = col_sum[delta[k]].max()
-        p[k] = p_max_mw * (s[k] / np.sqrt(omega[k])) / denom
+    p[served] = p_max_mw * (s[served] / np.sqrt(omega[served])) / denom[served]
     return p, excluded

@@ -76,9 +76,6 @@ class Association:
     def num_oru(self) -> int:
         return self.delta.shape[1]
 
-    def serving_orus(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.delta[k])
-
     def edu_consistent(self, genome: np.ndarray) -> bool:
         """True if every UE's indicator is constant over each EDU's O-RUs."""
         genome = np.asarray(genome, dtype=int)
@@ -371,11 +368,8 @@ def normalize_precoders(
     w_bar[:, excluded] = 0.0
 
     bar_energy = slice_energy / np.where(total <= 0, 1.0, total)[:, None]
-    omega = np.zeros(K)
-    for k in range(K):
-        serving = association.serving_orus(k)
-        if serving.size and not excluded[k]:
-            omega[k] = bar_energy[k, serving].max()
+    counted = association.delta & ~excluded[:, None]
+    omega = np.where(counted, bar_energy, 0.0).max(axis=1)
     return w_bar, omega, excluded
 
 

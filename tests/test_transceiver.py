@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from cfmimo import channel as ch
+from cfmimo.power import downlink_power
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -403,6 +405,46 @@ def test_zero_norm_precoder_excluded():
         w_bar, omega, excluded = normalize_precoders(w_prime, assoc)
     assert excluded[1] and not excluded[0]
     assert np.all(w_bar[:, 1] == 0)
+
+
+def test_omega_and_downlink_power_match_per_ue_loop():
+    # the masked maxima over each UE's serving set, held to a plain loop
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        T, K, L, N = 4, int(rng.integers(1, 7)), int(rng.integers(1, 6)), 2
+        w_prime = random_channels(rng, (T, K, L, N))
+        w_prime[:, rng.random(K) < 0.2] = 0.0  # zero-norm UEs
+        delta = rng.random((K, L)) < 0.6
+        delta[rng.random(K) < 0.2] = False  # unserved UEs
+        lam = rng.uniform(0.1, 2.0, size=(K, L))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, omega, excluded = normalize_precoders(w_prime, Association(delta))
+            counted = delta & ~excluded[:, None]
+            p, _ = downlink_power(lam, omega, counted, 3.0)
+
+        slice_energy = np.einsum("tkln->kl", np.abs(w_prime) ** 2) / T
+        total = slice_energy.sum(axis=1)
+        bar_energy = slice_energy / np.where(total <= 0, 1.0, total)[:, None]
+        omega_ref = np.zeros(K)
+        for k in range(K):
+            serving = np.flatnonzero(delta[k])
+            if serving.size and not excluded[k]:
+                omega_ref[k] = bar_energy[k, serving].max()
+        assert np.array_equal(omega, omega_ref)
+
+        served = counted.any(axis=1)
+        agg = (lam * counted).sum(axis=1)
+        s = np.zeros(K)
+        s[served] = 1.0 / np.sqrt(agg[served])
+        t = np.zeros(K)
+        t[served] = s[served] * np.sqrt(omega[served])
+        col_sum = t @ counted
+        p_ref = np.zeros(K)
+        for k in np.flatnonzero(served):
+            denom = col_sum[counted[k]].max()
+            p_ref[k] = 3.0 * (s[k] / np.sqrt(omega[k])) / denom
+        assert np.array_equal(p, p_ref)
 
 
 # ---------------------------------------------------------------------------
