@@ -53,12 +53,6 @@ class Partition:
         if not is_balanced(self.genome, self.num_edu):
             raise ValueError("partition must use every EDU with sizes within 1")
 
-    def groups(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.genome == m) for m in range(self.num_edu)]
-
-    def as_mapping(self) -> dict[int, int]:
-        return {int(i): int(m) for i, m in enumerate(self.genome)}
-
 
 def is_balanced(genome: np.ndarray, num_edu: int) -> bool:
     """Group sizes cover every EDU and differ by at most one."""
