@@ -63,29 +63,20 @@ def large_scale_gain(
 
 
 @cache
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], made once per size."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes x on [-1, 1] and the normalized (n, n)
+    joint weight grid of two Gaussian axes truncated at +/-4 std.
 
-
-def _axis_nodes(center: np.ndarray, std: float, n_nodes: int):
-    """Quadrature nodes/weights for a Gaussian axis truncated at +/-4 std.
-
-    Returns nodes (P, n) and unnormalized weights (P, n) for P centers.
-    A zero std collapses to a single point mass at the center.
+    The node centre + 4*std*x has the Gaussian weight exp(-8 x^2) whatever
+    the centre and std, so one grid, made once per size, serves every link.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if std == 0.0:
-        return center[:, None], np.ones((center.size, 1))
-    x, w = _gauss_legendre(n_nodes)
-    half = ANGLE_TRUNC_SIGMAS * std
-    nodes = center[:, None] + half * x[None, :]
-    pdf = np.exp(-0.5 * ((nodes - center[:, None]) / std) ** 2)
-    weights = w[None, :] * pdf
-    return nodes, weights
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    wx = w * np.exp(-0.5 * (ANGLE_TRUNC_SIGMAS * x) ** 2)
+    grid = np.outer(wx, wx)
+    grid /= grid.sum()
+    x.flags.writeable = False
+    grid.flags.writeable = False
+    return x, grid
 
 
 def spatial_correlation_batch(
@@ -95,7 +86,6 @@ def spatial_correlation_batch(
     asd_elevation: float,
     num_antennas: int,
     beta: np.ndarray,
-    n_nodes: int = QUAD_NODES,
 ) -> np.ndarray:
     """Spatial correlation matrices for a batch of (UE, O-RU) links.
 
@@ -103,8 +93,9 @@ def spatial_correlation_batch(
     ``beta * E[exp(j*pi*(m-n)*sin(az)*cos(el))]`` with independent Gaussian
     azimuth/elevation scattering around the nominal geometric angles,
     evaluated by fixed-node Gauss-Legendre quadrature on the truncated
-    supports. Weights are normalized so the diagonal is exactly beta, making
-    trace(R) = N*beta by construction.
+    supports. The weights sum to one, so the diagonal is exactly beta and
+    trace(R) = N*beta by construction; a zero spread puts every node on the
+    nominal angle.
 
     Returns an array of shape (P, N, N), Hermitian PSD.
     """
@@ -118,31 +109,27 @@ def spatial_correlation_batch(
     P = az.size
     N = num_antennas
 
-    az_nodes, az_w = _axis_nodes(az, asd_azimuth, n_nodes)
-    el_nodes, el_w = _axis_nodes(el, asd_elevation, n_nodes)
-
-    # Joint weights over the 2-D grid, normalized per link.
-    w2 = az_w[:, :, None] * el_w[:, None, :]
-    w2 /= w2.sum(axis=(1, 2), keepdims=True)
+    x, grid = _quadrature(QUAD_NODES)
+    az_nodes = az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :]
+    el_nodes = el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :]
 
     # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring antennas,
     # per node pair; offset d takes its d-th power.
     step = 1j * np.pi * np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
     np.exp(step, out=step)
 
-    offsets = np.arange(N)
     # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d
-    r = np.empty((P, N), dtype=complex)
-    term = w2.astype(complex)
-    r[:, 0] = term.sum(axis=(1, 2))
-    for d in offsets[1:]:
-        term *= step
+    r = np.ones((P, N), dtype=complex)
+    term = grid * step
+    for d in range(1, N):
+        if d > 1:
+            term *= step
         r[:, d] = term.sum(axis=(1, 2))
 
+    offsets = np.arange(N)
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n
     R = np.where(idx >= 0, r[:, np.abs(idx)], np.conj(r[:, np.abs(idx)]))
-    R = R * beta[:, None, None]
-    return 0.5 * (R + np.conj(np.swapaxes(R, -1, -2)))
+    return R * beta[:, None, None]
 
 
 def spatial_correlation(
@@ -152,7 +139,6 @@ def spatial_correlation(
     asd_elevation: float,
     num_antennas: int,
     beta: float,
-    n_nodes: int = QUAD_NODES,
 ) -> np.ndarray:
     """Single-link convenience wrapper around :func:`spatial_correlation_batch`."""
     return spatial_correlation_batch(
@@ -162,7 +148,6 @@ def spatial_correlation(
         asd_elevation,
         num_antennas,
         np.array([beta]),
-        n_nodes,
     )[0]
 
 

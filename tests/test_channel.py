@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from cfmimo import channel as ch
+from reference_correlation import axis_nodes, reference_spatial_correlation_batch
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,8 @@ def test_correlation_invariants_random_links():
 
 def _per_offset_exp_correlation(az, el, s_az, s_el, N, beta):
     """The quadrature with one complex exponential per antenna offset."""
-    az_nodes, az_w = ch._axis_nodes(az, s_az, ch.QUAD_NODES)
-    el_nodes, el_w = ch._axis_nodes(el, s_el, ch.QUAD_NODES)
+    az_nodes, az_w = axis_nodes(az, s_az)
+    el_nodes, el_w = axis_nodes(el, s_el)
     w2 = az_w[:, :, None] * el_w[:, None, :]
     w2 /= w2.sum(axis=(1, 2), keepdims=True)
     sc = np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
@@ -142,26 +143,45 @@ def test_correlation_matches_per_offset_exponentials():
     assert rel.max() <= 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+@pytest.mark.parametrize("spread_deg", [0.0, 5.0, 15.0, 40.0])
+def test_correlation_matches_frozen_per_link_quadrature(N, spread_deg):
+    rng = np.random.default_rng(14)
+    P = 500
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 3, 0.0, P)
+    beta = 10.0 ** rng.uniform(-12.0, 1.0, P)
+    s = np.deg2rad(spread_deg)
+    R = ch.spatial_correlation_batch(az, el, s, s, N, beta)
+    ref = reference_spatial_correlation_batch(az, el, s, s, N, beta)
+    rel = np.abs(R - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-14
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    assert np.array_equal(diag, np.broadcast_to(beta[:, None], diag.shape))
+    assert np.array_equal(R, np.conj(np.swapaxes(R, -1, -2)))
+
+
 def test_quadrature_nodes_cached_read_only():
-    x, w = ch._gauss_legendre(ch.QUAD_NODES)
-    assert ch._gauss_legendre(ch.QUAD_NODES)[0] is x
-    assert not x.flags.writeable and not w.flags.writeable
+    x, grid = ch._quadrature(ch.QUAD_NODES)
+    assert ch._quadrature(ch.QUAD_NODES)[1] is grid
+    assert not x.flags.writeable and not grid.flags.writeable
     x_ref, w_ref = np.polynomial.legendre.leggauss(ch.QUAD_NODES)
     np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(w, w_ref)
+    w_pdf = w_ref * np.exp(-0.5 * (ch.ANGLE_TRUNC_SIGMAS * x_ref) ** 2)
+    grid_ref = np.outer(w_pdf, w_pdf)
+    np.testing.assert_array_equal(grid, grid_ref / grid_ref.sum())
 
 
-@pytest.mark.parametrize("n_nodes", [ch.QUAD_NODES, 7])
-def test_correlation_bit_identical_to_direct_leggauss(monkeypatch, n_nodes):
+def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
     rng = np.random.default_rng(13)
     P, N = 50, 4
     az = rng.uniform(-np.pi, np.pi, P)
     el = rng.uniform(-np.pi / 3, 0.0, P)
     beta = rng.uniform(0.01, 10.0, P)
     s = np.deg2rad(15)
-    R = ch.spatial_correlation_batch(az, el, s, s, N, beta, n_nodes)
-    monkeypatch.setattr(ch, "_gauss_legendre", np.polynomial.legendre.leggauss)
-    ref = ch.spatial_correlation_batch(az, el, s, s, N, beta, n_nodes)
+    R = ch.spatial_correlation_batch(az, el, s, s, N, beta)
+    monkeypatch.setattr(ch, "_quadrature", ch._quadrature.__wrapped__)
+    ref = ch.spatial_correlation_batch(az, el, s, s, N, beta)
     np.testing.assert_array_equal(R, ref)
 
 
