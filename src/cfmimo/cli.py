@@ -233,8 +233,7 @@ def cmd_associate_ql(args) -> int:
     genome, _ = resolve_partition(
         cfg, args.deployment, genome_file=args.partition_file
     )
-    topo = build_topology(cfg, args.drop).with_partition(genome)
-    stats = build_statistics(cfg, topo, args.drop)
+    stats = build_statistics(cfg, build_topology(cfg, args.drop), args.drop)
     qcfg = None
     if args.episodes:
         qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap, episodes=args.episodes)

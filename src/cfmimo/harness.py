@@ -22,7 +22,7 @@ from .association import EduSinrTable, QlConfig, QlResult, ql_associate
 from .channel import build_statistics, sample_drop_channels
 from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
-from .scenario import ScenarioConfig, Topology, build_topology, rng_stream
+from .scenario import ScenarioConfig, build_topology, rng_stream
 from .transceiver import (
     SCHEMES,
     Association,
@@ -83,13 +83,12 @@ def ql_association(
 
 def _dcc_association(
     config: ScenarioConfig,
-    topology: Topology,
+    genome: np.ndarray,
     stats,
     options: DropOptions,
     drop_index: int,
 ) -> tuple[Association, dict]:
     K, L, M = config.num_ue, config.num_oru, config.num_edu
-    genome = topology.edu_partition
     if options.association_mode == "all":
         return Association.all_serve(K, L), {}
     if options.association_mode == "file":
@@ -121,19 +120,23 @@ def run_drop(
 ) -> DropResult:
     """Simulate one drop for every enabled scheme.
 
-    Builds topology and channel statistics under the campaign's O-RU to EDU
-    ``genome`` (from :func:`resolve_partition`), resolves the dynamic-cluster
-    association, draws the realization batch, builds each scheme's combiners
+    Checks the campaign's O-RU to EDU ``genome`` (from
+    :func:`resolve_partition`) against the config once, builds topology and
+    channel statistics, resolves the dynamic-cluster association under the
+    genome, draws the realization batch, builds each scheme's combiners
     once for the batch, and evaluates uplink and/or downlink SINR from them.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
     try:
+        genome = np.array(genome, dtype=int)
+        if genome.shape != (config.num_oru,):
+            raise ValueError("partition genome length must equal the number of O-RUs")
         Partition(genome, config.num_edu)  # EDU range and balance
-        topology = build_topology(config, drop_index).with_partition(genome)
+        topology = build_topology(config, drop_index)
         stats = build_statistics(config, topology, drop_index)
         all_serve = Association.all_serve(config.num_ue, config.num_oru)
-        dcc, meta = _dcc_association(config, topology, stats, options, drop_index)
+        dcc, meta = _dcc_association(config, genome, stats, options, drop_index)
 
         h, hhat = sample_drop_channels(
             stats, config.mc_realizations, config, drop_index
@@ -145,7 +148,7 @@ def run_drop(
             spec = SCHEMES[scheme]
             assoc = dcc if spec.dcc else all_serve
             v = CombinerWorkspace(
-                spec, assoc, topology.edu_partition, stats.C, p_ul, stats.noise_mw
+                spec, assoc, genome, stats.C, p_ul, stats.noise_mw
             ).combiners(hhat)
             per_link: dict[str, SinrReport] = {}
             if "ul" in options.links:
@@ -155,7 +158,7 @@ def run_drop(
                     hhat,
                     stats.C,
                     assoc,
-                    topology.edu_partition,
+                    genome,
                     p_ul,
                     stats.noise_mw,
                     quantizer_bits=config.quantizer_bits,
@@ -169,7 +172,7 @@ def run_drop(
                     hhat,
                     stats.C,
                     assoc,
-                    topology.edu_partition,
+                    genome,
                     stats.beta,
                     p_ul,
                     stats.noise_mw,
@@ -186,7 +189,7 @@ def run_drop(
         return DropResult(
             drop_index=drop_index,
             reports=reports,
-            genome=topology.edu_partition,
+            genome=genome,
             association_delta=dcc.delta.copy(),
             metadata=meta,
         )

@@ -189,8 +189,8 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
     subdivision of the area); if no 2-D grid exists for L, placement falls
     back to uniform random and is flagged. O-RU placement does not depend on
     drop_index: the infrastructure is fixed, only UEs are re-dropped. The
-    O-RU to EDU partition is a campaign property (``resolve_partition``);
-    attach it with :meth:`Topology.with_partition`.
+    O-RU to EDU partition is a campaign property (``resolve_partition``)
+    that ``run_drop`` takes as a genome.
     """
     errors = validate_config(config)
     if errors:

@@ -67,6 +67,12 @@ def test_run_drop_rejects_genome_beyond_num_edu(tiny_config, mode):
         run_drop(tiny_config, 0, [0, 1, 2, 3], DropOptions(association_mode=mode))
 
 
+def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
+    # [0, 1, 0] is balanced over two EDUs but names three of the four O-RUs
+    with pytest.raises(RuntimeError, match="drop 0 failed: partition genome length"):
+        run_drop(tiny_config, 0, [0, 1, 0])
+
+
 def test_raw_csv_row_counts(tmp_path):
     cfg = ScenarioConfig(
         num_oru=16,
