@@ -304,3 +304,62 @@ def test_quant_bits_zero_exits_2_before_any_drop(tmp_path, cfg_file, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "usage"
     assert "quantizer_bits" in record["detail"]
+
+
+def test_sweep_validates_every_edu_count_before_the_first_run(tmp_path, cfg_file, capsys):
+    out = tmp_path / "sweep"
+    rc = _exit_code(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", "2,0", "--drops", "1",
+            "--links", "ul", "--deployment", "clustered",
+        ]
+    )
+    assert rc == 2
+    assert not (out / "num_edu=2").exists()
+    assert not (out / "sweep_summary.json").exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "usage"
+    assert "num_edu must be >= 1" in record["detail"]
+
+
+def test_sweep_association_row_beyond_a_swept_edu_count_exits_2(
+    tmp_path, cfg_file, capsys
+):
+    # rows name EDUs 0..3, which the two-EDU campaign does not have
+    assoc = tmp_path / "assoc.csv"
+    _write_association(assoc, 8, 4)
+    out = tmp_path / "sweep"
+    rc = _exit_code(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", "2",
+            "--links", "ul", "--deployment", "clustered", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ]
+    )
+    assert rc == 2
+    assert not (out / "num_edu=2").exists()
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "usage"
+    assert "edu_index < 2" in record["detail"]
+
+
+def test_sweep_association_file_read_against_each_edu_count(tmp_path, cfg_file):
+    # rows name EDUs 0 and 1 only, which both swept campaigns have
+    assoc = tmp_path / "assoc.csv"
+    _write_association(assoc, 8, 2)
+    out = tmp_path / "sweep"
+    rc = main(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", "2,4",
+            "--links", "ul", "--deployment", "clustered", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ]
+    )
+    assert rc == 0
+    combined = json.load(open(out / "sweep_summary.json"))
+    for label in ("num_edu=2", "num_edu=4"):
+        assert combined[label]["failures"] == []
+        assert combined[label]["drops_completed"] == 1
