@@ -270,7 +270,6 @@ def cmd_associate_ql(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    options = _apply_sim_overrides(cfg, args)
     if args.param == "num_edu":
         if not args.values:
             _fail("--param num_edu requires --values")
@@ -283,9 +282,14 @@ def cmd_sweep(args) -> int:
         ]
     else:
         runs = [(f"deployment={mode}", cfg, mode) for mode in ("ga", "clustered")]
+    # Every run's config and options are checked before the first one starts.
+    plans = [
+        (label, run_cfg, mode, _apply_sim_overrides(run_cfg, args))
+        for label, run_cfg, mode in runs
+    ]
     summaries = {}
     failures = []
-    for label, run_cfg, mode in runs:
+    for label, run_cfg, mode, options in plans:
         campaign = run_campaign(
             run_cfg,
             out_dir=os.path.join(args.out, label),
