@@ -102,7 +102,6 @@ class EduSinrTable:
         if np.any(gamma < 0):
             raise ValueError("SINR table must be >= 0")
         self.gamma = gamma
-        self.num_ue, self.num_edu = gamma.shape
 
     @classmethod
     def from_statistics(

@@ -272,10 +272,6 @@ class ChannelStatistics:
         return self.beta.shape[0]
 
     @property
-    def num_oru(self) -> int:
-        return self.beta.shape[1]
-
-    @property
     def antennas_per_oru(self) -> int:
         return self.R.shape[-1]
 

@@ -9,20 +9,29 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-VALID_SCHEMES = (
-    "joint-mmse",
-    "joint-mrc",
-    "l-mmse",
-    "p-mmse",
-    "lp-mmse",
-    "lp-mrc",
-    "edu-mmse",
-    "edu-pmmse",
-)
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    granularity: str  # "joint" | "edu" | "oru"
+    rule: str  # "mmse" | "mrc"
+    dcc: bool  # uses the dynamic-cluster association instead of all-serve
+
+
+SCHEMES: dict[str, SchemeSpec] = {
+    "joint-mmse": SchemeSpec("joint", "mmse", False),
+    "joint-mrc": SchemeSpec("joint", "mrc", False),
+    "l-mmse": SchemeSpec("oru", "mmse", False),
+    "p-mmse": SchemeSpec("joint", "mmse", True),
+    "lp-mmse": SchemeSpec("oru", "mmse", True),
+    "lp-mrc": SchemeSpec("oru", "mrc", True),
+    "edu-mmse": SchemeSpec("edu", "mmse", False),
+    "edu-pmmse": SchemeSpec("edu", "mmse", True),
+}
+VALID_SCHEMES = tuple(SCHEMES)
 
 # Fixed stream ids: adding a stream must never renumber existing ones.
 _STREAM_IDS = {
@@ -110,10 +119,6 @@ class Topology:
     @property
     def num_oru(self) -> int:
         return self.oru_positions.shape[0]
-
-    @property
-    def num_ue(self) -> int:
-        return self.ue_positions.shape[0]
 
     def with_partition(self, genome: np.ndarray) -> "Topology":
         genome = np.asarray(genome, dtype=int)

@@ -25,27 +25,9 @@ import numpy as np
 
 from .channel import apply_phase_drift
 from .power import downlink_power
+from .scenario import SCHEMES, SchemeSpec
 
 COND_LIMIT = 1e12  # conditioning guard for the regularized Gram solves
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    granularity: str  # "joint" | "edu" | "oru"
-    rule: str  # "mmse" | "mrc"
-    dcc: bool  # uses the dynamic-cluster association instead of all-serve
-
-
-SCHEMES: dict[str, SchemeSpec] = {
-    "joint-mmse": SchemeSpec("joint", "mmse", False),
-    "joint-mrc": SchemeSpec("joint", "mrc", False),
-    "l-mmse": SchemeSpec("oru", "mmse", False),
-    "p-mmse": SchemeSpec("joint", "mmse", True),
-    "lp-mmse": SchemeSpec("oru", "mmse", True),
-    "lp-mrc": SchemeSpec("oru", "mrc", True),
-    "edu-mmse": SchemeSpec("edu", "mmse", False),
-    "edu-pmmse": SchemeSpec("edu", "mmse", True),
-}
 
 
 @dataclass(frozen=True)
@@ -67,14 +49,6 @@ class Association:
         delta_km = np.asarray(delta_km, dtype=bool)
         genome = np.asarray(genome, dtype=int)
         return cls(delta_km[:, genome])
-
-    @property
-    def num_ue(self) -> int:
-        return self.delta.shape[0]
-
-    @property
-    def num_oru(self) -> int:
-        return self.delta.shape[1]
 
     def edu_consistent(self, genome: np.ndarray) -> bool:
         """True if every UE's indicator is constant over each EDU's O-RUs."""
