@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import block_diag
 
 from cfmimo import channel as ch
@@ -447,6 +450,25 @@ def test_omega_and_downlink_power_match_per_ue_loop():
         assert np.array_equal(p, p_ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(1, 6),
+    M=st.integers(1, 5),
+    extra=st.integers(0, 7),
+    data=st.data(),
+)
+def test_association_from_edu_expands_each_edu_column(K, M, extra, data):
+    L = M + extra
+    genome = np.array(data.draw(st.permutations(np.arange(L) % M), label="genome"))
+    delta_km = data.draw(hnp.arrays(bool, (K, M)), label="delta_km")
+    assoc = Association.from_edu(delta_km, genome)
+    assert assoc.delta.shape == (K, L)
+    for k in range(K):
+        for l in range(L):
+            assert assoc.delta[k, l] == delta_km[k, genome[l]]
+    assert assoc.edu_consistent(genome)
+
+
 # ---------------------------------------------------------------------------
 # quantizer and SE map
 # ---------------------------------------------------------------------------
@@ -465,6 +487,34 @@ def test_quantize_error_bound():
     y = rng.normal(size=2000)
     step = 8 * y.std() / 2**6
     assert np.abs(quantize(y, 6) - y).max() <= step / 2 + 1e-12
+
+
+# Rounding slack of the half-step bound, in units of the batch's largest
+# magnitude: v/step and (floor + 1/2)*step each round once, so the error can
+# pass step/2 by a few ulps of the largest value, not by more.
+QUANT_SLACK_ULPS = 8.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(1, 16),
+    is_complex=st.booleans(),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6)),
+    data=st.data(),
+)
+def test_quantize_error_within_half_step_of_each_batch(bits, is_complex, shape, data):
+    # axis (1, 2) makes every slice along axis 0 its own batch
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    x = data.draw(hnp.arrays(float, shape, elements=floats), label="real")
+    if is_complex:
+        x = x + 1j * data.draw(hnp.arrays(float, shape, elements=floats), label="imag")
+    q = quantize(x, bits, axis=(1, 2))
+    parts = [(x.real, q.real), (x.imag, q.imag)] if is_complex else [(x, q)]
+    for v, qv in parts:
+        step = 8.0 * v.std(axis=(1, 2), keepdims=True) / 2**bits
+        peak = np.abs(v).max(axis=(1, 2), keepdims=True)
+        slack = QUANT_SLACK_ULPS * np.finfo(float).eps * peak
+        assert np.all(np.abs(qv - v) <= step / 2 + slack)
 
 
 def test_quantize_rejects_zero_bits():
