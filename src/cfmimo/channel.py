@@ -118,7 +118,8 @@ def spatial_correlation_batch(
     step = 1j * np.pi * np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
     np.exp(step, out=step)
 
-    # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d
+    # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d;
+    # r[:, 0] is exactly 1 because the grid sums to one.
     r = np.ones((P, N), dtype=complex)
     term = grid * step
     for d in range(1, N):
