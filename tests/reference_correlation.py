@@ -16,13 +16,13 @@ QUAD_NODES = 40
 ANGLE_TRUNC_SIGMAS = 4.0
 
 
-def axis_nodes(center, std: float, n_nodes: int = QUAD_NODES):
+def axis_nodes(center, std: float):
     """Quadrature nodes (P, n) and unnormalized weights (P, n) of a Gaussian
     axis truncated at +/-4 std; a zero std is a point mass at the center."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if std == 0.0:
         return center[:, None], np.ones((center.size, 1))
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     half = ANGLE_TRUNC_SIGMAS * std
     nodes = center[:, None] + half * x[None, :]
     pdf = np.exp(-0.5 * ((nodes - center[:, None]) / std) ** 2)
@@ -37,7 +37,6 @@ def reference_spatial_correlation_batch(
     asd_elevation: float,
     num_antennas: int,
     beta,
-    n_nodes: int = QUAD_NODES,
 ) -> np.ndarray:
     az = np.atleast_1d(np.asarray(nominal_azimuth, dtype=float))
     el = np.atleast_1d(np.asarray(nominal_elevation, dtype=float))
@@ -45,8 +44,8 @@ def reference_spatial_correlation_batch(
     P = az.size
     N = num_antennas
 
-    az_nodes, az_w = axis_nodes(az, asd_azimuth, n_nodes)
-    el_nodes, el_w = axis_nodes(el, asd_elevation, n_nodes)
+    az_nodes, az_w = axis_nodes(az, asd_azimuth)
+    el_nodes, el_w = axis_nodes(el, asd_elevation)
 
     w2 = az_w[:, :, None] * el_w[:, None, :]
     w2 /= w2.sum(axis=(1, 2), keepdims=True)
