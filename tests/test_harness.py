@@ -60,6 +60,28 @@ def test_run_drop_ql_association_mode(tiny_config):
     assert assoc.edu_consistent(res.genome)
 
 
+def test_run_drop_skips_ql_when_no_scheme_uses_dcc(desk_config, monkeypatch):
+    import cfmimo.harness as hz
+
+    calls = []
+    real = hz.ql_association
+    monkeypatch.setattr(
+        hz, "ql_association", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    assert desk_config.schemes == ("joint-mmse", "edu-mmse")
+    genome = resolve_partition(desk_config, "clustered")[0]
+    ql = run_drop(desk_config, 0, genome, DropOptions(association_mode="ql"))
+    assert calls == []
+    ref = run_drop(desk_config, 0, genome, DropOptions(association_mode="all"))
+    np.testing.assert_array_equal(ql.association_delta, ref.association_delta)
+    assert ql.metadata == ref.metadata
+    for scheme in desk_config.schemes:
+        for link in ("ul", "dl"):
+            a, b = ql.reports[scheme][link], ref.reports[scheme][link]
+            for name in ("signal", "interference", "noise", "gamma", "se"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 @pytest.mark.parametrize("mode", ["all", "ql"])
 def test_run_drop_rejects_genome_beyond_num_edu(tiny_config, mode):
     # four labels for num_edu=2 would run edu-mmse as four EDUs
