@@ -102,6 +102,8 @@ def _dcc_association(
             )
         return Association.from_edu(delta_km, genome), {}
     if options.association_mode == "ql":
+        if not any(SCHEMES[s].dcc for s in config.schemes):
+            return Association.all_serve(K, L), {}  # no scheme would use it
         result = ql_association(config, stats, genome, drop_index, options.ql_config)
         assoc = Association.from_edu(result.best_delta, genome)
         meta = {
@@ -123,8 +125,9 @@ def run_drop(
     Checks the campaign's O-RU to EDU ``genome`` (from
     :func:`resolve_partition`) against the config once, builds topology and
     channel statistics, resolves the dynamic-cluster association under the
-    genome, draws the realization batch, builds each scheme's combiners
-    once for the batch, and evaluates uplink and/or downlink SINR from them.
+    genome (Q-learning runs only when an enabled scheme uses it), draws the
+    realization batch, builds each scheme's combiners once for the batch,
+    and evaluates uplink and/or downlink SINR from them.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
