@@ -16,6 +16,14 @@ from .scenario import ScenarioConfig, Topology, rng_stream
 
 QUAD_NODES = 40  # Gauss-Legendre nodes per angular axis
 ANGLE_TRUNC_SIGMAS = 4.0  # angular densities truncated at +/- 4 std
+_BLOCK_BYTES = 1 << 18  # largest temporary array of one kernel block
+
+
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices over n independent items, each holding as many
+    items of ``item_bytes`` as ``_BLOCK_BYTES`` allows, but at least one."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def pathloss_db(d, exponent: float = 3.67, intercept_db: float = -30.5):
@@ -110,22 +118,23 @@ def spatial_correlation_batch(
     N = num_antennas
 
     x, grid = _quadrature(QUAD_NODES)
-    az_nodes = az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :]
-    el_nodes = el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :]
-
-    # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring antennas,
-    # per node pair; offset d takes its d-th power.
-    step = 1j * np.pi * np.sin(az_nodes)[:, :, None] * np.cos(el_nodes)[:, None, :]
-    np.exp(step, out=step)
+    sin_az = np.sin(az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :])
+    cos_el = np.cos(el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :])
 
     # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d;
-    # r[:, 0] is exactly 1 because the grid sums to one.
+    # r[:, 0] is exactly 1 because the grid sums to one. Links run in blocks
+    # so that the (links, n, n) phase arrays stay cache-sized.
     r = np.ones((P, N), dtype=complex)
-    term = grid * step
-    for d in range(1, N):
-        if d > 1:
-            term *= step
-        r[:, d] = term.sum(axis=(1, 2))
+    for b in _blocks(P, 16 * grid.size):
+        # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring antennas,
+        # per node pair; offset d takes its d-th power.
+        step = 1j * np.pi * sin_az[b, :, None] * cos_el[b, None, :]
+        np.exp(step, out=step)
+        term = grid * step
+        for d in range(1, N):
+            if d > 1:
+                term *= step
+            r[b, d] = term.sum(axis=(1, 2))
 
     offsets = np.arange(N)
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_phase_drift
+from .channel import _blocks, apply_phase_drift
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
 
@@ -183,6 +183,10 @@ class CombinerWorkspace:
       (one per unit for all-serve and EDU-consistent masks, up to one per UE
       otherwise) is one K x K system. (I + P Q) rather than (P^-1 + Q)
       keeps a UE with zero power well defined.
+
+    Realizations are independent, so the batch runs in blocks whose largest
+    temporary fits the kernels' working-set budget; each block makes the
+    same products and solves, row for row, as the whole batch would.
     """
 
     def __init__(
@@ -207,6 +211,9 @@ class CombinerWorkspace:
         self.local = np.flatnonzero(local)
         self.D_local = D[local]
         self.wide = np.flatnonzero(~local)
+        # Bytes per realization of the largest array of a block: Hl and G,
+        # or F, Q and Y; the per-set Qs and X are counted below.
+        self.item_bytes = 16 * max(self.local.size * N, self.wide.size * K) * max(N, K)
         if not self.wide.size:
             return
         self.Dinv = _solve_regularized(D[~local], np.eye(N))
@@ -219,15 +226,23 @@ class CombinerWorkspace:
         )
         self.sets = sets.astype(float)  # (S, Lw)
         self.set_of = which.reshape(K, -1)[:, np.argmax(Ew, axis=1)].T  # (Lw, K)
+        self.item_bytes = max(self.item_bytes, 16 * len(sets) * K * K)
 
     def combiners(self, hhat: np.ndarray) -> np.ndarray:
         """Stacked combiner/precoder vectors (T, K, L, N) for a batch."""
         if self.spec.rule == "mrc":
             return np.where(self.delta[:, :, None], hhat, 0.0)
+        v = np.zeros_like(hhat)
+        for b in _blocks(hhat.shape[0], self.item_bytes):
+            self._fill(hhat[b], v[b])
+        v[:, ~self.delta] = 0.0
+        return v
+
+    def _fill(self, hhat: np.ndarray, v: np.ndarray) -> None:
+        """Write the MMSE combiners of a realization block into ``v``."""
         T, K = hhat.shape[:2]
         p = self.p
         H = hhat.transpose(0, 2, 3, 1)  # (T, L, N, K): columns are UEs
-        v = np.zeros_like(hhat)
         if self.local.size:
             Hl = H[:, self.local] * p
             G = Hl @ np.conj(H[:, self.local]).swapaxes(-1, -2) + self.D_local
@@ -244,8 +259,6 @@ class CombinerWorkspace:
             # Y[t, l, j, k] = X[t, set of (k, l), j, k]
             Y = X.swapaxes(-1, -2)[:, self.set_of, np.arange(K)].swapaxes(-1, -2)
             v[:, :, self.wide] = ((F @ Y) * p).transpose(0, 3, 1, 2)
-        v[:, ~self.delta] = 0.0
-        return v
 
 
 def _stack(x: np.ndarray) -> np.ndarray:

@@ -185,6 +185,34 @@ def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
     np.testing.assert_array_equal(R, ref)
 
 
+def test_blocks_cover_every_item_once(monkeypatch):
+    monkeypatch.setattr(ch, "_BLOCK_BYTES", 100)
+    assert ch._blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert ch._blocks(2, 101) == [slice(0, 1), slice(1, 2)]  # at least one item
+    assert ch._blocks(5, 1) == [slice(0, 100)]
+    assert ch._blocks(0, 30) == []
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_correlation_blocks_bit_identical_to_one_block(monkeypatch, N):
+    rng = np.random.default_rng(15)
+    P = 7
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 3, 0.0, P)
+    beta = rng.uniform(0.01, 10.0, P)
+    s = np.deg2rad(15)
+    link_bytes = 16 * ch.QUAD_NODES**2
+    monkeypatch.setattr(ch, "_BLOCK_BYTES", P * link_bytes)
+    whole = ch.spatial_correlation_batch(az, el, s, s, N, beta)
+    # one link per block, and blocks of 3 with a ragged last block of 1
+    for links in (1, 3):
+        monkeypatch.setattr(ch, "_BLOCK_BYTES", links * link_bytes)
+        assert len(ch._blocks(P, link_bytes)) == -(-P // links)
+        np.testing.assert_array_equal(
+            ch.spatial_correlation_batch(az, el, s, s, N, beta), whole
+        )
+
+
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
         ch.spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)

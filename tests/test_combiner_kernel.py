@@ -3,7 +3,8 @@
 ``reference_combiner`` keeps the loop the kernel replaced. The kernel solves
 the same regularized systems in another order (antenna domain or K x K
 Woodbury form, batched over realizations), so combiners and SINRs must agree
-to 1e-8 relative, not bit for bit.
+to 1e-8 relative, not bit for bit. Splitting the batch into realization
+blocks, on the other hand, must not change a bit.
 """
 
 import warnings
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cfmimo import channel
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -114,6 +116,26 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
         np.testing.assert_allclose(dl.report.gamma, g_ref, rtol=RTOL, atol=0)
         np.testing.assert_allclose(dl.dl_power_mw, p_ref, rtol=RTOL, atol=0)
         np.testing.assert_array_equal(shared.report.gamma, dl.report.gamma)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", [s for s in sorted(SCHEMES) if SCHEMES[s].rule == "mmse"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_realization_blocks_bit_identical_to_one_block(monkeypatch, name, mask, scheme):
+    # MRC has no blocks; the MMSE kernel must not change a bit with them
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    T, K = hhat.shape[:2]
+    p = np.linspace(0.5, 2.0, K)
+    p[1] = 0.0
+    ws = CombinerWorkspace(SCHEMES[scheme], assoc, genome, C, p, 0.4)
+    monkeypatch.setattr(channel, "_BLOCK_BYTES", T * ws.item_bytes)
+    assert len(channel._blocks(T, ws.item_bytes)) == 1
+    whole = ws.combiners(hhat)
+    # one realization per block, and blocks of 4 with a ragged last block
+    for per_block in (1, 4):
+        monkeypatch.setattr(channel, "_BLOCK_BYTES", per_block * ws.item_bytes)
+        assert len(channel._blocks(T, ws.item_bytes)) == -(-T // per_block)
+        np.testing.assert_array_equal(ws.combiners(hhat), whole)
 
 
 def test_quantizer_step_per_realization():
