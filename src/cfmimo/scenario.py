@@ -33,6 +33,11 @@ SCHEMES: dict[str, SchemeSpec] = {
 }
 VALID_SCHEMES = tuple(SCHEMES)
 
+# Angular spreads the 40-node correlation quadrature resolves: inside these
+# limits R is within 1e-12 of a 160-node rule (beta = 1, random links).
+MAX_SPREAD_DEG = 40.0  # largest angular spread
+MAX_ARRAY_SPREAD_DEG = 90.0  # largest (antennas_per_oru - 1) * spread
+
 # Fixed stream ids: adding a stream must never renumber existing ones.
 _STREAM_IDS = {
     "oru-positions": 0,
@@ -159,6 +164,17 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         )
     if c.antennas_per_oru < 1:
         errors.append("antennas_per_oru must be >= 1")
+    spread = max(c.asd_azimuth_deg, c.asd_elevation_deg)
+    if not (
+        spread <= MAX_SPREAD_DEG
+        and (c.antennas_per_oru - 1) * spread <= MAX_ARRAY_SPREAD_DEG
+    ):
+        errors.append(
+            f"angular spread {spread:g} deg with antennas_per_oru="
+            f"{c.antennas_per_oru} is not resolved by the correlation quadrature: "
+            f"it needs max(asd) <= {MAX_SPREAD_DEG:g} deg and "
+            f"(antennas_per_oru - 1) * max(asd) <= {MAX_ARRAY_SPREAD_DEG:g} deg"
+        )
     for name in ("ul_power_mw", "dl_pmax_mw", "bandwidth_hz", "carrier_hz", "area_side_m"):
         if getattr(c, name) <= 0:
             errors.append(f"{name} must be > 0")

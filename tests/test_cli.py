@@ -65,6 +65,22 @@ def test_bogus_scheme_exits_2_and_lists_tags(tmp_path, cfg_file, capsys):
     assert "joint-mmse" in err and "edu-pmmse" in err
 
 
+def test_unresolved_angular_spread_exits_2(tmp_path, desk_config, capsys):
+    path = tmp_path / "wide.json"
+    cfg = desk_config
+    cfg.antennas_per_oru = 16
+    cfg.asd_azimuth_deg = cfg.asd_elevation_deg = 40.0
+    path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert "(antennas_per_oru - 1) * max(asd) <= 90 deg" in err["detail"]
+    assert not out.exists()
+
+
 def test_deploy_ga_writes_outputs(tmp_path, cfg_file):
     out = str(tmp_path / "ga")
     rc = main(

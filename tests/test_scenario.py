@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,43 @@ def test_validate_reports_every_violation():
         ScenarioConfig(num_edu=0, ul_power_mw=-1.0, mc_drops=0)
     )
     assert len(errors) >= 3
+
+
+@pytest.mark.parametrize(
+    "N, az, el, ok",
+    [
+        (16, 40.0, 40.0, False),
+        (8, 20.0, 15.0, False),
+        (4, 40.0, 15.0, False),
+        (4, 15.0, 31.0, False),
+        (2, 41.0, 0.0, False),
+        (4, float("nan"), 15.0, False),
+        (4, 30.0, 30.0, True),
+        (7, 15.0, 15.0, True),
+        (2, 40.0, 40.0, True),
+        (1, 40.0, 40.0, True),
+        (64, 0.0, 0.0, True),
+    ],
+)
+def test_validate_angular_spread_within_quadrature(N, az, el, ok):
+    cfg = ScenarioConfig(antennas_per_oru=N, asd_azimuth_deg=az, asd_elevation_deg=el)
+    errors = validate_config(cfg)
+    if ok:
+        assert errors == []
+    else:
+        assert len(errors) == 1
+        assert "(antennas_per_oru - 1) * max(asd) <= 90 deg" in errors[0]
+        assert "max(asd) <= 40 deg" in errors[0]
+
+
+def test_benchmark_configs_within_quadrature():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        assert validate_config(config_from_dict(workloads.config(name, 1))) == []
 
 
 def test_rng_streams_independent():
