@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmimo import ScenarioConfig
+from cfmimo.association import QlConfig
 from cfmimo.harness import (
+    LINKS,
+    SCHEMES,
     DropOptions,
     _cdf_grid,
     resolve_partition,
@@ -164,6 +168,52 @@ def test_parallel_matches_serial(desk_config):
     a = serial.sum_se("edu-mmse", "ul")
     b = parallel.sum_se("edu-mmse", "ul")
     np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    shape=st.sampled_from([(4, 2), (6, 3), (9, 3), (8, 4)]),
+    num_ue=st.integers(1, 4),
+    antennas=st.integers(1, 3),
+    drops=st.integers(2, 3),
+    seed=st.integers(0, 2**16),
+    schemes=st.lists(st.sampled_from(sorted(SCHEMES)), min_size=1, max_size=3, unique=True),
+    mode=st.sampled_from(["all", "ql"]),
+)
+def test_parallel_matches_serial_on_random_configs(
+    shape, num_ue, antennas, drops, seed, schemes, mode
+):
+    num_oru, num_edu = shape
+    cfg = ScenarioConfig(
+        area_side_m=100.0,
+        num_oru=num_oru,
+        antennas_per_oru=antennas,
+        num_ue=num_ue,
+        num_edu=num_edu,
+        pilot_count=num_ue,
+        fronthaul_ue_cap=max(1, num_ue // 2),
+        mc_drops=drops,
+        mc_realizations=4,
+        master_seed=seed,
+        schemes=tuple(schemes),
+    )
+    opts = DropOptions(
+        association_mode=mode,
+        ql_config=QlConfig(episodes=5, fronthaul_ue_cap=cfg.fronthaul_ue_cap),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
+        serial = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=1)
+        parallel = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=2)
+    assert parallel.failures == serial.failures
+    assert parallel.summary == serial.summary
+    for a, b in zip(serial.drops, parallel.drops):
+        np.testing.assert_array_equal(a.association_delta, b.association_delta)
+        for scheme in cfg.schemes:
+            for link in LINKS:
+                np.testing.assert_array_equal(
+                    a.reports[scheme][link].gamma, b.reports[scheme][link].gamma
+                )
 
 
 def test_parallel_matches_serial_when_drops_fail(desk_config):

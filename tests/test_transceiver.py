@@ -469,6 +469,42 @@ def test_association_from_edu_expands_each_edu_column(K, M, extra, data):
     assert assoc.edu_consistent(genome)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(sorted(SCHEMES)),
+    K=st.integers(1, 5),
+    M=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    N=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sinr_permutes_with_the_ues(scheme, K, M, extra, N, seed, data):
+    # relabelling the UEs relabels every gamma and changes nothing else
+    L = M + extra
+    genome = np.array(data.draw(st.permutations(np.arange(L) % M), label="genome"))
+    perm = np.array(data.draw(st.permutations(range(K)), label="perm"))
+    rng = np.random.default_rng(seed)
+    h, hhat, C, p = _setup(rng, K=K, L=L, N=N, T=4)
+    beta = rng.uniform(0.1, 2.0, (K, L))
+    delta = rng.random((K, L)) < 0.6
+    delta[np.arange(K), rng.integers(0, L, K)] = True
+    assoc = Association(delta) if SCHEMES[scheme].dcc else Association.all_serve(K, L)
+    assoc_perm = Association(assoc.delta[perm])
+
+    def gammas(h, hhat, C, assoc, beta, p):
+        ul = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4).gamma
+        dl = downlink_sinr(scheme, h, hhat, C, assoc, genome, beta, p, 0.4, 0.7, 3.0)
+        return ul, dl.report.gamma
+
+    ul, dl = gammas(h, hhat, C, assoc, beta, p)
+    ul_p, dl_p = gammas(
+        h[:, perm], hhat[:, perm], C[perm], assoc_perm, beta[perm], p[perm]
+    )
+    np.testing.assert_allclose(ul_p, ul[perm], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dl_p, dl[perm], rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # quantizer and SE map
 # ---------------------------------------------------------------------------
