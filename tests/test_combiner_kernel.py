@@ -119,7 +119,7 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
 
 
 @pytest.mark.parametrize("mask", MASKS)
-@pytest.mark.parametrize("scheme", [s for s in sorted(SCHEMES) if SCHEMES[s].rule == "mmse"])
+@pytest.mark.parametrize("scheme", [s for s in sorted(SCHEMES) if SCHEMES[s].rule != "mrc"])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_realization_blocks_bit_identical_to_one_block(monkeypatch, name, mask, scheme):
     # MRC has no blocks; the MMSE kernel must not change a bit with them
@@ -136,6 +136,20 @@ def test_realization_blocks_bit_identical_to_one_block(monkeypatch, name, mask, 
         monkeypatch.setattr(channel, "_BLOCK_BYTES", per_block * ws.item_bytes)
         assert len(channel._blocks(T, ws.item_bytes)) == -(-T // per_block)
         np.testing.assert_array_equal(ws.combiners(hhat), whole)
+
+
+def test_block_size_counts_the_per_set_systems():
+    # more serving sets than O-RUs: the (S, K, K) systems are
+    # the largest per-realization arrays and must set the block size
+    K, L, N = 6, 2, 1
+    rng = np.random.default_rng(3)
+    delta = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1]], dtype=bool)
+    C = random_error_covs(rng, K, L, N)
+    ws = CombinerWorkspace(
+        SCHEMES["p-mmse"], Association(delta), np.zeros(L, int), C, np.ones(K), 0.4
+    )
+    assert len(ws.sets) == 3  # {0}, {1} and {0, 1}
+    assert ws.item_bytes == 16 * len(ws.sets) * K * K > 16 * L * K * K
 
 
 def test_quantizer_step_per_realization():
