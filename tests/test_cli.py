@@ -379,3 +379,25 @@ def test_sweep_association_file_read_against_each_edu_count(tmp_path, cfg_file):
     for label in ("num_edu=2", "num_edu=4"):
         assert combined[label]["failures"] == []
         assert combined[label]["drops_completed"] == 1
+
+
+def test_import_and_clustered_simulate_without_scipy(tmp_path, desk_config):
+    """cfmimo runs on numpy alone: with scipy unimportable, the package imports
+    and a clustered desk campaign completes."""
+    path = tmp_path / "cfg.json"
+    save_config(desk_config, str(path))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import cfmimo\n"
+        "from cfmimo.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--deployment", "clustered"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.load(open(tmp_path / "out" / "summary.json"))
+    assert summary["drops_completed"] == desk_config.mc_drops == 2
