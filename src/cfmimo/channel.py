@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .scenario import ScenarioConfig, Topology, rng_stream
 
@@ -78,7 +79,7 @@ def _quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     The node centre + 4*std*x has the Gaussian weight exp(-8 x^2) whatever
     the centre and std, so one grid, made once per size, serves every link.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = leggauss(n_nodes)
     wx = w * np.exp(-0.5 * (ANGLE_TRUNC_SIGMAS * x) ** 2)
     grid = np.outer(wx, wx)
     grid /= grid.sum()
@@ -117,24 +118,25 @@ def spatial_correlation_batch(
     P = az.size
     N = num_antennas
 
-    x, grid = _quadrature(QUAD_NODES)
-    sin_az = np.sin(az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :])
-    cos_el = np.cos(el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :])
-
     # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d;
-    # r[:, 0] is exactly 1 because the grid sums to one. Links run in blocks
-    # so that the (links, n, n) phase arrays stay cache-sized.
+    # r[:, 0] is exactly 1 because the grid sums to one, so one antenna
+    # needs no quadrature. Links run in blocks so that the (links, n, n)
+    # phase arrays stay cache-sized.
     r = np.ones((P, N), dtype=complex)
-    for b in _blocks(P, 16 * grid.size):
-        # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring antennas,
-        # per node pair; offset d takes its d-th power.
-        step = 1j * np.pi * sin_az[b, :, None] * cos_el[b, None, :]
-        np.exp(step, out=step)
-        term = grid * step
-        for d in range(1, N):
-            if d > 1:
-                term *= step
-            r[b, d] = term.sum(axis=(1, 2))
+    if N > 1:
+        x, grid = _quadrature(QUAD_NODES)
+        sin_az = np.sin(az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :])
+        cos_el = np.cos(el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :])
+        for b in _blocks(P, 16 * grid.size):
+            # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring
+            # antennas, per node pair; offset d takes its d-th power.
+            step = 1j * np.pi * sin_az[b, :, None] * cos_el[b, None, :]
+            np.exp(step, out=step)
+            term = grid * step
+            for d in range(1, N):
+                if d > 1:
+                    term *= step
+                r[b, d] = term.sum(axis=(1, 2))
 
     offsets = np.arange(N)
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n

@@ -4,7 +4,8 @@ A genetic algorithm searches length-L genomes of EDU labels for the
 partition whose cross-EDU tuples are geographically tightest, which spreads
 each EDU's own O-RUs apart (interleaving). Its crossover and mutation keep
 every EDU's group size, so each child is balanced by construction. The
-comparison arm is a balanced geographic clustering.
+comparison arm is a balanced geographic clustering, whose assignment step is
+an exact balanced assignment in numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 MAX_EXACT_TUPLES = 10_000_000
+
+# An assignment step's optimum counts as unique when every other balanced
+# labelling costs more by this fraction of the largest cost; closer than that,
+# rounding could pick among near-ties, so the port of scipy's solver decides.
+_TIE_MARGIN = 1e-9
 
 
 @dataclass
@@ -247,9 +252,14 @@ def clustered_baseline(
 ) -> Partition:
     """Balanced geographic clustering of O-RUs into EDUs.
 
-    Lloyd iterations with an exactly balanced assignment step (Hungarian
-    matching against capacity-replicated centroids); the best of several
-    seeded restarts by within-group pairwise spread is returned.
+    Lloyd iterations whose assignment step gives each EDU exactly its
+    capacity (ceil(L/M) for the first L % M EDUs, floor for the rest) at the
+    least total O-RU-to-centroid distance; the best of several seeded
+    restarts by within-group pairwise spread is returned. The step
+    (:func:`_balanced_assignment`) is exact, and among equally cheap
+    assignments, which the O-RU grid makes common, it returns the one that
+    scipy's ``linear_sum_assignment`` picks on the capacity-replicated
+    centroid columns, so partitions match those of earlier releases.
     """
     pos = np.asarray(oru_positions, dtype=float)
     if pos.ndim != 2:
@@ -267,7 +277,6 @@ def clustered_baseline(
     # Capacity slots: ceil for the first L%M groups, floor for the rest.
     base, extra = divmod(L, M)
     capacities = np.array([base + (1 if m < extra else 0) for m in range(M)])
-    slot_group = np.repeat(np.arange(M), capacities)
 
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
@@ -284,9 +293,7 @@ def clustered_baseline(
         genome = np.zeros(L, dtype=int)
         for _ in range(iterations):
             cost = np.linalg.norm(pos[:, None, :] - centroids[None, :, :], axis=-1)
-            row, col = linear_sum_assignment(cost[:, slot_group])
-            new_genome = np.empty(L, dtype=int)
-            new_genome[row] = slot_group[col]
+            new_genome = _balanced_assignment(cost, capacities)
             if np.array_equal(new_genome, genome):
                 break
             genome = new_genome
@@ -296,3 +303,224 @@ def clustered_baseline(
         if c < best_cost:
             best_genome, best_cost = genome, c
     return Partition(best_genome, M)
+
+
+def _balanced_assignment(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """EDU label per O-RU of a cheapest assignment giving EDU m exactly
+    ``capacities[m]`` O-RUs, for the (L, M) O-RU-to-EDU ``cost``.
+
+    The labels equal those of scipy's ``linear_sum_assignment`` on the
+    capacity-replicated (L, L) matrix ``cost[:, slot_group]``. An exact solve
+    over the M EDUs (:func:`_unique_optimum`) serves when its optimum is
+    unique by ``_TIE_MARGIN``: then every exact solver returns it. Otherwise
+    the port of scipy's algorithm (:func:`_crouse_labels`) breaks the ties.
+    """
+    cost = np.asarray(cost, dtype=float)
+    capacities = np.asarray(capacities, dtype=int)
+    if cost.shape[1] == 1:
+        return np.zeros(cost.shape[0], dtype=int)
+    labels = _unique_optimum(cost, capacities)
+    return _crouse_labels(cost, capacities) if labels is None else labels
+
+
+def _sweep_prices(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """EDU prices from one Gauss-Seidel sweep of the assignment dual.
+
+    Each EDU's price in turn is set halfway between the price at which its
+    capacity-th O-RU and the next one would prefer it, so the nearest EDUs
+    under the prices are close to balanced.
+    """
+    prices = np.zeros(cost.shape[1])
+    for m, k in enumerate(capacities):
+        others = cost - prices
+        others[:, m] = np.inf
+        threshold = np.partition(cost[:, m] - others.min(1), (k - 1, k))
+        prices[m] = 0.5 * (threshold[k - 1] + threshold[k])
+    return prices
+
+
+def _min_plus_closure(W: np.ndarray) -> np.ndarray:
+    """Least cost of a walk of at most M edges between every pair of nodes;
+    with an infinite diagonal in ``W`` the diagonal is the least cycle cost."""
+    D = W
+    for _ in range((len(W) - 1).bit_length()):
+        D = np.minimum(D, (D[:, :, None] + D[None, :, :]).min(1))
+    return D
+
+
+def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | None:
+    """The cheapest balanced labelling if every other one costs more by
+    ``_TIE_MARGIN`` of the largest cost, else None.
+
+    Successive shortest paths on the (M, M) move graph, whose edge a -> b
+    is the least cost change of moving one O-RU of EDU a to EDU b. The
+    labels start at the nearest EDUs under :func:`_sweep_prices`, which
+    leaves every cycle nonnegative. Each round takes potentials from the
+    over-full EDUs and moves O-RUs along O-RU-disjoint paths of zero reduced
+    cost to under-full ones, which keeps every cycle nonnegative. At
+    balance, any other balanced labelling differs by cycles of moves, so the
+    least cycle cost bounds how much more it costs.
+    """
+    L, M = cost.shape
+    margin = _TIE_MARGIN * np.abs(cost).max()
+    labels = (cost - _sweep_prices(cost, capacities)).argmin(1)
+    while True:
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=M)
+        starts = np.cumsum(counts) - counts
+        delta = cost[order] - cost[order, labels[order], None]
+        W = np.full((M, M), np.inf)
+        W[counts > 0] = np.minimum.reduceat(delta, starts[counts > 0])
+        np.fill_diagonal(W, np.inf)
+        D = _min_plus_closure(W)
+        least_cycle = D.diagonal().min()
+        excess = counts - capacities
+        if not excess.any():
+            return labels if least_cycle > margin else None
+        if least_cycle < -margin:  # rounding broke optimality
+            return None
+
+        np.fill_diagonal(D, 0.0)
+        potential = D[excess > 0].min(0)
+        tight = (W + potential[:, None] - potential <= margin).tolist()
+        supply = excess.tolist()
+        moved = set()
+
+        def mover(a: int, b: int) -> int:
+            s = starts[a]
+            return int(order[s + delta[s:s + counts[a], b].argmin()])
+
+        def path_from(a: int, seen: list[int]) -> list[int] | None:
+            if supply[a] < 0:
+                return [a]
+            for b in range(M):
+                if tight[a][b] and b not in seen and mover(a, b) not in moved:
+                    rest = path_from(b, seen + [b])
+                    if rest:
+                        return [a] + rest
+            return None
+
+        pushed = False
+        for a in range(M):
+            while supply[a] > 0 and (path := path_from(a, [a])):
+                for x, y in zip(path, path[1:]):
+                    i = mover(x, y)
+                    moved.add(i)
+                    labels[i] = y
+                supply[a] -= 1
+                supply[path[-1]] += 1
+                pushed = True
+        if not pushed:
+            return None
+
+
+def _crouse_labels(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+    """EDU labels of scipy's ``linear_sum_assignment(cost[:, slot_group])``.
+
+    A port of scipy's shortest augmenting path solver (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016) that
+    repeats its floating-point steps and tie rules. Rows join in order, and
+    each Dijkstra search scans the slots (columns) in scipy's ``remaining``
+    order, which starts reversed and fills a scanned slot's place with the
+    last one. It takes the slot of least path cost: of equals, the last
+    unassigned one, else the first.
+
+    The slots of one EDU are kept together, which makes a scan step cost
+    O(M) instead of O(L). An unassigned slot has dual v = 0, so all free
+    slots of EDU m share the path cost k_m, the least of
+    (min_val + cost[i, m]) - u_i over the rows i scanned so far. An
+    assigned slot j costs k_m - v_j, since rounding is monotone, so the
+    cheapest assigned slot of an EDU is the one of largest v.
+    """
+    L, M = cost.shape
+    slot_group = np.repeat(np.arange(M), capacities)
+    group_of = slot_group.tolist()
+    costs = cost.tolist()
+    inf = math.inf
+    u = [0.0] * L
+    v = [0.0] * L
+    col4row = [-1] * L
+    row4col = [-1] * L
+    free = [[] for _ in range(M)]  # unassigned slots per EDU
+    for j, m in enumerate(group_of):
+        free[m].append(j)
+    taken = [[] for _ in range(M)]  # assigned slots per EDU, largest v first
+    top_v = [-inf] * M  # v of each taken[m][0]
+    reversed_slots = list(range(L - 1, -1, -1))
+
+    for cur in range(L):
+        remaining = reversed_slots[:]
+        where = reversed_slots[:]  # where[j]: index of slot j in remaining
+        left = L
+        k = [inf] * M
+        open_groups = [m for m in range(M) if free[m]]
+        rows, row_min = [], []  # scanned rows and min_val when each was scanned
+        reached = {}  # scanned slot -> its path cost
+        min_val = 0.0
+        i = cur
+        while True:
+            ui = u[i]
+            rows.append(i)
+            row_min.append(min_val)
+            k = [a if a <= (b := (min_val + c) - ui) else b for a, c in zip(k, costs[i])]
+            taken_cost = [a - b for a, b in zip(k, top_v)]
+            lowest = min(taken_cost)
+            free_lowest = min([k[m] for m in open_groups], default=inf)
+            j = -1
+            if free_lowest <= lowest:
+                lowest = free_lowest
+                for m in open_groups:
+                    if k[m] == lowest:
+                        for s in free[m]:
+                            if j < 0 or where[s] > where[j]:
+                                j = s
+            else:
+                for m in range(M):
+                    if taken_cost[m] == lowest:
+                        for s in taken[m]:
+                            if k[m] - v[s] != lowest:
+                                break
+                            if j < 0 or where[s] < where[j]:
+                                j = s
+                m = group_of[j]
+                taken[m].remove(j)
+                top_v[m] = v[taken[m][0]] if taken[m] else -inf
+            min_val = lowest
+            reached[j] = lowest
+            left -= 1
+            last = remaining[left]
+            remaining[where[j]] = last
+            where[last] = where[j]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+
+        # Each slot on the augmenting path came from the first scanned row
+        # whose relaxation gave its final path cost.
+        sink = j
+        path = []
+        while True:
+            m = group_of[j]
+            t = 0
+            while ((row_min[t] + costs[rows[t]][m]) - u[rows[t]]) - v[j] != reached[j]:
+                t += 1
+            i = rows[t]
+            path.append((i, j))
+            if i == cur:
+                break
+            j = col4row[i]
+
+        u[cur] += min_val
+        for r in rows[1:]:
+            u[r] += min_val - reached[col4row[r]]
+        for s, c in reached.items():
+            v[s] -= min_val - c
+            taken[group_of[s]].append(s)
+        for i, j in path:
+            row4col[j] = i
+            col4row[i] = j
+        free[group_of[sink]].remove(sink)
+        for m in {group_of[s] for s in reached}:
+            taken[m].sort(key=v.__getitem__, reverse=True)
+            top_v[m] = v[taken[m][0]]
+    return slot_group[col4row]

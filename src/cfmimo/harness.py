@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.median loads it on first call; load it with cfmimo
 
 from . import __version__
 from .association import EduSinrTable, QlConfig, QlResult, ql_associate

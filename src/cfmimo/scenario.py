@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ def rng_stream(master_seed: int, drop_index: int, tag: str) -> np.random.Generat
     """Independent, reproducible generator for one concern of one drop."""
     if tag not in _STREAM_IDS:
         raise KeyError(f"unknown rng stream tag {tag!r}")
-    seq = np.random.SeedSequence(
+    seq = SeedSequence(
         entropy=int(master_seed), spawn_key=(int(drop_index), _STREAM_IDS[tag])
     )
-    return np.random.default_rng(seq)
+    return default_rng(seq)
 
 
 @dataclass

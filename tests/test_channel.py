@@ -80,6 +80,27 @@ def test_single_antenna_correlation_is_beta():
     assert R[0, 0] == pytest.approx(2.5)
 
 
+def test_single_antenna_batch_skips_the_quadrature(monkeypatch):
+    """One antenna has no offset d >= 1: R is exactly beta, as the quadrature
+    gave before it was skipped, and no link block is evaluated."""
+    rng = np.random.default_rng(16)
+    P = 300
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 3, 0.0, P)
+    beta = 10.0 ** rng.uniform(-12.0, 1.0, P)
+    s = np.deg2rad(15)
+    ref = reference_spatial_correlation_batch(az, el, s, s, 1, beta)
+
+    def no_blocks(n, item_bytes):
+        raise AssertionError("link blocks evaluated for one antenna")
+
+    monkeypatch.setattr(ch, "_blocks", no_blocks)
+    R = ch.spatial_correlation_batch(az, el, s, s, 1, beta)
+    assert R.dtype == complex
+    assert np.array_equal(R, beta[:, None, None])
+    assert np.abs(R - ref).max() <= 1e-14 * beta.max()
+
+
 def test_zero_spread_rank_one():
     az, el, beta = 0.6, -0.15, 1.7
     R = ch.spatial_correlation(az, el, 0.0, 0.0, 4, beta)
