@@ -274,7 +274,7 @@ def clustered_baseline(
         return Partition(np.arange(L), M)
     rng = rng or np.random.default_rng(0)
 
-    # Capacity slots: ceil for the first L%M groups, floor for the rest.
+    # Capacities: ceil for the first L%M groups, floor for the rest.
     base, extra = divmod(L, M)
     capacities = np.array([base + (1 if m < extra else 0) for m in range(M)])
 
@@ -307,7 +307,7 @@ def clustered_baseline(
 
 def _balanced_assignment(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     """EDU label per O-RU of a cheapest assignment giving EDU m exactly
-    ``capacities[m]`` O-RUs, for the (L, M) O-RU-to-EDU ``cost``.
+    ``capacities[m]`` >= 1 O-RUs, for the (L, M) O-RU-to-EDU ``cost``, M >= 2.
 
     The labels equal those of scipy's ``linear_sum_assignment`` on the
     capacity-replicated (L, L) matrix ``cost[:, slot_group]``. An exact solve
@@ -317,8 +317,6 @@ def _balanced_assignment(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray
     """
     cost = np.asarray(cost, dtype=float)
     capacities = np.asarray(capacities, dtype=int)
-    if cost.shape[1] == 1:
-        return np.zeros(cost.shape[0], dtype=int)
     labels = _unique_optimum(cost, capacities)
     return _crouse_labels(cost, capacities) if labels is None else labels
 

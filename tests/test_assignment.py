@@ -31,29 +31,30 @@ def balanced_capacities(L, M):
 
 
 def assignment_instances(count=1200, seed=0):
-    """Seeded (cost, capacities) instances, two thirds of them tie-heavy.
+    """Seeded (cost, capacities) instances, most of them with tied optima.
 
-    A third are uniform random costs. A third are small integer costs, so
-    most assignments have tied optima. A third are distances from the O-RUs
-    of a regular grid to grid points or to means of random O-RU groups, the
-    costs the clustered baseline solves, where exact ties come from the
-    grid's symmetry. Capacities are balanced, except in every fourth
-    instance, where they are random.
+    A quarter are uniform random costs. A quarter are small integer costs,
+    so most assignments have tied optima. A quarter are distances from the
+    O-RUs of a regular grid to grid points or to means of random O-RU
+    groups, the costs the clustered baseline solves, where exact ties come
+    from the grid's symmetry. A quarter are sums x_i + y_m, for which every
+    balanced labelling has the same cost up to rounding. Capacities are
+    balanced, except in every third instance, where they are random.
     """
     rng = np.random.default_rng(seed)
     for n in range(count):
         L = int(rng.integers(2, 41))
         M = int(rng.integers(2, min(L, 12) + 1))
-        if n % 4 == 3:
+        if n % 3 == 2:
             capacities = 1 + np.bincount(rng.integers(0, M, L - M), minlength=M)
         else:
             capacities = balanced_capacities(L, M)
-        kind = n % 3
+        kind = n % 4
         if kind == 0:
             cost = rng.random((L, M))
         elif kind == 1:
             cost = rng.integers(0, 4, (L, M)).astype(float)
-        else:
+        elif kind == 2:
             cols = int(rng.integers(1, L + 1))
             rows = -(-L // cols)
             grid = np.stack(np.meshgrid(np.arange(cols), np.arange(rows)), -1)
@@ -64,6 +65,8 @@ def assignment_instances(count=1200, seed=0):
                 groups = rng.permutation(np.arange(L) % M)
                 centroids = np.stack([pos[groups == m].mean(0) for m in range(M)])
             cost = np.linalg.norm(pos[:, None] - centroids[None], axis=-1)
+        else:
+            cost = rng.random(L)[:, None] + rng.random(M)[None, :]
         yield cost, capacities
 
 
@@ -82,10 +85,6 @@ def test_port_alone_matches_scipy():
         assert np.array_equal(
             _crouse_labels(cost, capacities), scipy_labels(cost, capacities)
         )
-
-
-def test_balanced_assignment_single_edu():
-    assert np.array_equal(_balanced_assignment(np.ones((5, 1)), [5]), np.zeros(5))
 
 
 def benchmark_configs():
