@@ -359,6 +359,31 @@ def test_downlink_noise_domination():
     assert np.all(res.report.gamma < 1e-6)
 
 
+@pytest.mark.parametrize("cause", ["unserved", "silent"])
+def test_downlink_warns_once_per_excluded_ue(cause):
+    # A UE without a precoder, because nobody serves it or because its zero
+    # uplink power zeroes its MMSE combiner, is reported in one warning and
+    # gets no downlink power.
+    rng = np.random.default_rng(23)
+    h, hhat, C, p = _setup(rng, K=3, L=4, T=6)
+    delta = np.ones((3, 4), dtype=bool)
+    if cause == "unserved":
+        delta[2] = False
+    else:
+        p[2] = 0.0
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = downlink_sinr(
+            "p-mmse", h, hhat, C, Association(delta), np.array([0, 0, 1, 1]),
+            np.ones((3, 4)), p, 0.5, 0.5, 4.0,
+        )
+    assert [str(w.message) for w in record] == [
+        "1 UE(s) have zero-norm precoders and are excluded from the downlink"
+    ]
+    assert res.dl_power_mw[2] == 0.0 and res.report.gamma[2] == 0.0
+    assert np.all(res.dl_power_mw[:2] > 0)
+
+
 def test_downlink_edu_sum_equals_centralized_form():
     rng = np.random.default_rng(13)
     h, hhat, C, p = _setup(rng, K=3, L=4, T=10)
