@@ -34,8 +34,11 @@ def downlink_power(
         delta: (K, L) service indicators.
         p_max_mw: per-O-RU transmit power cap.
 
-    Returns (p_dl, excluded); UEs with an empty serving set are excluded with
-    a warning and zero power. A zero omega for a served UE is an error.
+    Returns (p_dl, excluded); UEs with an empty serving set are excluded
+    with zero power, and with a warning if they have a precoder (omega > 0)
+    that no O-RU would radiate. A UE without a precoder (omega = 0) was
+    reported where its precoder was normalized. A zero omega for a served
+    UE is an error.
     """
     lam = np.asarray(lambda_gain, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -46,9 +49,10 @@ def downlink_power(
 
     served = delta.any(axis=1)
     excluded = ~served
-    if np.any(excluded):
+    unradiated = excluded & (omega > 0)
+    if np.any(unradiated):
         warnings.warn(
-            f"{int(excluded.sum())} UE(s) have no serving O-RU and get zero "
+            f"{int(unradiated.sum())} UE(s) have no serving O-RU and get zero "
             "downlink power"
         )
     if np.any(served & (omega <= 0)):

@@ -366,7 +366,6 @@ class DownlinkResult:
     dl_power_mw: np.ndarray  # (K,)
     omega: np.ndarray  # (K,)
     per_oru_radiated_mw: np.ndarray  # (L,)
-    excluded_ues: np.ndarray  # bool (K,)
 
 
 def downlink_sinr(
@@ -405,10 +404,9 @@ def downlink_sinr(
         w_prime = ws.combiners(hhat)
 
     w_bar, omega, excluded = normalize_precoders(w_prime, association)
-    p_dl, power_excluded = downlink_power(
+    p_dl, _ = downlink_power(
         beta, omega, association.delta & ~excluded[:, None], p_max_mw
     )
-    p_dl = np.where(excluded, 0.0, p_dl)
 
     h_rx = h
     if phase_drift_deg > 0:
@@ -442,5 +440,4 @@ def downlink_sinr(
         dl_power_mw=p_dl,
         omega=omega,
         per_oru_radiated_mw=per_oru,
-        excluded_ues=excluded | power_excluded,
     )
