@@ -16,7 +16,6 @@ from .scenario import (  # noqa: F401
 from .channel import (  # noqa: F401
     ChannelStatistics,
     build_statistics,
-    pathloss_linear,
     pathloss_db,
     sample_shadowing,
     spatial_correlation,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics
+from .deployment import _one_hot, unit_labels
 
 REWARD_CAP = 1e6  # sentinel where the reward ratio diverges
 
@@ -119,15 +120,13 @@ class EduSinrTable:
         Sigma_kl = sum_i p_i R_il - p_k Phi_kl + sigma^2 I. The (K, L) terms
         come from one batched N x N solve and are summed per EDU.
         """
-        genome = np.asarray(genome, dtype=int)
+        edus = unit_labels("edu", genome, stats.R.shape[1])
         N = stats.antennas_per_oru
         p = np.asarray(p_mw, dtype=float)
         G = np.einsum("i,ilnm->lnm", p, stats.R)
         Sigma = G - p[:, None, None, None] * stats.Phi + noise_mw * np.eye(N)
         per_oru = np.trace(np.linalg.solve(Sigma, stats.Phi), axis1=-2, axis2=-1).real
-        edu_of = np.zeros((genome.size, int(genome.max()) + 1))
-        edu_of[np.arange(genome.size), genome] = 1.0
-        return cls(p[:, None] * (per_oru @ edu_of))
+        return cls(p[:, None] * (per_oru @ _one_hot(edus, edus.max() + 1)))
 
     def r_sum(self, delta_km: np.ndarray) -> float:
         """Sum over UEs of log2(1 + SINR) for a boolean (K, M) association."""

@@ -35,11 +35,6 @@ def pathloss_db(d, exponent: float = 3.67, intercept_db: float = -30.5):
     return intercept_db - 10.0 * exponent * np.log10(d)
 
 
-def pathloss_linear(d, exponent: float = 3.67, intercept_db: float = -30.5):
-    """Linear version of :func:`pathloss_db`."""
-    return 10.0 ** (pathloss_db(d, exponent, intercept_db) / 10.0)
-
-
 def powerlaw_gain(d, exponent: float = 3.67):
     """Alternative bare power-law gain d**(-exponent)."""
     d = np.asarray(d, dtype=float)
@@ -173,19 +168,13 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)[..., None, :] @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
-def sample_channel(
-    sqrt_R: np.ndarray, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Correlated circular-Gaussian channel draws h = R^(1/2) g.
+def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` correlated circular-Gaussian channel draws h = R^(1/2) g.
 
-    ``sqrt_R`` has shape (..., N, N); returns (..., N) or (size, ..., N).
+    ``sqrt_R`` has shape (..., N, N); returns (size, ..., N).
     """
-    shape = sqrt_R.shape[:-1]
-    if size is not None:
-        shape = (size,) + shape
+    shape = (size,) + sqrt_R.shape[:-1]
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    if size is None:
-        return np.einsum("...nm,...m->...n", sqrt_R, g)
     return np.einsum("...nm,t...m->t...n", sqrt_R, g)
 
 
@@ -239,29 +228,17 @@ def apply_phase_drift(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate every O-RU's antenna block by a common random phase.
 
-    Models per-O-RU oscillator drift of the calibration state: each O-RU l
-    gets theta_l ~ U[-max_deg, +max_deg] applied to its whole N-antenna
-    block. Accepts (K, L, N) for a single realization (one theta per O-RU)
-    or (T, K, L, N) for a batch (independent thetas per realization).
-    Returns the rotated copy and the drawn angles in radians.
+    Models per-O-RU oscillator drift of the calibration state: in each
+    realization of the (T, K, L, N) batch ``h``, O-RU l gets its own
+    theta_l ~ U[-max_deg, +max_deg] applied to its whole N-antenna block.
+    Returns the rotated copy and the drawn (T, L) angles in radians.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    h = np.asarray(h)
+    T, _, L, _ = np.shape(h)
     max_rad = np.deg2rad(max_deg)
-    if h.ndim == 3:
-        L = h.shape[1]
-        theta = rng.uniform(-max_rad, max_rad, size=L) if max_rad > 0 else np.zeros(L)
-        return h * np.exp(1j * theta)[None, :, None], theta
-    if h.ndim == 4:
-        T, _, L, _ = h.shape
-        theta = (
-            rng.uniform(-max_rad, max_rad, size=(T, L))
-            if max_rad > 0
-            else np.zeros((T, L))
-        )
-        return h * np.exp(1j * theta)[:, None, :, None], theta
-    raise ValueError("expected (K, L, N) or (T, K, L, N) channel array")
+    theta = rng.uniform(-max_rad, max_rad, size=(T, L))
+    return h * np.exp(1j * theta)[:, None, :, None], theta
 
 
 @dataclass
@@ -278,10 +255,6 @@ class ChannelStatistics:
     pilot_power_mw: float
     pilot_len: int
     noise_mw: float
-
-    @property
-    def num_ue(self) -> int:
-        return self.beta.shape[0]
 
     @property
     def antennas_per_oru(self) -> int:

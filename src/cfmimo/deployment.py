@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_EXACT_TUPLES = 10_000_000
+CLUSTER_RESTARTS = 8  # seeded restarts of the clustered baseline
+CLUSTER_ITERATIONS = 30  # most Lloyd iterations per restart
 
 # An assignment step's optimum counts as unique when every other balanced
 # labelling costs more by this fraction of the largest cost; closer than that,
@@ -75,6 +77,21 @@ def random_balanced_genome(L: int, M: int, rng: np.random.Generator) -> np.ndarr
 def _one_hot(genomes: np.ndarray, M: int) -> np.ndarray:
     """(..., L) EDU labels as (..., L, M) booleans."""
     return genomes[..., None] == np.arange(M)
+
+
+def unit_labels(granularity: str, genome: np.ndarray, num_oru: int) -> np.ndarray:
+    """The detection/precoding unit of each O-RU, as an (L,) int array.
+
+    Units are the whole array ("joint": one unit), the EDUs of the partition
+    ``genome`` ("edu") or the O-RUs themselves ("oru").
+    """
+    if granularity == "joint":
+        return np.zeros(num_oru, dtype=int)
+    if granularity == "edu":
+        return np.asarray(genome, dtype=int)
+    if granularity == "oru":
+        return np.arange(num_oru)
+    raise ValueError(f"unknown granularity {granularity!r}")
 
 
 def exact_fitness_denominator(genome: np.ndarray, dist: np.ndarray, M: int) -> float:
@@ -186,8 +203,8 @@ class GaResult:
 def ga_optimize(
     oru_distances: np.ndarray,
     num_edu: int,
-    config: GaConfig | None = None,
-    rng: np.random.Generator | None = None,
+    config: GaConfig,
+    rng: np.random.Generator,
 ) -> GaResult:
     """Evolve a balanced O-RU partition maximizing the interleaving fitness.
 
@@ -200,9 +217,7 @@ def ga_optimize(
     Survivor selection merges parents and children and keeps the best, so
     the best-so-far fitness never decreases.
     """
-    config = config or GaConfig()
     config.validate()
-    rng = rng or np.random.default_rng()
     dist = np.asarray(oru_distances, dtype=float)
     L = dist.shape[0]
     M = num_edu
@@ -247,15 +262,13 @@ def clustered_baseline(
     oru_positions: np.ndarray,
     num_edu: int,
     rng: np.random.Generator | None = None,
-    restarts: int = 8,
-    iterations: int = 30,
 ) -> Partition:
     """Balanced geographic clustering of O-RUs into EDUs.
 
     Lloyd iterations whose assignment step gives each EDU exactly its
     capacity (ceil(L/M) for the first L % M EDUs, floor for the rest) at the
-    least total O-RU-to-centroid distance; the best of several seeded
-    restarts by within-group pairwise spread is returned. The step
+    least total O-RU-to-centroid distance; the best of ``CLUSTER_RESTARTS``
+    seeded restarts by within-group pairwise spread is returned. The step
     (:func:`_balanced_assignment`) is exact, and among equally cheap
     assignments, which the O-RU grid makes common, it returns the one that
     scipy's ``linear_sum_assignment`` picks on the capacity-replicated
@@ -288,10 +301,10 @@ def clustered_baseline(
         return tot
 
     best_genome, best_cost = None, math.inf
-    for _ in range(restarts):
+    for _ in range(CLUSTER_RESTARTS):
         centroids = pos[rng.choice(L, size=M, replace=False)]
         genome = np.zeros(L, dtype=int)
-        for _ in range(iterations):
+        for _ in range(CLUSTER_ITERATIONS):
             cost = np.linalg.norm(pos[:, None, :] - centroids[None, :, :], axis=-1)
             new_genome = _balanced_assignment(cost, capacities)
             if np.array_equal(new_genome, genome):

@@ -278,11 +278,6 @@ class CampaignResult:
     failures: list[tuple[int, str]]
     summary: dict
 
-    def sum_se(self, scheme: str, link: str) -> np.ndarray:
-        return np.array(
-            [d.reports[scheme][link].sum_se for d in self.drops if scheme in d.reports]
-        )
-
 
 def _cdf_grid(samples: np.ndarray) -> dict:
     xs = np.sort(samples)

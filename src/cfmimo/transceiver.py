@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _blocks, apply_phase_drift
+from .deployment import _one_hot, unit_labels
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
-
-COND_LIMIT = 1e12  # conditioning guard for the regularized Gram solves
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,6 @@ class Association:
         delta_km = np.asarray(delta_km, dtype=bool)
         genome = np.asarray(genome, dtype=int)
         return cls(delta_km[:, genome])
-
-    def edu_consistent(self, genome: np.ndarray) -> bool:
-        """True if every UE's indicator is constant over each EDU's O-RUs."""
-        genome = np.asarray(genome, dtype=int)
-        for m in range(genome.max() + 1):
-            cols = self.delta[:, genome == m]
-            if cols.size and np.any(cols.any(axis=1) != cols.all(axis=1)):
-                return False
-        return True
 
 
 @dataclass
@@ -116,27 +106,6 @@ def quantize(samples: np.ndarray, bits: int | str, axis=None) -> np.ndarray:
     return _q(x)
 
 
-def scheme_blocks(granularity: str, genome: np.ndarray, num_oru: int) -> list[np.ndarray]:
-    """O-RU index groups forming the detection/precoding units of a scheme."""
-    if granularity == "joint":
-        return [np.arange(num_oru)]
-    if granularity == "oru":
-        return [np.array([l]) for l in range(num_oru)]
-    if granularity == "edu":
-        genome = np.asarray(genome, dtype=int)
-        return [np.flatnonzero(genome == m) for m in range(genome.max() + 1)]
-    raise ValueError(f"unknown granularity {granularity!r}")
-
-
-def _unit_matrix(granularity: str, genome: np.ndarray, num_oru: int) -> np.ndarray:
-    """One-hot (L, U) map of the O-RUs onto the scheme's detection units."""
-    blocks = scheme_blocks(granularity, genome, num_oru)
-    E = np.zeros((num_oru, len(blocks)))
-    for m, b in enumerate(blocks):
-        E[b, m] = 1.0
-    return E
-
-
 def _solve_regularized(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for a batch of noise-regularized Gram matrices A.
 
@@ -159,8 +128,8 @@ def _solve_regularized(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter = 1e-12 * np.trace(A[i]).real / n
             warnings.warn(
-                f"ill-conditioned combiner solve (cond > {COND_LIMIT:.0e}); "
-                f"added diagonal jitter {jitter:.3e}"
+                f"combiner solve failed on a singular matrix; retried with "
+                f"diagonal jitter {jitter:.3e}"
             )
             X[i] = np.linalg.solve(A[i] + jitter * np.eye(n), B[i])
     return X.reshape(batch + X.shape[-2:])
@@ -205,9 +174,9 @@ class CombinerWorkspace:
         self.p = np.asarray(p_mw, dtype=float)
         if spec.rule != "mmse":
             return
-        E = _unit_matrix(spec.granularity, genome, L)
+        units = unit_labels(spec.granularity, genome, L)
         D = np.einsum("i,ilnm->lnm", self.p, C) + float(noise_mw) * np.eye(N)
-        local = (E @ E.sum(axis=0) == 1) & (N <= K)
+        local = (np.bincount(units)[units] == 1) & (N <= K)
         self.local = np.flatnonzero(local)
         self.D_local = D[local]
         self.wide = np.flatnonzero(~local)
@@ -219,13 +188,14 @@ class CombinerWorkspace:
         self.Dinv = _solve_regularized(D[~local], np.eye(N))
         # Serving set of every (UE, unit) over the Woodbury O-RUs; each
         # distinct set is one system, the empty set included (it is masked).
-        Ew = E[self.wide]
-        sets = self.delta[:, None, self.wide] & (Ew.T > 0)[None]
+        wide_units = units[self.wide]
+        in_unit = _one_hot(wide_units, units.max() + 1).T  # (U, Lw)
+        sets = self.delta[:, None, self.wide] & in_unit[None]
         sets, which = np.unique(
             sets.reshape(-1, self.wide.size), axis=0, return_inverse=True
         )
         self.sets = sets.astype(float)  # (S, Lw)
-        self.set_of = which.reshape(K, -1)[:, np.argmax(Ew, axis=1)].T  # (Lw, K)
+        self.set_of = which.reshape(K, -1)[:, wide_units].T  # (Lw, K)
         self.item_bytes = max(self.item_bytes, 16 * len(sets) * K * K)
 
     def combiners(self, hhat: np.ndarray) -> np.ndarray:
@@ -303,7 +273,8 @@ def uplink_sinr(
     if quantizer_bits == "infinite":
         s = np.conj(_stack(v)) @ np.swapaxes(_stack(h), 1, 2)  # s[t, k, i] = v_k^H h_i
     else:
-        E = _unit_matrix(spec.granularity, genome, h.shape[2])
+        units = unit_labels(spec.granularity, genome, h.shape[2])
+        E = _one_hot(units, units.max() + 1)
         g = np.einsum("tkln,tiln->tkil", np.conj(v), h) @ E  # per-unit coefficients
         s = quantize(g, quantizer_bits, axis=(1, 2, 3)).sum(axis=-1)
     num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)

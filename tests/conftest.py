@@ -47,5 +47,11 @@ def random_error_covs(rng, K, L, N, scale=0.1):
     return C
 
 
+def edu_consistent(delta, genome):
+    """True if every UE's (K, L) indicator is constant over each EDU's O-RUs."""
+    _, first, edu = np.unique(genome, return_index=True, return_inverse=True)
+    return np.array_equal(delta, delta[:, first[edu]])
+
+
 def random_channels(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)

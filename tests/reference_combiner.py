@@ -15,7 +15,7 @@ import numpy as np
 
 from cfmimo.channel import apply_phase_drift
 from cfmimo.power import downlink_power
-from cfmimo.transceiver import SCHEMES, normalize_precoders, scheme_blocks
+from cfmimo.transceiver import SCHEMES, normalize_precoders
 
 
 def quantize(samples, bits):
@@ -56,7 +56,13 @@ class ReferenceWorkspace:
         self.N = C.shape[-1]
         self.p = np.asarray(p_mw, dtype=float)
         self.noise = float(noise_mw)
-        self.blocks = scheme_blocks(spec.granularity, genome, L)
+        if spec.granularity == "joint":
+            self.blocks = [np.arange(L)]
+        elif spec.granularity == "oru":
+            self.blocks = [np.array([l]) for l in range(L)]
+        else:
+            genome = np.asarray(genome, dtype=int)
+            self.blocks = [np.flatnonzero(genome == m) for m in range(genome.max() + 1)]
         self.num_units = len(self.blocks)
         self.unit_of = np.empty(L, dtype=int)
         for m, b in enumerate(self.blocks):

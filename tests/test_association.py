@@ -19,6 +19,7 @@ from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology
 from cfmimo.transceiver import Association, se_from_sinr
 
+from conftest import edu_consistent
 from reference_ql import reference_ql_associate
 
 
@@ -161,7 +162,7 @@ def test_ql_emits_edu_granular_association(tiny_config):
         np.random.default_rng(3),
     )
     assoc = Association.from_edu(res.best_delta, topo.edu_partition)
-    assert assoc.edu_consistent(topo.edu_partition)
+    assert edu_consistent(assoc.delta, topo.edu_partition)
 
 
 def test_greedy_policy_invariant_to_reward_rescale(tiny_config):
@@ -216,7 +217,7 @@ def test_oracle_refuses_large_state_space():
 
 def _reference_gamma(stats, genome, p, noise_mw):
     # The per-EDU block-diagonal solve that the per-O-RU form replaced.
-    K, N = stats.num_ue, stats.antennas_per_oru
+    K, N = stats.beta.shape[0], stats.antennas_per_oru
     M = int(genome.max()) + 1
     gamma = np.zeros((K, M))
     for m in range(M):

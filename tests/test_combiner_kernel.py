@@ -22,7 +22,7 @@ from cfmimo.transceiver import (
     uplink_sinr,
 )
 
-from conftest import random_channels, random_error_covs
+from conftest import edu_consistent, random_channels, random_error_covs
 from reference_combiner import (
     ReferenceWorkspace,
     reference_downlink_gamma,
@@ -58,14 +58,14 @@ def _instance(name, mask):
         delta_km[np.arange(K), rng.integers(0, M, K)] = True
         delta_km[-1] = False  # served by nobody
         assoc = Association.from_edu(delta_km, genome)
-        assert assoc.edu_consistent(genome)
+        assert edu_consistent(assoc.delta, genome)
     else:
         delta = rng.random((K, L)) < 0.5
         delta[np.arange(K), rng.integers(0, L, K)] = True
         delta[0, :2] = [True, False]  # splits EDU 0 for UE 0
         delta[-1] = False
         assoc = Association(delta)
-        assert not assoc.edu_consistent(genome)
+        assert not edu_consistent(assoc.delta, genome)
     return h, hhat, C, beta, assoc, genome
 
 

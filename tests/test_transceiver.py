@@ -18,12 +18,11 @@ from cfmimo.transceiver import (
     downlink_sinr,
     normalize_precoders,
     quantize,
-    scheme_blocks,
     se_from_sinr,
     uplink_sinr,
 )
 
-from conftest import random_channels, random_error_covs
+from conftest import edu_consistent, random_channels, random_error_covs
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +178,17 @@ def test_mmse_beats_mrc_in_model_sinr():
     s2 = 0.5
     assoc = Association.all_serve(K, L)
     genome = np.array([0, 0, 1, 1])
+    units = {
+        "joint": [np.arange(L)],
+        "edu": [np.array([0, 1]), np.array([2, 3])],
+        "oru": [np.array([l]) for l in range(L)],
+    }
     for t in range(3):
         for gran in ("joint", "edu", "oru"):
             vm = _combiners(hhat[t], C, assoc, genome, p, s2, gran)
             vr = _mrc(hhat[t], assoc)
             for k in range(K):
-                for block in scheme_blocks(gran, genome, L):
+                for block in units[gran]:
                     svm = vm[k, block].ravel()
                     svr = vr[k, block].ravel()
                     Hb = hhat[t][:, block, :].reshape(K, block.size * N).T
@@ -491,7 +495,7 @@ def test_association_from_edu_expands_each_edu_column(K, M, extra, data):
     for k in range(K):
         for l in range(L):
             assert assoc.delta[k, l] == delta_km[k, genome[l]]
-    assert assoc.edu_consistent(genome)
+    assert edu_consistent(assoc.delta, genome)
 
 
 @settings(max_examples=60, deadline=None)
