@@ -174,7 +174,10 @@ def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> n
     ``sqrt_R`` has shape (..., N, N); returns (size, ..., N).
     """
     shape = (size,) + sqrt_R.shape[:-1]
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    g /= np.sqrt(2.0)
     return np.einsum("...nm,t...m->t...n", sqrt_R, g)
 
 
@@ -216,11 +219,21 @@ def estimate_channels(
     drawn fresh per realization.
     """
     ptau = pilot_power_mw * pilot_len
-    noise = (
-        rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    ) * np.sqrt(noise_mw / 2.0)
-    y = np.sqrt(ptau) * h + noise
+    y = np.sqrt(ptau) * h
+    y.real += np.sqrt(noise_mw / 2.0) * rng.standard_normal(h.shape)
+    y.imag += np.sqrt(noise_mw / 2.0) * rng.standard_normal(h.shape)
     return np.einsum("klnm,tklm->tkln", W, y)
+
+
+def drift_angles(
+    num_realizations: int, num_oru: int, max_deg: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-O-RU oscillator drift angles theta ~ U[-max_deg, +max_deg], in
+    radians, one per (realization, O-RU)."""
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    max_rad = np.deg2rad(max_deg)
+    return rng.uniform(-max_rad, max_rad, size=(num_realizations, num_oru))
 
 
 def apply_phase_drift(
@@ -230,14 +243,11 @@ def apply_phase_drift(
 
     Models per-O-RU oscillator drift of the calibration state: in each
     realization of the (T, K, L, N) batch ``h``, O-RU l gets its own
-    theta_l ~ U[-max_deg, +max_deg] applied to its whole N-antenna block.
+    :func:`drift_angles` theta_l applied to its whole N-antenna block.
     Returns the rotated copy and the drawn (T, L) angles in radians.
     """
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
     T, _, L, _ = np.shape(h)
-    max_rad = np.deg2rad(max_deg)
-    theta = rng.uniform(-max_rad, max_rad, size=(T, L))
+    theta = drift_angles(T, L, max_deg, rng)
     return h * np.exp(1j * theta)[:, None, :, None], theta
 
 

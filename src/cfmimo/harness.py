@@ -188,6 +188,7 @@ def run_drop(
                 )
                 per_link["dl"] = dl.report
             reports[scheme] = per_link
+            del v  # before the next scheme's combiners are built
 
         meta["placement"] = topology.placement
         return DropResult(

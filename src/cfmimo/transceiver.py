@@ -8,12 +8,23 @@ kernel for the whole realization batch (``CombinerWorkspace.combiners``),
 once per drop and scheme, and the same array serves as uplink combiners and
 downlink precoders. SINR expectations are sample means over the batch.
 
-The downlink SINR is the use-and-then-forget (UatF) bound,
-|E[h_k^H w_k]|^2 / (sum_i E|h_k^H w_i|^2 - |E[h_k^H w_k]|^2 + sigma^2).
+Both links reduce the batch to K x K moments of the link products
+s[t, k, i] = v_k^H h_i, formed in realization blocks, plus per-UE or
+per-(UE, O-RU) combiner energies; no other realization-sized array is made.
+
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
 without the beamforming-uncertainty term p_k Var(v_k^H h_k) in the
-denominator, so it is not the UatF lower bound and can exceed it.
+denominator, so it is not the UatF lower bound and can exceed it. The
+report carries that term separately.
+
+The downlink SINR is the use-and-then-forget (UatF) bound,
+|E[h_k^H w_k]|^2 / (sum_i E|h_k^H w_i|^2 - |E[h_k^H w_k]|^2 + sigma^2),
+for precoders w_k = a_k w'_k: the raw precoders w' (the uplink combiners)
+times the per-UE amplitude a_k = sqrt(p_dl,k) / sqrt(E||w'_k||^2). Since
+h_k^H w_i = a_i conj(w'_i^H h_k), every moment is a moment of the products
+w'_i^H h_k against the raw precoders, scaled by a_i^2, and the normalized
+precoders are never built.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _blocks, apply_phase_drift
+from .channel import _blocks, drift_angles
 from .deployment import _one_hot, unit_labels
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
@@ -61,6 +72,10 @@ class SinrReport:
     noise: np.ndarray  # (K,)
     gamma: np.ndarray  # (K,)
     se: np.ndarray  # (K,) bits/s/Hz
+    # (K,) beamforming uncertainty: p_k Var(v_k^H h_k) on the uplink, left
+    # out of its denominator; Var(h_k^H w_k) on the downlink, part of its
+    # interference.
+    uncertainty: np.ndarray
 
     @property
     def sum_se(self) -> float:
@@ -147,11 +162,15 @@ class CombinerWorkspace:
     - units of one O-RU with N <= K: the N x N Gram of each (realization,
       O-RU) directly;
     - every other unit: the K x K Woodbury form
-      v_k = p_k D^-1 H (I + P Q)^-1 e_k with Q = sum over S of the per-O-RU
+      v_k = p_k D^-1 H (I + P Q)^-1 e_k with Q = sum over S of the
       partials Q_l = hh_l^H D_l^-1 hh_l. Each distinct serving set of a unit
       (one per unit for all-serve and EDU-consistent masks, up to one per UE
       otherwise) is one K x K system. (I + P Q) rather than (P^-1 + Q)
-      keeps a UE with zero power well defined.
+      keeps a UE with zero power well defined. The O-RUs of a unit that
+      serve the same UEs (an atom: the whole unit for all-serve and
+      EDU-consistent masks, single O-RUs for an arbitrary mask) lie in the
+      same serving sets, so each atom gets one partial over its stacked
+      antennas and one product D^-1 H (I + P Q)^-1.
 
     Realizations are independent, so the batch runs in blocks whose largest
     temporary fits the kernels' working-set budget; each block makes the
@@ -179,24 +198,44 @@ class CombinerWorkspace:
         local = (np.bincount(units)[units] == 1) & (N <= K)
         self.local = np.flatnonzero(local)
         self.D_local = D[local]
-        self.wide = np.flatnonzero(~local)
-        # Bytes per realization of the largest array of a block: Hl and G,
-        # or F, Q and Y; the per-set Qs and X are counted below.
-        self.item_bytes = 16 * max(self.local.size * N, self.wide.size * K) * max(N, K)
-        if not self.wide.size:
+        # Bytes per realization of the largest array of a block: Hl and G
+        # here, the Woodbury arrays below.
+        self.item_bytes = 16 * self.local.size * N * max(N, K)
+        wide = np.flatnonzero(~local)
+        if not wide.size:
+            self.wide = wide
             return
-        self.Dinv = _solve_regularized(D[~local], np.eye(N))
         # Serving set of every (UE, unit) over the Woodbury O-RUs; each
         # distinct set is one system, the empty set included (it is masked).
-        wide_units = units[self.wide]
+        wide_units = units[wide]
         in_unit = _one_hot(wide_units, units.max() + 1).T  # (U, Lw)
-        sets = self.delta[:, None, self.wide] & in_unit[None]
-        sets, which = np.unique(
-            sets.reshape(-1, self.wide.size), axis=0, return_inverse=True
+        sets = self.delta[:, None, wide] & in_unit[None]
+        sets, which = np.unique(sets.reshape(-1, wide.size), axis=0, return_inverse=True)
+        set_of = which.reshape(K, -1)[:, wide_units].T  # (Lw, K)
+        # Atoms: O-RUs of one unit that serve the same UEs. Number them by
+        # size and put each atom's O-RUs side by side, so that atoms of one
+        # size form one batch.
+        key = np.column_stack([wide_units, self.delta[:, wide].T])
+        _, first, atom = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        size = np.bincount(atom)
+        by_size = np.argsort(size, kind="stable")
+        rank = np.empty_like(by_size)
+        rank[by_size] = np.arange(by_size.size)
+        order = np.argsort(rank[atom], kind="stable")
+        self.wide = wide[order]
+        self.Dinv = _solve_regularized(D[self.wide], np.eye(N))
+        first = first[by_size]
+        self.sets = sets[:, first].astype(float)  # (S, A): atoms of each set
+        self.set_of = set_of[first]  # (A, K)
+        # (atoms, their O-RUs, stacked antennas per atom) for each size
+        self.groups = []
+        a = l = 0
+        for n, count in zip(*np.unique(size, return_counts=True)):
+            self.groups.append((slice(a, a + count), slice(l, l + count * n), n * N))
+            a, l = a + count, l + count * n
+        self.item_bytes = max(
+            self.item_bytes, 16 * K * max(wide.size * N, len(sets) * K, len(first) * K)
         )
-        self.sets = sets.astype(float)  # (S, Lw)
-        self.set_of = which.reshape(K, -1)[:, wide_units].T  # (Lw, K)
-        self.item_bytes = max(self.item_bytes, 16 * len(sets) * K * K)
 
     def combiners(self, hhat: np.ndarray) -> np.ndarray:
         """Stacked combiner/precoder vectors (T, K, L, N) for a batch."""
@@ -210,7 +249,7 @@ class CombinerWorkspace:
 
     def _fill(self, hhat: np.ndarray, v: np.ndarray) -> None:
         """Write the MMSE combiners of a realization block into ``v``."""
-        T, K = hhat.shape[:2]
+        T, K, _, N = hhat.shape
         p = self.p
         H = hhat.transpose(0, 2, 3, 1)  # (T, L, N, K): columns are UEs
         if self.local.size:
@@ -218,22 +257,31 @@ class CombinerWorkspace:
             G = Hl @ np.conj(H[:, self.local]).swapaxes(-1, -2) + self.D_local
             v[:, :, self.local] = _solve_regularized(G, Hl).transpose(0, 3, 1, 2)
         if self.wide.size:
-            Hw = H[:, self.wide]
+            Hw = H[:, self.wide]  # (T, Lw, N, K), atoms side by side
             F = self.Dinv @ Hw  # D_l^-1 hh_l
-            Q = np.conj(Hw).swapaxes(-1, -2) @ F  # (T, Lw, K, K)
-            Qs = (self.sets @ Q.reshape(T, self.wide.size, K * K)).reshape(
-                T, -1, K, K
-            )
+            A = len(self.set_of)
+            Q = np.empty((T, A, K, K), dtype=complex)
+            for atoms, orus, n in self.groups:
+                Ha = np.conj(Hw[:, orus]).reshape(T, -1, n, K)
+                Q[:, atoms] = Ha.swapaxes(-1, -2) @ F[:, orus].reshape(T, -1, n, K)
+            Qs = (self.sets @ Q.reshape(T, A, K * K)).reshape(T, -1, K, K)
             del Q
             X = _solve_regularized(np.eye(K) + p[:, None] * Qs, np.eye(K))
-            # Y[t, l, j, k] = X[t, set of (k, l), j, k]
+            # Y[t, a, j, k] = X[t, set of (k, atom a), j, k]
             Y = X.swapaxes(-1, -2)[:, self.set_of, np.arange(K)].swapaxes(-1, -2)
-            v[:, :, self.wide] = ((F @ Y) * p).transpose(0, 3, 1, 2)
+            for atoms, orus, n in self.groups:
+                Va = (F[:, orus].reshape(T, -1, n, K) @ Y[:, atoms]) * p
+                v[:, :, self.wide[orus]] = Va.reshape(T, -1, N, K).transpose(0, 3, 1, 2)
 
 
 def _stack(x: np.ndarray) -> np.ndarray:
     """(T, K, L, N) -> (T, K, L*N)."""
     return x.reshape(x.shape[0], x.shape[1], -1)
+
+
+def _products(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """s[t, k, i] = v_k^H h_i for (T, K, L, N) combiners and channels."""
+    return np.conj(_stack(v)) @ np.swapaxes(_stack(h), 1, 2)
 
 
 def uplink_sinr(
@@ -260,9 +308,11 @@ def uplink_sinr(
     own estimates. The per-unit detected-symbol coefficients are optionally
     quantized, each realization on its own statistics, summed over units,
     and the coherent/interference/noise moments averaged over the batch.
+    Realizations run in blocks; each one's products are those of the whole
+    batch, bit for bit.
     """
     spec = SCHEMES[scheme]
-    T, K = h.shape[0], h.shape[1]
+    T, K, L, N = h.shape
     if T < 2:
         raise ValueError("need at least 2 realizations")
     p = np.asarray(p_mw, dtype=float)
@@ -270,16 +320,23 @@ def uplink_sinr(
     if v is None:
         v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
 
-    if quantizer_bits == "infinite":
-        s = np.conj(_stack(v)) @ np.swapaxes(_stack(h), 1, 2)  # s[t, k, i] = v_k^H h_i
-    else:
-        units = unit_labels(spec.granularity, genome, h.shape[2])
+    item_bytes = 16 * K * L * N
+    if quantizer_bits != "infinite":
+        units = unit_labels(spec.granularity, genome, L)
         E = _one_hot(units, units.max() + 1)
-        g = np.einsum("tkln,tiln->tkil", np.conj(v), h) @ E  # per-unit coefficients
-        s = quantize(g, quantizer_bits, axis=(1, 2, 3)).sum(axis=-1)
+        item_bytes = 16 * K * L * max(K, N)  # per-O-RU coefficients
+    s = np.empty((T, K, K), dtype=complex)  # s[t, k, i] = v_k^H h_i
+    nrm = np.empty((T, K))
+    for b in _blocks(T, item_bytes):
+        if quantizer_bits == "infinite":
+            s[b] = _products(v[b], h[b])
+        else:
+            g = np.einsum("tkln,tiln->tkil", np.conj(v[b]), h[b]) @ E  # per unit
+            s[b] = quantize(g, quantizer_bits, axis=(1, 2, 3)).sum(axis=-1)
+        nrm[b] = (np.abs(v[b]) ** 2).sum(axis=(2, 3))
     num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
     isq = (np.abs(s) ** 2).mean(axis=0)
-    nrm = (np.abs(v) ** 2).sum(axis=(2, 3)).mean(axis=0)
+    nrm = nrm.mean(axis=0)
 
     signal = p * np.abs(num) ** 2
     interference = (isq * p[None, :]).sum(axis=1) - p * isq[np.arange(K), np.arange(K)]
@@ -299,21 +356,22 @@ def uplink_sinr(
         noise=noise,
         gamma=gamma,
         se=se_from_sinr(gamma),
+        uncertainty=p * (isq[np.arange(K), np.arange(K)] - np.abs(num) ** 2),
     )
 
 
 def normalize_precoders(
-    w_prime: np.ndarray, association: Association
+    slice_energy: np.ndarray, association: Association
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale raw precoders to unit average total power per UE.
+    """Per-UE amplitudes that scale raw precoders to unit average total power.
 
-    ``w_prime`` has shape (T, K, L, N). Returns (w_bar, omega, excluded)
-    where omega[k] is the largest per-O-RU share of the normalized precoder
-    energy over the UE's serving set, and excluded flags UEs whose raw
-    precoder has zero norm (served by nobody).
+    ``slice_energy`` is the (K, L) mean energy E||w'_kl||^2 of each UE's raw
+    precoder on each O-RU. Returns (amp, omega, excluded): amp[k] is
+    1 / sqrt(E||w'_k||^2), so amp[k] w'_k has unit average energy; omega[k]
+    is the largest per-O-RU share of that energy over the UE's serving set;
+    excluded flags UEs whose raw precoder has zero norm (served by nobody),
+    which get amp = 0.
     """
-    T, K, L, N = w_prime.shape
-    slice_energy = np.einsum("tkln->kl", np.abs(w_prime) ** 2) / T
     total = slice_energy.sum(axis=1)
     excluded = total <= 0
     if np.any(excluded):
@@ -321,14 +379,11 @@ def normalize_precoders(
             f"{int(excluded.sum())} UE(s) have zero-norm precoders and are "
             "excluded from the downlink"
         )
-    scale = np.sqrt(np.where(excluded, 1.0, total))
-    w_bar = w_prime / scale[None, :, None, None]
-    w_bar[:, excluded] = 0.0
-
-    bar_energy = slice_energy / np.where(total <= 0, 1.0, total)[:, None]
+    amp = np.where(excluded, 0.0, 1.0 / np.sqrt(np.where(excluded, 1.0, total)))
+    bar_energy = slice_energy / np.where(excluded, 1.0, total)[:, None]
     counted = association.delta & ~excluded[:, None]
     omega = np.where(counted, bar_energy, 0.0).max(axis=1)
-    return w_bar, omega, excluded
+    return amp, omega, excluded
 
 
 @dataclass
@@ -360,9 +415,11 @@ def downlink_sinr(
     Raw precoders are the uplink combiners (built here unless given; by
     duality, with the uplink noise level as printed in the design), are
     normalized to unit average energy per UE, and carry the per-UE downlink
-    powers allocated from large-scale gains and the per-O-RU cap. Optional
-    per-O-RU phase drift rotates the true channels used for reception while
-    the precoders stay matched to the undrifted estimates.
+    powers allocated from large-scale gains and the per-O-RU cap; both enter
+    as the per-UE amplitude a_k that scales the moments of the raw products
+    w'_i^H h_k (see the module docstring). Optional per-O-RU phase drift
+    rotates the true channels used for reception while the precoders stay
+    matched to the undrifted estimates.
     """
     spec = SCHEMES[scheme]
     T, K, L, N = h.shape
@@ -374,24 +431,29 @@ def downlink_sinr(
         ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
         w_prime = ws.combiners(hhat)
 
-    w_bar, omega, excluded = normalize_precoders(w_prime, association)
-    p_dl, _ = downlink_power(
-        beta, omega, association.delta & ~excluded[:, None], p_max_mw
-    )
-
-    h_rx = h
+    rot = None
     if phase_drift_deg > 0:
         if drift_rng is None:
             raise ValueError("phase drift requires an rng")
-        h_rx, _ = apply_phase_drift(h, phase_drift_deg, drift_rng)
+        rot = np.exp(1j * drift_angles(T, L, phase_drift_deg, drift_rng))[:, None, :, None]
 
-    w = _stack(w_bar * np.sqrt(p_dl)[:, None, None])
-    s = np.conj(_stack(h_rx)) @ np.swapaxes(w, 1, 2)  # s[t, k, i] = h_k^H w_i
-    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
+    s = np.empty((T, K, K), dtype=complex)  # s[t, i, k] = w'_i^H h_k
+    energy = np.empty((T, K, L))  # ||w'_kl||^2
+    for b in _blocks(T, 16 * K * L * N):
+        s[b] = _products(w_prime[b], h[b] if rot is None else h[b] * rot[b])
+        energy[b] = (np.abs(w_prime[b]) ** 2).sum(axis=-1)
+    slice_energy = energy.mean(axis=0)
+
+    amp, omega, excluded = normalize_precoders(slice_energy, association)
+    p_dl, _ = downlink_power(
+        beta, omega, association.delta & ~excluded[:, None], p_max_mw
+    )
+    a2 = amp**2 * p_dl  # a_k^2
+    num = np.abs(np.diagonal(s, axis1=1, axis2=2).mean(axis=0)) ** 2
     isq = (np.abs(s) ** 2).mean(axis=0)
 
-    signal = np.abs(num) ** 2
-    total_i = isq.sum(axis=1)
+    signal = a2 * num
+    total_i = a2 @ isq  # sum_i a_i^2 E|w'_i^H h_k|^2
     interference = np.maximum(total_i - signal, 0.0)
     gamma = signal / (interference + noise_dl_mw)
     report = SinrReport(
@@ -402,10 +464,10 @@ def downlink_sinr(
         noise=np.full(K, noise_dl_mw),
         gamma=gamma,
         se=se_from_sinr(gamma),
+        uncertainty=a2 * (isq[np.arange(K), np.arange(K)] - num),
     )
 
-    slice_energy = np.einsum("tkln->kl", np.abs(w_bar) ** 2) / T
-    per_oru = (p_dl[:, None] * slice_energy).sum(axis=0)
+    per_oru = a2 @ slice_energy
     return DownlinkResult(
         report=report,
         dl_power_mw=p_dl,

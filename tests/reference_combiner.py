@@ -3,7 +3,9 @@
 This is the combiner/SINR code that the batched kernel in
 ``cfmimo.transceiver`` replaced, copied without change of arithmetic: one
 realization at a time, one detection unit at a time, and one UE at a time
-for units whose association rows are not uniform. ``test_combiner_kernel``
+for units whose association rows are not uniform. The downlink keeps the
+normalized precoders w_bar and the phase-drift rotation written out, as they
+were before the kernel evaluated them from moments. ``test_combiner_kernel``
 holds the kernel to it. Do not optimize this file.
 """
 
@@ -13,9 +15,8 @@ import warnings
 
 import numpy as np
 
-from cfmimo.channel import apply_phase_drift
 from cfmimo.power import downlink_power
-from cfmimo.transceiver import SCHEMES, normalize_precoders
+from cfmimo.transceiver import SCHEMES
 
 
 def quantize(samples, bits):
@@ -171,6 +172,29 @@ def reference_uplink_gamma(
     return gamma
 
 
+def normalize_precoders(w_prime, association):
+    """(w_bar, omega, excluded): raw precoders scaled to unit average energy
+    per UE, the largest per-O-RU energy share over each UE's serving set,
+    and the UEs whose raw precoder has zero norm."""
+    T = w_prime.shape[0]
+    slice_energy = np.einsum("tkln->kl", np.abs(w_prime) ** 2) / T
+    total = slice_energy.sum(axis=1)
+    excluded = total <= 0
+    if np.any(excluded):
+        warnings.warn(
+            f"{int(excluded.sum())} UE(s) have zero-norm precoders and are "
+            "excluded from the downlink"
+        )
+    scale = np.sqrt(np.where(excluded, 1.0, total))
+    w_bar = w_prime / scale[None, :, None, None]
+    w_bar[:, excluded] = 0.0
+
+    bar_energy = slice_energy / np.where(total <= 0, 1.0, total)[:, None]
+    counted = association.delta & ~excluded[:, None]
+    omega = np.where(counted, bar_energy, 0.0).max(axis=1)
+    return w_bar, omega, excluded
+
+
 def reference_downlink_gamma(
     scheme, h, hhat, C, association, genome, beta, p_ul_mw, noise_ul_mw, noise_dl_mw,
     p_max_mw, phase_drift_deg=0.0, drift_rng=None,
@@ -187,7 +211,9 @@ def reference_downlink_gamma(
     p_dl = np.where(excluded, 0.0, p_dl)
     h_rx = h
     if phase_drift_deg > 0:
-        h_rx, _ = apply_phase_drift(h, phase_drift_deg, drift_rng)
+        max_rad = np.deg2rad(phase_drift_deg)
+        theta = drift_rng.uniform(-max_rad, max_rad, size=(T, L))
+        h_rx = h * np.exp(1j * theta)[:, None, :, None]
     amp = np.sqrt(p_dl)
     num = np.zeros(K, dtype=complex)
     isq = np.zeros((K, K))

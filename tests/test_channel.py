@@ -332,6 +332,34 @@ def test_estimate_channels_shapes_and_quality():
     np.testing.assert_allclose(mse[0], expect[0], rtol=0.15)
 
 
+def test_in_place_sampling_matches_frozen_expressions():
+    # the draws fill one complex array in place, real parts first; the
+    # expressions they replaced are kept here as the reference
+    rng = np.random.default_rng(12)
+    K, L, N, T = 3, 4, 2, 9
+    R = ch.spatial_correlation_batch(
+        rng.uniform(-np.pi, np.pi, K * L), rng.uniform(-1.0, 0.0, K * L),
+        0.2, 0.2, N, rng.uniform(0.1, 2.0, K * L),
+    ).reshape(K, L, N, N)
+    sq = ch.correlation_factor(R)
+    W, _, _ = ch.mmse_filters(R, 10.0, 4, 0.5)
+    new, old = np.random.default_rng(3), np.random.default_rng(3)
+    h = ch.sample_channel(sq, new, size=T)
+    hhat = ch.estimate_channels(h, W, 10.0, 4, 0.5, new)
+
+    shape = (T, K, L, N)
+    g = (old.standard_normal(shape) + 1j * old.standard_normal(shape)) / np.sqrt(2.0)
+    h_ref = np.einsum("...nm,t...m->t...n", sq, g)
+    noise = (
+        old.standard_normal(shape) + 1j * old.standard_normal(shape)
+    ) * np.sqrt(0.5 / 2.0)
+    y = np.sqrt(10.0 * 4) * h_ref + noise
+    hhat_ref = np.einsum("klnm,tklm->tkln", W, y)
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(hhat, hhat_ref)
+    assert new.standard_normal() == old.standard_normal()  # same draws used
+
+
 # ---------------------------------------------------------------------------
 # phase drift
 # ---------------------------------------------------------------------------

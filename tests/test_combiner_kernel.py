@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmimo import channel
+from cfmimo import channel, transceiver
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -25,6 +25,9 @@ from cfmimo.transceiver import (
 from conftest import edu_consistent, random_channels, random_error_covs
 from reference_combiner import (
     ReferenceWorkspace,
+    _unit_coefficients,
+    normalize_precoders,
+    quantize,
     reference_downlink_gamma,
     reference_uplink_gamma,
 )
@@ -108,14 +111,19 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
             np.testing.assert_array_equal(shared, gamma)
 
         dl_args = (scheme, h, hhat, C, assoc, genome, beta, p, noise, 0.7, 4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
-            g_ref, p_ref = reference_downlink_gamma(*dl_args)
-            dl = downlink_sinr(*dl_args)
-            shared = downlink_sinr(*dl_args, combiners=v)
-        np.testing.assert_allclose(dl.report.gamma, g_ref, rtol=RTOL, atol=0)
-        np.testing.assert_allclose(dl.dl_power_mw, p_ref, rtol=RTOL, atol=0)
-        np.testing.assert_array_equal(shared.report.gamma, dl.report.gamma)
+        for drift in (0.0, 10.0):  # equal drift streams on both sides
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
+                g_ref, p_ref = reference_downlink_gamma(
+                    *dl_args, drift, np.random.default_rng(7)
+                )
+                dl = downlink_sinr(*dl_args, drift, np.random.default_rng(7))
+                shared = downlink_sinr(
+                    *dl_args, drift, np.random.default_rng(7), combiners=v
+                )
+            np.testing.assert_allclose(dl.report.gamma, g_ref, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(dl.dl_power_mw, p_ref, rtol=RTOL, atol=0)
+            np.testing.assert_array_equal(shared.report.gamma, dl.report.gamma)
 
 
 @pytest.mark.parametrize("mask", MASKS)
@@ -136,6 +144,81 @@ def test_realization_blocks_bit_identical_to_one_block(monkeypatch, name, mask, 
         monkeypatch.setattr(channel, "_BLOCK_BYTES", per_block * ws.item_bytes)
         assert len(channel._blocks(T, ws.item_bytes)) == -(-T // per_block)
         np.testing.assert_array_equal(ws.combiners(hhat), whole)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_link_products_bit_identical_for_any_block_size(monkeypatch, name, mask, scheme):
+    # UL (plain and quantized) and drifted DL reports must not change a bit
+    # with the realization blocks of their link products
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    T, K = h.shape[:2]
+    p = np.linspace(0.5, 2.0, K)
+    v = CombinerWorkspace(SCHEMES[scheme], assoc, genome, C, p, 0.4).combiners(hhat)
+
+    def reports():
+        args = (scheme, h, hhat, C, assoc, genome)
+        out = [
+            uplink_sinr(*args, p, 0.4, quantizer_bits=bits, combiners=v)
+            for bits in ("infinite", 4)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
+            dl = downlink_sinr(
+                *args, beta, p, 0.4, 0.7, 4.0, 10.0, np.random.default_rng(5), v
+            )
+        return out + [dl.report, dl.per_oru_radiated_mw]
+
+    monkeypatch.setattr(channel, "_BLOCK_BYTES", 1 << 40)
+    whole = reports()
+    # any _BLOCK_BYTES: one realization per block, blocks of 4 with a ragged
+    # last block of 2, and all realizations in one block
+    for per_block in (1, 4, T):
+        monkeypatch.setattr(
+            transceiver,
+            "_blocks",
+            lambda n, item_bytes, m=per_block: [slice(i, i + m) for i in range(0, n, m)],
+        )
+        for got, ref in zip(reports(), whole):
+            if isinstance(ref, np.ndarray):
+                np.testing.assert_array_equal(got, ref)
+                continue
+            for field in ("signal", "interference", "noise", "gamma", "se", "uncertainty"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_uncertainty_matches_per_realization_loop(mask, scheme):
+    # p_k Var(v_k^H h_k) on the uplink (quantized or not) and Var(h_k^H w_k)
+    # on the downlink, from the same combiners one realization at a time
+    h, hhat, C, beta, assoc, genome = _instance("mixed", mask)
+    T, K = h.shape[:2]
+    p = np.linspace(0.5, 2.0, K)
+    spec = SCHEMES[scheme]
+    v = CombinerWorkspace(spec, assoc, genome, C, p, 0.4).combiners(hhat)
+    Emat = ReferenceWorkspace(spec, assoc, genome, C, p, 0.4).Emat
+
+    def variance(x):  # over realizations, per UE
+        return (np.abs(x) ** 2).mean(axis=0) - np.abs(x.mean(axis=0)) ** 2
+
+    for bits in ("infinite", 4):
+        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits, v)
+        d = np.empty((T, K), dtype=complex)
+        for t in range(T):
+            g = quantize(_unit_coefficients(v[t], h[t], Emat), bits)
+            d[t] = np.diagonal(g.sum(axis=-1))
+        np.testing.assert_allclose(rep.uncertainty, p * variance(d), rtol=RTOL, atol=0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
+        dl = downlink_sinr(scheme, h, hhat, C, assoc, genome, beta, p, 0.4, 0.7, 4.0,
+                           combiners=v)
+        w_bar, _, _ = normalize_precoders(v, assoc)
+    w = w_bar * np.sqrt(dl.dl_power_mw)[:, None, None]
+    d = np.stack([np.einsum("kln,kln->k", np.conj(h[t]), w[t]) for t in range(T)])
+    np.testing.assert_allclose(dl.report.uncertainty, variance(d), rtol=RTOL, atol=0)
 
 
 def test_block_size_counts_the_per_set_systems():

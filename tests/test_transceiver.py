@@ -399,19 +399,25 @@ def test_downlink_edu_sum_equals_centralized_form():
     )
     ws = CombinerWorkspace(SCHEMES["edu-mmse"], assoc, genome, C, p, 0.5)
     w_prime = ws.combiners(hhat)
-    w_bar, omega, _ = normalize_precoders(w_prime, assoc)
-    w = w_bar * np.sqrt(res.dl_power_mw)[None, :, None, None]
+    amp, omega, _ = normalize_precoders(_slice_energy(w_prime), assoc)
+    w = w_prime * (amp * np.sqrt(res.dl_power_mw))[None, :, None, None]
     ref = stacked_downlink_sinr(
         w.reshape(-1, K, L * N), h.reshape(-1, K, L * N), 0.7
     )
     np.testing.assert_allclose(res.report.gamma, ref, rtol=1e-12)
 
 
+def _slice_energy(w_prime):
+    """(K, L) mean energy of each UE's raw precoder on each O-RU."""
+    return np.einsum("tkln->kl", np.abs(w_prime) ** 2) / w_prime.shape[0]
+
+
 def test_precoder_normalization_contract():
     rng = np.random.default_rng(14)
     w_prime = random_channels(rng, (50, 3, 4, 2))
     assoc = Association.all_serve(3, 4)
-    w_bar, omega, excluded = normalize_precoders(w_prime, assoc)
+    amp, omega, excluded = normalize_precoders(_slice_energy(w_prime), assoc)
+    w_bar = w_prime * amp[None, :, None, None]
     energy = np.einsum("tkln->k", np.abs(w_bar) ** 2) / 50
     np.testing.assert_allclose(energy, 1.0, atol=1e-3)
     assert not excluded.any()
@@ -422,9 +428,9 @@ def test_precoder_single_ue_single_oru():
     rng = np.random.default_rng(15)
     w_prime = random_channels(rng, (40, 1, 1, 4))
     assoc = Association.all_serve(1, 1)
-    w_bar, omega, _ = normalize_precoders(w_prime, assoc)
+    amp, omega, _ = normalize_precoders(_slice_energy(w_prime), assoc)
     scale = np.sqrt(np.mean(np.sum(np.abs(w_prime) ** 2, axis=(2, 3))))
-    np.testing.assert_allclose(w_bar, w_prime / scale, rtol=1e-12)
+    np.testing.assert_allclose(w_prime * amp[0], w_prime / scale, rtol=1e-12)
     assert omega[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -434,9 +440,9 @@ def test_zero_norm_precoder_excluded():
     w_prime[:, 1] = 0.0  # UE 1 served by nobody
     assoc = Association(np.array([[1, 1, 1], [0, 0, 0]], dtype=bool))
     with pytest.warns(UserWarning, match="zero-norm"):
-        w_bar, omega, excluded = normalize_precoders(w_prime, assoc)
+        amp, omega, excluded = normalize_precoders(_slice_energy(w_prime), assoc)
     assert excluded[1] and not excluded[0]
-    assert np.all(w_bar[:, 1] == 0)
+    assert amp[1] == 0 and amp[0] > 0
 
 
 def test_omega_and_downlink_power_match_per_ue_loop():
@@ -451,7 +457,9 @@ def test_omega_and_downlink_power_match_per_ue_loop():
         lam = rng.uniform(0.1, 2.0, size=(K, L))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, omega, excluded = normalize_precoders(w_prime, Association(delta))
+            _, omega, excluded = normalize_precoders(
+                _slice_energy(w_prime), Association(delta)
+            )
             counted = delta & ~excluded[:, None]
             p, _ = downlink_power(lam, omega, counted, 3.0)
 
