@@ -20,7 +20,7 @@ from .channel import (  # noqa: F401
     sample_shadowing,
     spatial_correlation,
     sample_channel,
-    apply_phase_drift,
+    phase_drift,
 )
 from .transceiver import (  # noqa: F401
     SCHEMES,

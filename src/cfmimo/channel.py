@@ -225,30 +225,19 @@ def estimate_channels(
     return np.einsum("klnm,tklm->tkln", W, y)
 
 
-def drift_angles(
+def phase_drift(
     num_realizations: int, num_oru: int, max_deg: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-O-RU oscillator drift angles theta ~ U[-max_deg, +max_deg], in
-    radians, one per (realization, O-RU)."""
+    """Per-O-RU oscillator drift of the calibration state, as (T, L) unit
+    phasors exp(j theta) with theta ~ U[-max_deg, +max_deg].
+
+    In each realization, O-RU l's whole N-antenna block of every channel is
+    multiplied by its phasor.
+    """
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
     max_rad = np.deg2rad(max_deg)
-    return rng.uniform(-max_rad, max_rad, size=(num_realizations, num_oru))
-
-
-def apply_phase_drift(
-    h: np.ndarray, max_deg: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate every O-RU's antenna block by a common random phase.
-
-    Models per-O-RU oscillator drift of the calibration state: in each
-    realization of the (T, K, L, N) batch ``h``, O-RU l gets its own
-    :func:`drift_angles` theta_l applied to its whole N-antenna block.
-    Returns the rotated copy and the drawn (T, L) angles in radians.
-    """
-    T, _, L, _ = np.shape(h)
-    theta = drift_angles(T, L, max_deg, rng)
-    return h * np.exp(1j * theta)[:, None, :, None], theta
+    return np.exp(1j * rng.uniform(-max_rad, max_rad, size=(num_realizations, num_oru)))
 
 
 @dataclass

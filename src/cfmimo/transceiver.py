@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _blocks, drift_angles
+from .channel import _blocks, phase_drift
 from .deployment import _one_hot, unit_labels
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
@@ -379,8 +379,9 @@ def normalize_precoders(
             f"{int(excluded.sum())} UE(s) have zero-norm precoders and are "
             "excluded from the downlink"
         )
-    amp = np.where(excluded, 0.0, 1.0 / np.sqrt(np.where(excluded, 1.0, total)))
-    bar_energy = slice_energy / np.where(excluded, 1.0, total)[:, None]
+    total = np.where(excluded, 1.0, total)
+    amp = np.where(excluded, 0.0, 1.0 / np.sqrt(total))
+    bar_energy = slice_energy / total[:, None]
     counted = association.delta & ~excluded[:, None]
     omega = np.where(counted, bar_energy, 0.0).max(axis=1)
     return amp, omega, excluded
@@ -435,7 +436,7 @@ def downlink_sinr(
     if phase_drift_deg > 0:
         if drift_rng is None:
             raise ValueError("phase drift requires an rng")
-        rot = np.exp(1j * drift_angles(T, L, phase_drift_deg, drift_rng))[:, None, :, None]
+        rot = phase_drift(T, L, phase_drift_deg, drift_rng)[:, None, :, None]
 
     s = np.empty((T, K, K), dtype=complex)  # s[t, i, k] = w'_i^H h_k
     energy = np.empty((T, K, L))  # ||w'_kl||^2
@@ -449,10 +450,10 @@ def downlink_sinr(
         beta, omega, association.delta & ~excluded[:, None], p_max_mw
     )
     a2 = amp**2 * p_dl  # a_k^2
-    num = np.abs(np.diagonal(s, axis1=1, axis2=2).mean(axis=0)) ** 2
+    coherent = np.abs(np.diagonal(s, axis1=1, axis2=2).mean(axis=0)) ** 2
     isq = (np.abs(s) ** 2).mean(axis=0)
 
-    signal = a2 * num
+    signal = a2 * coherent
     total_i = a2 @ isq  # sum_i a_i^2 E|w'_i^H h_k|^2
     interference = np.maximum(total_i - signal, 0.0)
     gamma = signal / (interference + noise_dl_mw)
@@ -464,7 +465,7 @@ def downlink_sinr(
         noise=np.full(K, noise_dl_mw),
         gamma=gamma,
         se=se_from_sinr(gamma),
-        uncertainty=a2 * (isq[np.arange(K), np.arange(K)] - num),
+        uncertainty=a2 * (isq[np.arange(K), np.arange(K)] - coherent),
     )
 
     per_oru = a2 @ slice_energy

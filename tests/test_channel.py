@@ -366,24 +366,23 @@ def test_in_place_sampling_matches_frozen_expressions():
 def test_phase_drift_zero_is_identity():
     rng = np.random.default_rng(0)
     h = (rng.standard_normal((2, 3, 4, 2)) + 1j * rng.standard_normal((2, 3, 4, 2)))
-    out, theta = ch.apply_phase_drift(h, 0.0, rng)
-    np.testing.assert_array_equal(out, h)
-    assert np.all(theta == 0)
+    rot = ch.phase_drift(2, 4, 0.0, rng)
+    np.testing.assert_array_equal(h * rot[:, None, :, None], h)
+    assert np.all(rot == 1)
 
 
 def test_phase_drift_preserves_magnitudes():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((5, 3, 6, 2)) + 1j * rng.standard_normal((5, 3, 6, 2))
-    out, theta = ch.apply_phase_drift(h, 73.0, rng)
+    rot = ch.phase_drift(5, 6, 73.0, rng)
+    assert rot.shape == (5, 6)
+    out = h * rot[:, None, :, None]
     np.testing.assert_allclose(np.abs(out), np.abs(h), rtol=1e-12)
-    assert theta.shape == (5, 6)
 
 
 def test_phase_drift_uniform_distribution():
     rng = np.random.default_rng(4)
-    h = np.ones((1, 1, 10_000, 1), dtype=complex)
-    _, theta = ch.apply_phase_drift(h, 30.0, rng)
-    theta = theta[0]
+    theta = np.angle(ch.phase_drift(1, 10_000, 30.0, rng))[0]
     lim = np.deg2rad(30.0)
     stat, pvalue = sps.kstest(theta, sps.uniform(loc=-lim, scale=2 * lim).cdf)
     assert pvalue > 0.01
@@ -392,4 +391,4 @@ def test_phase_drift_uniform_distribution():
 
 def test_phase_drift_rejects_negative():
     with pytest.raises(ValueError):
-        ch.apply_phase_drift(np.ones((1, 1, 1, 1), dtype=complex), -1.0, np.random.default_rng(0))
+        ch.phase_drift(1, 1, -1.0, np.random.default_rng(0))
