@@ -171,7 +171,8 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
 def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` correlated circular-Gaussian channel draws h = R^(1/2) g.
 
-    ``sqrt_R`` has shape (..., N, N); returns (size, ..., N).
+    ``sqrt_R`` has shape (..., N, N); returns (size, ..., N). The real
+    parts of all draws come from ``rng`` before the imaginary ones.
     """
     shape = (size,) + sqrt_R.shape[:-1]
     g = np.empty(shape, dtype=complex)
@@ -216,12 +217,13 @@ def estimate_channels(
     """MMSE channel estimates from noisy pilot observations.
 
     ``h`` has shape (T, K, L, N) and ``W`` (K, L, N, N); the pilot noise is
-    drawn fresh per realization.
+    drawn fresh per realization, all real parts before the imaginary ones.
     """
     ptau = pilot_power_mw * pilot_len
+    sigma = np.sqrt(noise_mw / 2.0)
     y = np.sqrt(ptau) * h
-    y.real += np.sqrt(noise_mw / 2.0) * rng.standard_normal(h.shape)
-    y.imag += np.sqrt(noise_mw / 2.0) * rng.standard_normal(h.shape)
+    y.real += sigma * rng.standard_normal(h.shape)
+    y.imag += sigma * rng.standard_normal(h.shape)
     return np.einsum("klnm,tklm->tkln", W, y)
 
 

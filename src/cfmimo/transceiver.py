@@ -219,9 +219,7 @@ class CombinerWorkspace:
         _, first, atom = np.unique(key, axis=0, return_index=True, return_inverse=True)
         size = np.bincount(atom)
         by_size = np.argsort(size, kind="stable")
-        rank = np.empty_like(by_size)
-        rank[by_size] = np.arange(by_size.size)
-        order = np.argsort(rank[atom], kind="stable")
+        order = np.argsort(np.argsort(by_size)[atom], kind="stable")
         self.wide = wide[order]
         self.Dinv = _solve_regularized(D[self.wide], np.eye(N))
         first = first[by_size]
@@ -233,8 +231,10 @@ class CombinerWorkspace:
         for n, count in zip(*np.unique(size, return_counts=True)):
             self.groups.append((slice(a, a + count), slice(l, l + count * n), n * N))
             a, l = a + count, l + count * n
+        # Hw, F, a group's conjugate and its product are (Lw N, K) each and
+        # live at once; the per-set systems and per-atom partials are K x K.
         self.item_bytes = max(
-            self.item_bytes, 16 * K * max(wide.size * N, len(sets) * K, len(first) * K)
+            self.item_bytes, 16 * K * max(4 * wide.size * N, len(sets) * K, len(first) * K)
         )
 
     def combiners(self, hhat: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmimo import channel, transceiver
+from cfmimo import channel
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -153,7 +153,7 @@ def test_link_products_bit_identical_for_any_block_size(monkeypatch, name, mask,
     # UL (plain and quantized) and drifted DL reports must not change a bit
     # with the realization blocks of their link products
     h, hhat, C, beta, assoc, genome = _instance(name, mask)
-    T, K = h.shape[:2]
+    T, K, L, N = h.shape
     p = np.linspace(0.5, 2.0, K)
     v = CombinerWorkspace(SCHEMES[scheme], assoc, genome, C, p, 0.4).combiners(hhat)
 
@@ -172,14 +172,11 @@ def test_link_products_bit_identical_for_any_block_size(monkeypatch, name, mask,
 
     monkeypatch.setattr(channel, "_BLOCK_BYTES", 1 << 40)
     whole = reports()
-    # any _BLOCK_BYTES: one realization per block, blocks of 4 with a ragged
-    # last block of 2, and all realizations in one block
-    for per_block in (1, 4, T):
-        monkeypatch.setattr(
-            transceiver,
-            "_blocks",
-            lambda n, item_bytes, m=per_block: [slice(i, i + m) for i in range(0, n, m)],
-        )
+    # one realization per block everywhere, then blocks of 4 (a ragged last
+    # block of 2) for the plain products, then for the per-O-RU quantizer
+    # coefficients
+    for budget in (1, 4 * 16 * K * L * N, 4 * 16 * K * L * max(K, N)):
+        monkeypatch.setattr(channel, "_BLOCK_BYTES", budget)
         for got, ref in zip(reports(), whole):
             if isinstance(ref, np.ndarray):
                 np.testing.assert_array_equal(got, ref)
