@@ -201,9 +201,8 @@ class CombinerWorkspace:
         # Bytes per realization of the largest array of a block: Hl and G
         # here, the Woodbury arrays below.
         self.item_bytes = 16 * self.local.size * N * max(N, K)
-        wide = np.flatnonzero(~local)
+        self.wide = wide = np.flatnonzero(~local)
         if not wide.size:
-            self.wide = wide
             return
         # Serving set of every (UE, unit) over the Woodbury O-RUs; each
         # distinct set is one system, the empty set included (it is masked).

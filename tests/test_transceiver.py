@@ -59,6 +59,11 @@ def stacked_downlink_sinr(w, h, s2_dl):
     return signal / (isq.sum(1) - signal + s2_dl)
 
 
+def _slice_energy(w_prime):
+    """(K, L) mean energy of each UE's raw precoder on each O-RU."""
+    return np.einsum("tkln->kl", np.abs(w_prime) ** 2) / w_prime.shape[0]
+
+
 def _combiners(hhat_t, C, assoc, genome, p, s2, granularity, rule="mmse"):
     """One realization's (K, L, N) combiners through the batched kernel."""
     ws = CombinerWorkspace(SchemeSpec(granularity, rule, False), assoc, genome, C, p, s2)
@@ -405,11 +410,6 @@ def test_downlink_edu_sum_equals_centralized_form():
         w.reshape(-1, K, L * N), h.reshape(-1, K, L * N), 0.7
     )
     np.testing.assert_allclose(res.report.gamma, ref, rtol=1e-12)
-
-
-def _slice_energy(w_prime):
-    """(K, L) mean energy of each UE's raw precoder on each O-RU."""
-    return np.einsum("tkln->kl", np.abs(w_prime) ** 2) / w_prime.shape[0]
 
 
 def test_precoder_normalization_contract():
