@@ -81,6 +81,26 @@ def test_unresolved_angular_spread_exits_2(tmp_path, desk_config, capsys):
     assert not out.exists()
 
 
+def test_one_realization_exits_2_before_any_drop(tmp_path, desk_config, capsys, monkeypatch):
+    import cfmimo.harness as hz
+
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr(hz, "run_drop", no_drop)
+    path = tmp_path / "one.json"
+    cfg = desk_config
+    cfg.mc_realizations = 1
+    path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "o"
+    rc = _exit_code(["simulate", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "summary.json").exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert "mc_realizations must be >= 2" in err["detail"]
+
+
 def test_deploy_ga_writes_outputs(tmp_path, cfg_file):
     out = str(tmp_path / "ga")
     rc = main(

@@ -73,6 +73,14 @@ def test_validate_zero_edus():
     assert errors
 
 
+@pytest.mark.parametrize("T, ok", [(0, False), (1, False), (2, True)])
+def test_validate_needs_two_realizations(T, ok):
+    # the link moments are sample means and variances over the realizations
+    errors = validate_config(ScenarioConfig(mc_realizations=T))
+    assert (errors == []) == ok
+    assert ok or errors == ["mc_realizations must be >= 2"]
+
+
 def test_validate_reports_every_violation():
     errors = validate_config(
         ScenarioConfig(num_edu=0, ul_power_mw=-1.0, mc_drops=0)
