@@ -261,14 +261,15 @@ def ga_optimize(
 def clustered_baseline(
     oru_positions: np.ndarray,
     num_edu: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Partition:
     """Balanced geographic clustering of O-RUs into EDUs.
 
     Lloyd iterations whose assignment step gives each EDU exactly its
     capacity (ceil(L/M) for the first L % M EDUs, floor for the rest) at the
     least total O-RU-to-centroid distance; the best of ``CLUSTER_RESTARTS``
-    seeded restarts by within-group pairwise spread is returned. The step
+    restarts by within-group pairwise spread is returned, each started on M
+    O-RUs that ``rng`` draws. The step
     (:func:`_balanced_assignment`) is exact, and among equally cheap
     assignments, which the O-RU grid makes common, it returns the one that
     scipy's ``linear_sum_assignment`` picks on the capacity-replicated
@@ -285,7 +286,6 @@ def clustered_baseline(
         return Partition(np.zeros(L, dtype=int), 1)
     if M == L:
         return Partition(np.arange(L), M)
-    rng = rng or np.random.default_rng(0)
 
     # Capacities: ceil for the first L%M groups, floor for the rest.
     base, extra = divmod(L, M)

@@ -119,7 +119,6 @@ class Topology:
     distance_matrix: np.ndarray  # (K, L), 3-D distances
     oru_pairwise: np.ndarray  # (L, L)
     placement: str = "grid"  # "grid" or "random" (fallback)
-    grid_shape: tuple[int, int] | None = None
     edu_partition: np.ndarray | None = None  # (L,) EDU per O-RU, via with_partition
 
     @property
@@ -187,8 +186,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"unknown pathloss_model {c.pathloss_model!r}")
     if c.mc_drops < 1:
         errors.append("mc_drops must be >= 1")
-    if c.mc_realizations < 1:
-        errors.append("mc_realizations must be >= 1")
+    if c.mc_realizations < 2:  # the link moments need a sample variance
+        errors.append("mc_realizations must be >= 2")
     if c.fronthaul_ue_cap < 0:
         errors.append("fronthaul_ue_cap must be >= 0")
     if c.quantizer_bits != "infinite":
@@ -229,12 +228,12 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
         ys = (np.arange(rows) + 0.5) * side / rows
         gx, gy = np.meshgrid(xs, ys)
         oru = np.column_stack([gx.ravel(), gy.ravel(), np.full(L, height)])
-        placement, grid_shape = "grid", (rows, cols)
+        placement = "grid"
     else:
         rng = rng_stream(config.master_seed, 0, "oru-positions")
         xy = rng.uniform(0.0, side, size=(L, 2))
         oru = np.column_stack([xy, np.full(L, height)])
-        placement, grid_shape = "random", None
+        placement = "random"
 
     rng_ue = rng_stream(config.master_seed, drop_index, "ue-positions")
     ue_xy = rng_ue.uniform(0.0, side, size=(K, 2))
@@ -251,7 +250,6 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
         distance_matrix=dist,
         oru_pairwise=opair,
         placement=placement,
-        grid_shape=grid_shape,
     )
 
 

@@ -8,8 +8,8 @@ kernel for the whole realization batch (``CombinerWorkspace.combiners``),
 once per drop and scheme, and the same array serves as uplink combiners and
 downlink precoders. SINR expectations are sample means over the batch.
 
-Both links reduce the batch to K x K moments of the link products
-s[t, k, i] = v_k^H h_i, formed in realization blocks, plus per-UE or
+Both links reduce the batch in one kernel (``_link_moments``), in realization
+blocks, to K x K moments of the link products s[t, k, i] = v_k^H h_i and the
 per-(UE, O-RU) combiner energies; no other realization-sized array is made.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
@@ -273,14 +273,33 @@ class CombinerWorkspace:
                 v[:, :, self.wide[orus]] = Va.reshape(T, -1, N, K).transpose(0, 3, 1, 2)
 
 
-def _stack(x: np.ndarray) -> np.ndarray:
-    """(T, K, L, N) -> (T, K, L*N)."""
-    return x.reshape(x.shape[0], x.shape[1], -1)
-
-
-def _products(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """s[t, k, i] = v_k^H h_i for (T, K, L, N) combiners and channels."""
-    return np.conj(_stack(v)) @ np.swapaxes(_stack(h), 1, 2)
+def _link_moments(
+    v: np.ndarray, h: np.ndarray, rot=None, bits: int | str = "infinite", E=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2 (K, L) over the
+    realizations of (T, K, L, N) combiners v and channels h, where
+    s[t, k, i] = v_k^H h_i. Optional (T, L) phasors ``rot`` rotate each
+    O-RU's channels. With the (L, U) one-hot ``E`` of the O-RUs' units, the
+    per-unit coefficients are quantized to ``bits`` per realization, then
+    summed. Each realization block makes the whole batch's products exactly.
+    """
+    T, K, L, N = h.shape
+    if T < 2:
+        raise ValueError("need at least 2 realizations")
+    s = np.empty((T, K, K), dtype=complex)
+    energy = np.empty((T, K, L))
+    # bytes per realization of a block's largest array: hb or g
+    for b in _blocks(T, 16 * K * L * (N if E is None else max(K, N))):
+        hb = h[b] if rot is None else h[b] * rot[b, None, :, None]
+        if E is None:
+            vb, hb = v[b].reshape(-1, K, L * N), hb.reshape(-1, K, L * N)
+            s[b] = np.conj(vb) @ hb.swapaxes(1, 2)
+        else:
+            g = np.einsum("tkln,tiln->tkil", np.conj(v[b]), hb) @ E
+            s[b] = quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
+        energy[b] = (np.abs(v[b]) ** 2).sum(axis=-1)
+    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
+    return num, (np.abs(s) ** 2).mean(axis=0), energy.mean(axis=0)
 
 
 def uplink_sinr(
@@ -307,39 +326,22 @@ def uplink_sinr(
     own estimates. The per-unit detected-symbol coefficients are optionally
     quantized, each realization on its own statistics, summed over units,
     and the coherent/interference/noise moments averaged over the batch.
-    Realizations run in blocks; each one's products are those of the whole
-    batch, bit for bit.
     """
     spec = SCHEMES[scheme]
-    T, K, L, N = h.shape
-    if T < 2:
-        raise ValueError("need at least 2 realizations")
+    _, K, L, _ = h.shape
     p = np.asarray(p_mw, dtype=float)
     v = combiners
     if v is None:
         v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
-
-    item_bytes = 16 * K * L * N
+    E = None
     if quantizer_bits != "infinite":
         units = unit_labels(spec.granularity, genome, L)
         E = _one_hot(units, units.max() + 1)
-        item_bytes = 16 * K * L * max(K, N)  # per-O-RU coefficients
-    s = np.empty((T, K, K), dtype=complex)  # s[t, k, i] = v_k^H h_i
-    nrm = np.empty((T, K))
-    for b in _blocks(T, item_bytes):
-        if quantizer_bits == "infinite":
-            s[b] = _products(v[b], h[b])
-        else:
-            g = np.einsum("tkln,tiln->tkil", np.conj(v[b]), h[b]) @ E  # per unit
-            s[b] = quantize(g, quantizer_bits, axis=(1, 2, 3)).sum(axis=-1)
-        nrm[b] = (np.abs(v[b]) ** 2).sum(axis=(2, 3))
-    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
-    isq = (np.abs(s) ** 2).mean(axis=0)
-    nrm = nrm.mean(axis=0)
+    num, isq, energy = _link_moments(v, h, bits=quantizer_bits, E=E)
 
     signal = p * np.abs(num) ** 2
-    interference = (isq * p[None, :]).sum(axis=1) - p * isq[np.arange(K), np.arange(K)]
-    noise = noise_mw * nrm
+    interference = (isq * p[None, :]).sum(axis=1) - p * np.diagonal(isq)
+    noise = noise_mw * energy.sum(axis=1)
     denom = interference + noise
     # An unserved UE and a silent one (p_k = 0: zero MMSE combiner) rate 0.
     active = association.delta.any(axis=1) & (p > 0)
@@ -355,7 +357,7 @@ def uplink_sinr(
         noise=noise,
         gamma=gamma,
         se=se_from_sinr(gamma),
-        uncertainty=p * (isq[np.arange(K), np.arange(K)] - np.abs(num) ** 2),
+        uncertainty=p * (np.diagonal(isq) - np.abs(num) ** 2),
     )
 
 
@@ -422,9 +424,7 @@ def downlink_sinr(
     matched to the undrifted estimates.
     """
     spec = SCHEMES[scheme]
-    T, K, L, N = h.shape
-    if T < 2:
-        raise ValueError("need at least 2 realizations")
+    T, K, L, _ = h.shape
     w_prime = combiners
     if w_prime is None:
         p_ul = np.asarray(p_ul_mw, dtype=float)
@@ -435,22 +435,16 @@ def downlink_sinr(
     if phase_drift_deg > 0:
         if drift_rng is None:
             raise ValueError("phase drift requires an rng")
-        rot = phase_drift(T, L, phase_drift_deg, drift_rng)[:, None, :, None]
-
-    s = np.empty((T, K, K), dtype=complex)  # s[t, i, k] = w'_i^H h_k
-    energy = np.empty((T, K, L))  # ||w'_kl||^2
-    for b in _blocks(T, 16 * K * L * N):
-        s[b] = _products(w_prime[b], h[b] if rot is None else h[b] * rot[b])
-        energy[b] = (np.abs(w_prime[b]) ** 2).sum(axis=-1)
-    slice_energy = energy.mean(axis=0)
+        rot = phase_drift(T, L, phase_drift_deg, drift_rng)
+    # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
+    num, isq, slice_energy = _link_moments(w_prime, h, rot)
 
     amp, omega, excluded = normalize_precoders(slice_energy, association)
     p_dl, _ = downlink_power(
         beta, omega, association.delta & ~excluded[:, None], p_max_mw
     )
     a2 = amp**2 * p_dl  # a_k^2
-    coherent = np.abs(np.diagonal(s, axis1=1, axis2=2).mean(axis=0)) ** 2
-    isq = (np.abs(s) ** 2).mean(axis=0)
+    coherent = np.abs(num) ** 2
 
     signal = a2 * coherent
     total_i = a2 @ isq  # sum_i a_i^2 E|w'_i^H h_k|^2
@@ -464,7 +458,7 @@ def downlink_sinr(
         noise=np.full(K, noise_dl_mw),
         gamma=gamma,
         se=se_from_sinr(gamma),
-        uncertainty=a2 * (isq[np.arange(K), np.arange(K)] - coherent),
+        uncertainty=a2 * (np.diagonal(isq) - coherent),
     )
 
     per_oru = a2 @ slice_energy

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmimo import channel
+from cfmimo import channel, transceiver
+from cfmimo.deployment import _one_hot, unit_labels
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -183,6 +184,45 @@ def test_link_products_bit_identical_for_any_block_size(monkeypatch, name, mask,
                 continue
             for field in ("signal", "interference", "noise", "gamma", "se", "uncertainty"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_uplink_noise_agrees_with_one_sum_over_all_antennas(name, mask, scheme):
+    # The uplink sums its noise energy per O-RU before the realization mean,
+    # where it used to sum over all L*N antennas of a realization at once.
+    # Only that order may move: noise and gamma agree to 1e-14 relative with
+    # the former expressions, written out here; the other moments are equal.
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    T, K, L, N = h.shape
+    p = np.linspace(0.5, 2.0, K)
+    spec = SCHEMES[scheme]
+    v = CombinerWorkspace(spec, assoc, genome, C, p, 0.4).combiners(hhat)
+    units = unit_labels(spec.granularity, genome, L)
+    for bits in ("infinite", 4):
+        if bits == "infinite":
+            s = np.conj(v.reshape(T, K, -1)) @ np.swapaxes(h.reshape(T, K, -1), 1, 2)
+        else:
+            E = _one_hot(units, units.max() + 1)
+            g = np.einsum("tkln,tiln->tkil", np.conj(v), h) @ E
+            s = transceiver.quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
+        num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
+        isq = (np.abs(s) ** 2).mean(axis=0)
+        signal = p * np.abs(num) ** 2
+        interference = (isq * p[None, :]).sum(axis=1) - p * isq[np.arange(K), np.arange(K)]
+        noise = 0.4 * (np.abs(v) ** 2).sum(axis=(2, 3)).mean(axis=0)
+        active = assoc.delta.any(axis=1)
+        gamma = np.where(active, signal / np.where(active, interference + noise, 1.0), 0.0)
+
+        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits, v)
+        np.testing.assert_array_equal(rep.signal, signal)
+        np.testing.assert_array_equal(rep.interference, interference)
+        np.testing.assert_array_equal(
+            rep.uncertainty, p * (isq[np.arange(K), np.arange(K)] - np.abs(num) ** 2)
+        )
+        np.testing.assert_allclose(rep.noise, noise, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rep.gamma, gamma, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("mask", MASKS)

@@ -206,14 +206,14 @@ def test_ga_config_validation():
 # ---------------------------------------------------------------------------
 def test_clustered_line_pairs():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    part = clustered_baseline(pos, 2)
+    part = clustered_baseline(pos, 2, np.random.default_rng(0))
     groups = sorted(sorted(np.flatnonzero(part.genome == m).tolist()) for m in range(2))
     assert groups == [[0, 1], [2, 3]]
 
 
 def test_clustered_singletons_when_m_equals_l():
     pos = np.random.default_rng(0).uniform(0, 10, (5, 2))
-    part = clustered_baseline(pos, 5)
+    part = clustered_baseline(pos, 5, np.random.default_rng(0))
     assert sorted(part.genome.tolist()) == [0, 1, 2, 3, 4]
 
 

@@ -8,6 +8,7 @@ import pytest
 from cfmimo import ScenarioConfig, build_topology, validate_config
 from cfmimo.scenario import (
     ConfigError,
+    _grid_dims,
     config_from_dict,
     load_config,
     rng_stream,
@@ -19,7 +20,7 @@ def test_grid_placement_100_orus():
     cfg = ScenarioConfig()
     topo = build_topology(cfg, 0)
     assert topo.placement == "grid"
-    assert topo.grid_shape == (10, 10)
+    assert _grid_dims(100) == (10, 10)
     # centered-grid convention: corner O-RU at (10, 10), 20 m spacing
     corner = topo.oru_positions[0]
     assert corner[0] == pytest.approx(10.0)
@@ -53,7 +54,7 @@ def test_prime_oru_count_falls_back_to_random():
     cfg = ScenarioConfig(num_oru=7, num_ue=4, num_edu=2, pilot_count=4)
     topo = build_topology(cfg, 0)
     assert topo.placement == "random"
-    assert topo.grid_shape is None
+    assert _grid_dims(cfg.num_oru) is None
     # infrastructure placement is drop-independent
     topo2 = build_topology(cfg, 3)
     assert np.array_equal(topo.oru_positions, topo2.oru_positions)

@@ -309,6 +309,16 @@ def test_uplink_requires_two_realizations():
         )
 
 
+def test_downlink_requires_two_realizations():
+    rng = np.random.default_rng(10)
+    h, hhat, C, p = _setup(rng, T=1)
+    with pytest.raises(ValueError, match="2 realizations"):
+        downlink_sinr(
+            "joint-mrc", h, hhat, C, Association.all_serve(3, 4),
+            np.zeros(4, dtype=int), np.ones((3, 4)), p, 0.5, 0.5, 4.0,
+        )
+
+
 def test_uplink_report_invariants(desk_config):
     from cfmimo.harness import resolve_partition, run_drop
 
