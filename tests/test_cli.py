@@ -81,7 +81,9 @@ def test_unresolved_angular_spread_exits_2(tmp_path, desk_config, capsys):
     assert not out.exists()
 
 
-def test_one_realization_exits_2_before_any_drop(tmp_path, desk_config, capsys, monkeypatch):
+def test_one_realization_exits_2_before_any_drop(
+    tmp_path, desk_config, capsys, monkeypatch
+):
     import cfmimo.harness as hz
 
     def no_drop(*args, **kwargs):

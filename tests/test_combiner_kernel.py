@@ -195,7 +195,7 @@ def test_uplink_noise_agrees_with_one_sum_over_all_antennas(name, mask, scheme):
     # Only that order may move: noise and gamma agree to 1e-14 relative with
     # the former expressions, written out here; the other moments are equal.
     h, hhat, C, beta, assoc, genome = _instance(name, mask)
-    T, K, L, N = h.shape
+    T, K, L, _ = h.shape
     p = np.linspace(0.5, 2.0, K)
     spec = SCHEMES[scheme]
     v = CombinerWorkspace(spec, assoc, genome, C, p, 0.4).combiners(hhat)
