@@ -423,3 +423,109 @@ def test_import_and_clustered_simulate_without_scipy(tmp_path, desk_config):
     assert proc.returncode == 0, proc.stderr
     summary = json.load(open(tmp_path / "out" / "summary.json"))
     assert summary["drops_completed"] == desk_config.mc_drops == 2
+
+
+def _rejected(argv, monkeypatch, capsys):
+    """Run ``argv`` with every drop, channel build and QL run forbidden,
+    check that it exits 2, and return the JSON record that stderr ends with."""
+    import cfmimo.cli as cli
+    import cfmimo.harness as hz
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before the input was checked")
+
+    monkeypatch.setattr(hz, "run_drop", forbidden)
+    monkeypatch.setattr(hz, "ql_associate", forbidden)
+    monkeypatch.setattr(cli, "build_statistics", forbidden)
+    assert _exit_code(argv) == 2
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_phase_drift_exits_2_before_any_drop(
+    tmp_path, cfg_file, command, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), "--links", "dl",
+            "--deployment", "clustered", "--phase-drift-deg", "-5"]
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "2"]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert "--phase-drift-deg" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_workers_below_one_exits_2_before_any_drop(
+    tmp_path, cfg_file, command, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--workers", "0"]
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "2"]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert "--workers" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["deploy-ga", "--generations", "0"], "generations"),
+        (["deploy-ga", "--population", "0"], "population_size"),
+        (["associate-ql", "--episodes", "0"], "episodes"),
+    ],
+)
+def test_zero_count_flag_exits_2(tmp_path, cfg_file, argv, field, monkeypatch, capsys):
+    out = tmp_path / "out"
+    record = _rejected(
+        argv + ["--config", cfg_file, "--out", str(out)], monkeypatch, capsys
+    )
+    assert field in record["detail"]
+    assert not out.exists()
+
+
+def test_partition_json_that_is_not_an_object_exits_2(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps([i % 4 for i in range(16)]))
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert str(part) in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "associate-ql"])
+def test_missing_partition_file_exits_2(tmp_path, cfg_file, command, monkeypatch, capsys):
+    part = tmp_path / "nope.csv"
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out),
+            "--deployment", "file", "--partition-file", str(part)]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert str(part) in record["detail"]
+    assert not out.exists()
+
+
+def test_missing_association_file_exits_2(tmp_path, cfg_file, monkeypatch, capsys):
+    assoc = tmp_path / "nope.csv"
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert str(assoc) in record["detail"]
+    assert not out.exists()

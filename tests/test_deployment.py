@@ -194,6 +194,20 @@ def test_ga_rejects_more_edus_than_orus():
         ga_optimize(line_distances(2), 3, GaConfig(), np.random.default_rng(0))
 
 
+def test_ga_default_rates_golden():
+    """The GA's crossover and mutation rates are fixed constants; any other
+    rate moves this seeded run's genome and best-fitness history."""
+    res = ga_optimize(line_distances(30), 5, GaConfig(), np.random.default_rng(7))
+    assert res.partition.genome.tolist() == [
+        1, 3, 0, 2, 4, 1, 3, 0, 2, 4, 4, 3, 2, 1, 0,
+        3, 1, 2, 4, 0, 4, 1, 0, 3, 2, 1, 0, 3, 4, 2,
+    ]
+    # line distances are integers, so every cross-EDU spread is exact
+    runs = [(3644, 2), (3638, 4), (3634, 1), (3630, 3), (3624, 8), (3620, 182)]
+    spread = np.repeat([s for s, _ in runs], [n for _, n in runs]).astype(float)
+    np.testing.assert_array_equal(res.history, 1.0 / spread)
+
+
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population_size=7).validate()
