@@ -150,6 +150,10 @@ def _apply_sim_overrides(cfg: ScenarioConfig, args) -> DropOptions:
     links = tuple(t.strip() for t in args.links.split(",") if t.strip())
     if any(l not in ("ul", "dl") for l in links) or not links:
         _fail("--links must be a subset of ul,dl")
+    if not args.phase_drift_deg >= 0.0:
+        _fail("--phase-drift-deg must be >= 0")
+    if args.workers < 1:
+        _fail("--workers must be >= 1")
     assoc_delta = None
     if args.association == "file":
         if not args.association_file:
@@ -170,6 +174,8 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
 
     Each drop expands it to (K, L) through the campaign's partition.
     """
+    if not os.path.isfile(path):
+        _fail(f"association file not found: {path}")
     delta_km = np.zeros((K, M), dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
@@ -211,10 +217,11 @@ def _failed_drops_exit(failures) -> int:
 def cmd_deploy_ga(args) -> int:
     cfg = _load(args)
     ga_cfg = GaConfig()
-    if args.generations:
+    if args.generations is not None:
         ga_cfg.generations = args.generations
-    if args.population:
+    if args.population is not None:
         ga_cfg.population_size = args.population
+    ga_cfg.validate()
     genome, meta = resolve_partition(cfg, "ga", ga_cfg)
     os.makedirs(args.out, exist_ok=True)
     write_partition(args.out, cfg, genome)
@@ -230,13 +237,14 @@ def cmd_deploy_ga(args) -> int:
 
 def cmd_associate_ql(args) -> int:
     cfg = _load(args)
+    qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap)
+    if args.episodes is not None:
+        qcfg.episodes = args.episodes
+    qcfg.validate()
     genome, _ = resolve_partition(
         cfg, args.deployment, genome_file=args.partition_file
     )
     stats = build_statistics(cfg, build_topology(cfg, args.drop), args.drop)
-    qcfg = None
-    if args.episodes:
-        qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap, episodes=args.episodes)
     result = ql_association(cfg, stats, genome, args.drop, qcfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(

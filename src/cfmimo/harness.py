@@ -254,9 +254,14 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
 
     Each O-RU index in [0, num_oru) must appear exactly once.
     """
+    if not os.path.isfile(path):
+        raise ValueError(f"partition file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         if path.endswith(".json"):
-            pairs = list(json.load(fh).items())
+            mapping = json.load(fh)
+            if not isinstance(mapping, dict):
+                raise ValueError(f"{path}: partition JSON must map O-RU to EDU index")
+            pairs = list(mapping.items())
         else:
             reader = csv.reader(row for row in fh if not row.startswith("#"))
             pairs = [r for r in reader if r and r[0] != "oru_index"]
