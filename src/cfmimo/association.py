@@ -19,27 +19,19 @@ from .channel import ChannelStatistics
 from .deployment import _one_hot, unit_labels
 
 REWARD_CAP = 1e6  # sentinel where the reward ratio diverges
+LEARNING_RATE = 0.1  # alpha of the temporal-difference update
+DISCOUNT = 0.9  # kappa, the weight of the next state's best Q value
+EPSILON_INIT = 0.9  # exploration probability of the first episode
+ATTENUATION = 10.0  # phi, how slowly exploration decays over episodes
 
 
 @dataclass
 class QlConfig:
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon_init: float = 0.9
-    attenuation: float = 10.0
     episodes: int = 300
     fronthaul_ue_cap: int = 24
     steps_per_episode: int | None = None  # default 4 * K * M
 
     def validate(self) -> None:
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not (0.0 <= self.discount < 1.0):
-            raise ValueError("discount must be in [0, 1)")
-        if not (0.0 < self.epsilon_init < 1.0):
-            raise ValueError("epsilon_init must be in (0, 1)")
-        if self.attenuation <= 0:
-            raise ValueError("attenuation must be > 0")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.fronthaul_ue_cap < 0:
@@ -170,7 +162,6 @@ def ql_associate(
     n_actions = 2 * K + 1
     steps = config.steps_per_episode or 4 * K * M
     cap = config.fronthaul_ue_cap
-    alpha, kappa = config.learning_rate, config.discount
     r_sum_all = float(evaluator(np.ones((K, M), dtype=bool)))
 
     q_rows: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
@@ -190,7 +181,7 @@ def ql_associate(
         chi = 1  # no EDU serves anyone
         r_sum = float(evaluator(delta))
         r = reward(chi, r_sum, r_sum_all)
-        eps = epsilon_schedule(e, config.epsilon_init, config.attenuation, n_actions)
+        eps = epsilon_schedule(e, EPSILON_INIT, ATTENUATION, n_actions)
         acc_reward = 0.0
         for t in range(steps):
             m = t % M
@@ -220,7 +211,7 @@ def ql_associate(
             if row is None:
                 row = rows[s] = np.zeros(n_actions)
                 written[m][s] = np.zeros(n_actions, dtype=bool)
-            row[a] = q_update(row.item(a), r, max_next, alpha, kappa)
+            row[a] = q_update(row.item(a), r, max_next, LEARNING_RATE, DISCOUNT)
             written[m][s][a] = True
 
             if chi and r_sum > best_r:

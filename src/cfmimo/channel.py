@@ -253,8 +253,6 @@ class ChannelStatistics:
     W: np.ndarray  # (K, L, N, N) MMSE estimation filters
     Phi: np.ndarray  # (K, L, N, N) estimate covariance
     C: np.ndarray  # (K, L, N, N) estimation error covariance
-    pilot_power_mw: float
-    pilot_len: int
     noise_mw: float
 
     @property
@@ -309,8 +307,6 @@ def build_statistics(
         W=W,
         Phi=Phi,
         C=C,
-        pilot_power_mw=config.ul_power_mw,
-        pilot_len=config.pilot_count,
         noise_mw=noise,
     )
 
@@ -326,6 +322,6 @@ def sample_drop_channels(
     h = sample_channel(stats.sqrt_R, rng_h, size=num_realizations)
     rng_e = rng_stream(config.master_seed, drop_index, "estimation-noise")
     hhat = estimate_channels(
-        h, stats.W, stats.pilot_power_mw, stats.pilot_len, stats.noise_mw, rng_e
+        h, stats.W, config.ul_power_mw, config.pilot_count, stats.noise_mw, rng_e
     )
     return h, hhat

@@ -19,6 +19,8 @@ import numpy as np
 MAX_EXACT_TUPLES = 10_000_000
 CLUSTER_RESTARTS = 8  # seeded restarts of the clustered baseline
 CLUSTER_ITERATIONS = 30  # most Lloyd iterations per restart
+GA_CROSSOVER_RATE = 0.8  # probability that a parent pair is cut and crossed
+GA_MUTATION_RATE = 0.05  # per-gene probability of a swap mutation
 
 # An assignment step's optimum counts as unique when every other balanced
 # labelling costs more by this fraction of the largest cost; closer than that,
@@ -28,17 +30,11 @@ _TIE_MARGIN = 1e-9
 
 @dataclass
 class GaConfig:
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.05
     population_size: int = 50
     generations: int = 200
     fitness_mode: str = "pairwise-surrogate"  # or "exact"
 
     def validate(self) -> None:
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must be in [0, 1]")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be an even number >= 2")
         if self.generations < 1:
@@ -243,9 +239,9 @@ def ga_optimize(
         weights = scores if finite.all() else (~finite).astype(float)
         pairs = rng.choice(n_p, size=(n_p // 2, 2), p=weights / weights.sum())
         children = _crossover(
-            pop[pairs[:, 0]], pop[pairs[:, 1]], M, config.crossover_rate, rng
+            pop[pairs[:, 0]], pop[pairs[:, 1]], M, GA_CROSSOVER_RATE, rng
         )
-        children = _mutate(children, config.mutation_rate, rng)
+        children = _mutate(children, GA_MUTATION_RATE, rng)
 
         merged = np.concatenate([pop, children])
         merged_scores = np.concatenate([scores, score(children)])

@@ -51,7 +51,6 @@ class DropOptions:
 class DropResult:
     drop_index: int
     reports: dict[str, dict[str, SinrReport]]  # scheme -> link -> report
-    genome: np.ndarray
     association_delta: np.ndarray  # (K, L) DCC association used
     metadata: dict = field(default_factory=dict)
 
@@ -194,7 +193,6 @@ def run_drop(
         return DropResult(
             drop_index=drop_index,
             reports=reports,
-            genome=genome,
             association_delta=dcc.delta.copy(),
             metadata=meta,
         )

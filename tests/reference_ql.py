@@ -5,7 +5,9 @@ This is the ``ql_associate`` that the array-based loop in
 RNG draws: the state key is rebuilt over all K bits every step, each Q row
 is rebuilt from a dict twice per step, and the rate evaluator runs every
 step. ``test_association`` holds the new loop to it bit for bit. Do not
-optimize this file.
+optimize this file. Its hyperparameters are written out as numbers
+(alpha 0.1, kappa 0.9, eps_init 0.9, phi 10), so the comparison also pins
+the constants of ``cfmimo.association``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def reference_ql_associate(evaluator, num_ue, num_edu, config, rng):
 
     for e in range(config.episodes):
         delta[:] = False
-        eps = epsilon_schedule(e, config.epsilon_init, config.attenuation, n_actions)
+        eps = epsilon_schedule(e, 0.9, 10.0, n_actions)
         acc_reward = 0.0
         for t in range(steps):
             m = t % M
@@ -74,9 +76,7 @@ def reference_ql_associate(evaluator, num_ue, num_edu, config, rng):
             s_next = state_key(m)
             _, max_next = best_q(q_tables[m], s_next)
             q_old = q_tables[m].get((s, a), 0.0)
-            q_tables[m][(s, a)] = q_update(
-                q_old, r, max_next, config.learning_rate, config.discount
-            )
+            q_tables[m][(s, a)] = q_update(q_old, r, max_next, 0.1, 0.9)
 
             if chi and r_sum > best_r:
                 best_r = r_sum

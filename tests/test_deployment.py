@@ -211,8 +211,6 @@ def test_ga_default_rates_golden():
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population_size=7).validate()
-    with pytest.raises(ValueError):
-        GaConfig(crossover_rate=1.5).validate()
 
 
 # ---------------------------------------------------------------------------

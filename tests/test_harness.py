@@ -60,7 +60,7 @@ def test_run_drop_ql_association_mode(tiny_config):
     )
     assert "ql_best_r_sum" in res.metadata
     # the DCC association respects EDU granularity and the fronthaul cap
-    assert edu_consistent(res.association_delta, res.genome)
+    assert edu_consistent(res.association_delta, genome)
 
 
 def test_run_drop_skips_ql_when_no_scheme_uses_dcc(desk_config, monkeypatch):
