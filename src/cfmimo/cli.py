@@ -150,8 +150,8 @@ def _apply_sim_overrides(cfg: ScenarioConfig, args) -> DropOptions:
     links = tuple(t.strip() for t in args.links.split(",") if t.strip())
     if any(l not in ("ul", "dl") for l in links) or not links:
         _fail("--links must be a subset of ul,dl")
-    if not args.phase_drift_deg >= 0.0:
-        _fail("--phase-drift-deg must be >= 0")
+    if not 0.0 <= args.phase_drift_deg < np.inf:
+        _fail("--phase-drift-deg must be a finite angle >= 0")
     if args.workers < 1:
         _fail("--workers must be >= 1")
     assoc_delta = None
@@ -221,7 +221,6 @@ def cmd_deploy_ga(args) -> int:
         ga_cfg.generations = args.generations
     if args.population is not None:
         ga_cfg.population_size = args.population
-    ga_cfg.validate()
     genome, meta = resolve_partition(cfg, "ga", ga_cfg)
     os.makedirs(args.out, exist_ok=True)
     write_partition(args.out, cfg, genome)

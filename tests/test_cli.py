@@ -442,12 +442,13 @@ def _rejected(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_negative_phase_drift_exits_2_before_any_drop(
-    tmp_path, cfg_file, command, monkeypatch, capsys
+@pytest.mark.parametrize("angle", ["-5", "inf", "nan"])
+def test_bad_phase_drift_exits_2_before_any_drop(
+    tmp_path, cfg_file, command, angle, monkeypatch, capsys
 ):
     out = tmp_path / "out"
     argv = [command, "--config", cfg_file, "--out", str(out), "--links", "dl",
-            "--deployment", "clustered", "--phase-drift-deg", "-5"]
+            "--deployment", "clustered", "--phase-drift-deg", angle]
     if command == "sweep":
         argv += ["--param", "num_edu", "--values", "2"]
     record = _rejected(argv, monkeypatch, capsys)
