@@ -530,3 +530,117 @@ def test_missing_association_file_exits_2(tmp_path, cfg_file, monkeypatch, capsy
     )
     assert str(assoc) in record["detail"]
     assert not out.exists()
+
+
+def _partition_rows(num_oru, num_edu):
+    return "".join(f"{i},{i % num_edu}\n" for i in range(num_oru))
+
+
+def test_sweep_partition_file_runs_each_edu_count(tmp_path, cfg_file):
+    from cfmimo.harness import write_partition
+    from cfmimo.scenario import load_config
+
+    genome = [i % 4 for i in range(16)]
+    write_partition(str(tmp_path), load_config(cfg_file), genome)
+    out = tmp_path / "sweep"
+    rc = main(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", "4", "--links", "ul",
+            "--deployment", "file", "--partition-file", str(tmp_path / "partition.csv"),
+        ]
+    )
+    assert rc == 0
+    run = out / "num_edu=4"
+    summary = json.load(open(run / "summary.json"))
+    assert summary["drops_completed"] == 1
+    assert summary["deployment"]["deployment"] == "file"
+    assert json.load(open(run / "partition.json")) == {
+        str(i): m for i, m in enumerate(genome)
+    }
+
+
+@pytest.mark.parametrize("values", ["2,4", "4,2"])
+def test_sweep_partition_file_checked_against_every_edu_count_before_the_first_run(
+    tmp_path, cfg_file, values, monkeypatch, capsys
+):
+    part = tmp_path / "partition.csv"
+    part.write_text("oru_index,edu_index\n" + _partition_rows(16, 4))
+    out = tmp_path / "sweep"
+    record = _rejected(
+        [
+            "sweep", "--config", cfg_file, "--out", str(out),
+            "--param", "num_edu", "--values", values, "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert str(part) in record["detail"]
+    assert "num_edu=2" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (["sweep", "--param", "num_edu", "--values", "2,2"], "2"),
+        (["simulate", "--schemes", "joint-mmse,joint-mmse"], "joint-mmse"),
+        (
+            ["sweep", "--param", "num_edu", "--values", "2",
+             "--schemes", "edu-mmse,joint-mmse,edu-mmse"],
+            "edu-mmse",
+        ),
+    ],
+)
+def test_repeated_value_exits_2_before_any_drop(
+    tmp_path, cfg_file, argv, repeated, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    record = _rejected(
+        argv + ["--config", cfg_file, "--out", str(out), "--links", "ul",
+                "--deployment", "clustered"],
+        monkeypatch,
+        capsys,
+    )
+    assert "repeat" in record["detail"]
+    assert repeated in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, bad_row",
+    [
+        ("association", "1,x,1"),
+        ("association", "1,2"),
+        ("partition", "3,x"),
+        ("partition", "3"),
+    ],
+)
+def test_malformed_input_row_exits_2_naming_file_and_row(
+    tmp_path, cfg_file, kind, bad_row, monkeypatch, capsys
+):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "association":
+        header = "ue_index,edu_index,served"
+        rows = [f"{k},{m},{int(m == k % 4)}" for k in range(8) for m in range(4)]
+        flags = ["--deployment", "clustered", "--schemes", "p-mmse",
+                 "--association", "file", "--association-file", str(path)]
+    else:
+        header = "oru_index,edu_index"
+        rows = _partition_rows(16, 4).splitlines()
+        flags = ["--deployment", "file", "--partition-file", str(path)]
+    rows[3] = bad_row
+    path.write_text("# cfmimo\n" + header + "\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "sim"
+    record = _rejected(
+        ["simulate", "--config", cfg_file, "--out", str(out), "--links", "ul", *flags],
+        monkeypatch,
+        capsys,
+    )
+    assert str(path) in record["detail"]
+    assert "line 6" in record["detail"]
+    assert repr(bad_row) in record["detail"]
+    if kind == "association":
+        assert record["error"] == "usage"
+    assert not out.exists()

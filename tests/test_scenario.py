@@ -82,6 +82,14 @@ def test_validate_needs_two_realizations(T, ok):
     assert ok or errors == ["mc_realizations must be >= 2"]
 
 
+def test_validate_rejects_repeated_schemes():
+    errors = validate_config(
+        ScenarioConfig(schemes=("joint-mmse", "edu-mmse", "joint-mmse"))
+    )
+    assert len(errors) == 1
+    assert "repeated" in errors[0] and "joint-mmse" in errors[0]
+
+
 def test_validate_reports_every_violation():
     errors = validate_config(
         ScenarioConfig(num_edu=0, ul_power_mw=-1.0, mc_drops=0)
