@@ -320,9 +320,10 @@ def _balanced_assignment(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray
 
     The labels equal those of scipy's ``linear_sum_assignment`` on the
     capacity-replicated (L, L) matrix ``cost[:, slot_group]``. An exact solve
-    over the M EDUs (:func:`_unique_optimum`) serves when its optimum is
-    unique by ``_TIE_MARGIN``: then every exact solver returns it. Otherwise
-    the port of scipy's algorithm (:func:`_crouse_labels`) breaks the ties.
+    over the M EDUs (:func:`_unique_optimum`) serves when its certificate
+    alone shows its optimum unique by ``_TIE_MARGIN``: then every exact
+    solver returns it. Otherwise the port of scipy's algorithm
+    (:func:`_crouse_labels`) breaks the ties.
     """
     cost = np.asarray(cost, dtype=float)
     capacities = np.asarray(capacities, dtype=int)
@@ -359,16 +360,16 @@ def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | No
     """The cheapest balanced labelling if every other one costs more by
     ``_TIE_MARGIN`` of the largest cost, else None.
 
-    Successive shortest paths on the (M, M) move graph, whose edge a -> b
-    is the least cost change of moving one O-RU of EDU a to EDU b. The
-    labels start at the nearest EDUs under :func:`_sweep_prices`, which
-    leaves every cycle nonnegative. Each round takes potentials from the
-    over-full EDUs and moves O-RUs along O-RU-disjoint paths of zero reduced
-    cost to under-full ones, which keeps every cycle nonnegative. At
-    balance, any other balanced labelling differs by cycles of moves, so the
-    least cycle cost bounds how much more it costs.
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, ch. 9) on the (M, M) move graph, whose edge a -> b is the least
+    cost change of moving one O-RU of EDU a to EDU b. The labels start at the
+    nearest EDUs under :func:`_sweep_prices`; each round moves one O-RU per
+    edge along a shortest path from an over-full EDU to the nearest
+    under-full one. The certificate alone decides the result: at balance,
+    any other balanced labelling differs by cycles of moves, so the least
+    cycle cost bounds how much more it costs.
     """
-    L, M = cost.shape
+    M = cost.shape[1]
     margin = _TIE_MARGIN * np.abs(cost).max()
     labels = (cost - _sweep_prices(cost, capacities)).argmin(1)
     while True:
@@ -379,46 +380,35 @@ def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | No
         W = np.full((M, M), np.inf)
         W[counts > 0] = np.minimum.reduceat(delta, starts[counts > 0])
         np.fill_diagonal(W, np.inf)
-        D = _min_plus_closure(W)
-        least_cycle = D.diagonal().min()
         excess = counts - capacities
         if not excess.any():
-            return labels if least_cycle > margin else None
-        if least_cycle < -margin:  # rounding broke optimality
+            return labels if _min_plus_closure(W).diagonal().min() > margin else None
+
+        # Bellman-Ford from the over-full EDUs. A step must gain more than
+        # the margin, so rounding cannot close a loop of predecessors, and a
+        # gain in round M means a cycle cheaper than -margin.
+        dist = np.where(excess > 0, 0.0, np.inf)
+        pred = np.full(M, -1)
+        for _ in range(M):
+            via = dist[:, None] + W
+            src = via.argmin(0)
+            best = via[src, np.arange(M)]
+            better = best < dist - margin
+            if not better.any():
+                break
+            dist[better] = best[better]
+            pred[better] = src[better]
+        else:
             return None
-
-        np.fill_diagonal(D, 0.0)
-        potential = D[excess > 0].min(0)
-        tight = (W + potential[:, None] - potential <= margin).tolist()
-        supply = excess.tolist()
-        moved = set()
-
-        def mover(a: int, b: int) -> int:
+        under = np.flatnonzero(excess < 0)
+        b = under[dist[under].argmin()]
+        if not np.isfinite(dist[b]):
+            return None
+        while pred[b] >= 0:
+            a = pred[b]
             s = starts[a]
-            return int(order[s + delta[s:s + counts[a], b].argmin()])
-
-        def path_from(a: int, seen: list[int]) -> list[int] | None:
-            if supply[a] < 0:
-                return [a]
-            for b in range(M):
-                if tight[a][b] and b not in seen and mover(a, b) not in moved:
-                    rest = path_from(b, seen + [b])
-                    if rest:
-                        return [a] + rest
-            return None
-
-        pushed = False
-        for a in range(M):
-            while supply[a] > 0 and (path := path_from(a, [a])):
-                for x, y in zip(path, path[1:]):
-                    i = mover(x, y)
-                    moved.add(i)
-                    labels[i] = y
-                supply[a] -= 1
-                supply[path[-1]] += 1
-                pushed = True
-        if not pushed:
-            return None
+            labels[order[s + delta[s:s + counts[a], b].argmin()]] = b
+            b = a
 
 
 def _crouse_labels(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray:
