@@ -11,7 +11,6 @@ campaign with failed drops (its summary is still written).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,6 +25,7 @@ from .deployment import GaConfig
 from .harness import (
     DropOptions,
     ql_association,
+    read_csv_rows,
     resolve_partition,
     run_campaign,
     write_csv,
@@ -176,19 +176,18 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
     """
     if not os.path.isfile(path):
         _fail(f"association file not found: {path}")
+    try:
+        rows = read_csv_rows(path, ["ue_index", "edu_index", "served"])
+    except ValueError as exc:
+        _fail(str(exc))
     delta_km = np.zeros((K, M), dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        for row in reader:
-            if not row or row[0] == "ue_index":
-                continue
-            k, m, served = (int(v) for v in row[:3])
-            if not (0 <= k < K and 0 <= m < M and served in (0, 1)):
-                _fail(
-                    f"{path}: association row {','.join(row)} needs "
-                    f"0 <= ue_index < {K}, 0 <= edu_index < {M} and served in {{0, 1}}"
-                )
-            delta_km[k, m] = bool(served)
+    for k, m, served in rows:
+        if not (0 <= k < K and 0 <= m < M and served in (0, 1)):
+            _fail(
+                f"{path}: association row {k},{m},{served} needs "
+                f"0 <= ue_index < {K}, 0 <= edu_index < {M} and served in {{0, 1}}"
+            )
+        delta_km[k, m] = bool(served)
     return delta_km
 
 
@@ -284,16 +283,22 @@ def cmd_sweep(args) -> int:
             values = [int(v) for v in args.values.split(",")]
         except ValueError:
             _fail("--values must be a comma list of integers")
+        if len(set(values)) < len(values):
+            _fail(f"--values repeats a value: {args.values}")
         runs = [
             (f"num_edu={m}", replace(cfg, num_edu=m), args.deployment) for m in values
         ]
     else:
         runs = [(f"deployment={mode}", cfg, mode) for mode in ("ga", "clustered")]
-    # Every run's config and options are checked before the first one starts.
+    # Every run's config, options and partition file are checked before the
+    # first one starts.
     plans = [
         (label, run_cfg, mode, _apply_sim_overrides(run_cfg, args))
         for label, run_cfg, mode in runs
     ]
+    for _, run_cfg, mode, _ in plans:
+        if mode == "file":
+            resolve_partition(run_cfg, mode, genome_file=args.partition_file)
     summaries = {}
     failures = []
     for label, run_cfg, mode, options in plans:
@@ -302,6 +307,7 @@ def cmd_sweep(args) -> int:
             out_dir=os.path.join(args.out, label),
             deployment_mode=mode,
             options=options,
+            genome_file=args.partition_file,
             workers=args.workers,
         )
         summaries[label] = campaign.summary

@@ -254,15 +254,14 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
     """
     if not os.path.isfile(path):
         raise ValueError(f"partition file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        if path.endswith(".json"):
+    if path.endswith(".json"):
+        with open(path, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
-            if not isinstance(mapping, dict):
-                raise ValueError(f"{path}: partition JSON must map O-RU to EDU index")
-            pairs = list(mapping.items())
-        else:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            pairs = [r for r in reader if r and r[0] != "oru_index"]
+        if not isinstance(mapping, dict):
+            raise ValueError(f"{path}: partition JSON must map O-RU to EDU index")
+        pairs = list(mapping.items())
+    else:
+        pairs = read_csv_rows(path, ["oru_index", "edu_index"])
     orus = [int(oru) for oru, _ in pairs]
     if sorted(orus) != list(range(num_oru)):
         raise ValueError(
@@ -398,6 +397,32 @@ def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> Non
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
+    """The integer rows of a CSV input file laid out as :func:`write_csv`
+    writes it.
+
+    ``#`` echo lines, blank lines and the ``header`` row are skipped. Any
+    other row must hold one integer per ``header`` column; a row that does
+    not raises ``ValueError`` naming the file, the line and the row.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for n, line in enumerate(fh, 1):
+            row = next(csv.reader([line]), [])
+            if line.startswith("#") or not row or row[0] == header[0]:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                rows.append([int(cell) for cell in row])
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {n}: row {line.strip()!r} needs one integer "
+                    f"per column of {','.join(header)}"
+                ) from None
+    return rows
 
 
 def write_json(path: str, obj) -> None:
