@@ -174,11 +174,9 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
 
     Each drop expands it to (K, L) through the campaign's partition.
     """
-    if not os.path.isfile(path):
-        _fail(f"association file not found: {path}")
     try:
         rows = read_csv_rows(path, ["ue_index", "edu_index", "served"])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a missing file or a malformed row
         _fail(str(exc))
     delta_km = np.zeros((K, M), dtype=bool)
     for k, m, served in rows:
@@ -290,8 +288,7 @@ def cmd_sweep(args) -> int:
         ]
     else:
         runs = [(f"deployment={mode}", cfg, mode) for mode in ("ga", "clustered")]
-    # Every run's config, options and partition file are checked before the
-    # first one starts.
+    # Every run's config, options and partition file are checked first.
     plans = [
         (label, run_cfg, mode, _apply_sim_overrides(run_cfg, args))
         for label, run_cfg, mode in runs

@@ -283,7 +283,6 @@ def clustered_baseline(
     if M == L:
         return Partition(np.arange(L), M)
 
-    # Capacities: ceil for the first L%M groups, floor for the rest.
     base, extra = divmod(L, M)
     capacities = np.array([base + (1 if m < extra else 0) for m in range(M)])
 
@@ -321,9 +320,8 @@ def _balanced_assignment(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray
     The labels equal those of scipy's ``linear_sum_assignment`` on the
     capacity-replicated (L, L) matrix ``cost[:, slot_group]``. An exact solve
     over the M EDUs (:func:`_unique_optimum`) serves when its certificate
-    alone shows its optimum unique by ``_TIE_MARGIN``: then every exact
-    solver returns it. Otherwise the port of scipy's algorithm
-    (:func:`_crouse_labels`) breaks the ties.
+    shows the optimum unique by ``_TIE_MARGIN``: then every exact solver
+    returns it. Otherwise the port of scipy's algorithm breaks the ties.
     """
     cost = np.asarray(cost, dtype=float)
     capacities = np.asarray(capacities, dtype=int)
@@ -361,14 +359,11 @@ def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | No
     ``_TIE_MARGIN`` of the largest cost, else None.
 
     Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
-    1993, ch. 9) on the (M, M) move graph, whose edge a -> b is the least
-    cost change of moving one O-RU of EDU a to EDU b. The labels start at the
-    nearest EDUs under :func:`_sweep_prices`; each round moves one O-RU per
-    edge along a shortest path from an over-full EDU to the nearest
-    under-full one. The certificate alone decides the result: at balance,
-    any other balanced labelling differs by cycles of moves, so the least
-    cycle cost bounds how much more it costs.
-    """
+    1993, ch. 9) from the nearest EDUs under :func:`_sweep_prices`, on the
+    (M, M) move graph whose edge a -> b is the least cost change of moving
+    one O-RU of EDU a to EDU b. At balance the certificate alone decides: any
+    other balanced labelling differs by cycles of moves, each costing at least
+    the least cycle cost."""
     M = cost.shape[1]
     margin = _TIE_MARGIN * np.abs(cost).max()
     labels = (cost - _sweep_prices(cost, capacities)).argmin(1)
@@ -383,29 +378,23 @@ def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | No
         excess = counts - capacities
         if not excess.any():
             return labels if _min_plus_closure(W).diagonal().min() > margin else None
-
-        # Bellman-Ford from the over-full EDUs. A step must gain more than
-        # the margin, so rounding cannot close a loop of predecessors, and a
-        # gain in round M means a cycle cheaper than -margin.
+        # Bellman-Ford; a gain within the margin may be rounding, so it is none.
         dist = np.where(excess > 0, 0.0, np.inf)
         pred = np.full(M, -1)
         for _ in range(M):
             via = dist[:, None] + W
-            src = via.argmin(0)
-            best = via[src, np.arange(M)]
+            best = via.min(0)
             better = best < dist - margin
             if not better.any():
                 break
             dist[better] = best[better]
-            pred[better] = src[better]
+            pred[better] = via.argmin(0)[better]
         else:
-            return None
-        under = np.flatnonzero(excess < 0)
-        b = under[dist[under].argmin()]
-        if not np.isfinite(dist[b]):
-            return None
-        while pred[b] >= 0:
-            a = pred[b]
+            return None  # a cycle cheaper than -margin
+        b = np.flatnonzero(excess < 0)[dist[excess < 0].argmin()]
+        if dist[b] == np.inf:
+            return None  # no path reaches an under-full EDU
+        while (a := pred[b]) >= 0:  # one step along the path, from its end
             s = starts[a]
             labels[order[s + delta[s:s + counts[a], b].argmin()]] = b
             b = a

@@ -400,13 +400,9 @@ def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> Non
 
 
 def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
-    """The integer rows of a CSV input file laid out as :func:`write_csv`
-    writes it.
-
-    ``#`` echo lines, blank lines and the ``header`` row are skipped. Any
-    other row must hold one integer per ``header`` column; a row that does
-    not raises ``ValueError`` naming the file, the line and the row.
-    """
+    """Integer rows of a CSV input in :func:`write_csv`'s layout, without the
+    ``#`` echo, blank lines and the ``header`` row; a row that is not one
+    integer per column raises ``ValueError`` naming the file and the row."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for n, line in enumerate(fh, 1):
@@ -414,12 +410,10 @@ def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
             if line.startswith("#") or not row or row[0] == header[0]:
                 continue
             try:
-                if len(row) != len(header):
-                    raise ValueError
-                rows.append([int(cell) for cell in row])
+                rows.append([int(cell) for _, cell in zip(header, row, strict=True)])
             except ValueError:
                 raise ValueError(
-                    f"{path}, line {n}: row {line.strip()!r} needs one integer "
+                    f"{path}, line {n}: row {line.strip()!r} is not one integer "
                     f"per column of {','.join(header)}"
                 ) from None
     return rows
@@ -461,19 +455,14 @@ def _raw_rows(drops: list[DropResult]):
                 yield [drop.drop_index, scheme, "sum", link, "", f"{report.sum_se:.6f}"]
 
 
-def write_outputs(campaign: CampaignResult, out_dir: str) -> dict[str, str]:
+def write_outputs(campaign: CampaignResult, out_dir: str) -> None:
     """Write raw samples CSV, summary JSON, and the partition files."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "raw": os.path.join(out_dir, "raw_samples.csv"),
-        "summary": os.path.join(out_dir, "summary.json"),
-    }
     write_csv(
-        paths["raw"],
+        os.path.join(out_dir, "raw_samples.csv"),
         campaign.config,
         ["drop", "scheme", "ue", "link", "sinr_db", "se_bpshz"],
         _raw_rows(campaign.drops),
     )
-    write_json(paths["summary"], campaign.summary)
-    paths.update(write_partition(out_dir, campaign.config, campaign.genome))
-    return paths
+    write_json(os.path.join(out_dir, "summary.json"), campaign.summary)
+    write_partition(out_dir, campaign.config, campaign.genome)

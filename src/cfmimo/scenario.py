@@ -198,9 +198,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(
             f"unknown schemes {bad}; valid tags: {', '.join(VALID_SCHEMES)}"
         )
-    repeated = sorted({s for s in c.schemes if c.schemes.count(s) > 1})
-    if repeated:
-        errors.append(f"repeated schemes {repeated}; name each scheme once")
+    if len(set(c.schemes)) < len(c.schemes):
+        errors.append(f"repeated scheme tags in {list(c.schemes)}; name each once")
     if not c.schemes:
         errors.append("schemes must not be empty")
     return errors
