@@ -378,7 +378,8 @@ def _unique_optimum(cost: np.ndarray, capacities: np.ndarray) -> np.ndarray | No
         excess = counts - capacities
         if not excess.any():
             return labels if _min_plus_closure(W).diagonal().min() > margin else None
-        # Bellman-Ford; a gain within the margin may be rounding, so it is none.
+        # Bellman-Ford from the over-full EDUs. A gain within the margin may be
+        # rounding and could close a loop of predecessors, so it is no gain.
         dist = np.where(excess > 0, 0.0, np.inf)
         pred = np.full(M, -1)
         for _ in range(M):
