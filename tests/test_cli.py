@@ -505,6 +505,29 @@ def test_partition_json_that_is_not_an_object_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, None, True, "1"])
+def test_partition_json_with_a_non_integer_edu_exits_2(
+    tmp_path, cfg_file, bad, monkeypatch, capsys
+):
+    mapping = {str(i): i % 4 for i in range(16)}
+    mapping["5"] = bad
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps(mapping))
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "config"
+    assert str(part) in record["detail"]
+    assert json.dumps(bad) in record["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "associate-ql"])
 def test_missing_partition_file_exits_2(tmp_path, cfg_file, command, monkeypatch, capsys):
     part = tmp_path / "nope.csv"
