@@ -259,6 +259,12 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
             mapping = json.load(fh)
         if not isinstance(mapping, dict):
             raise ValueError(f"{path}: partition JSON must map O-RU to EDU index")
+        for oru, edu in mapping.items():
+            if type(edu) is not int:  # not a float, bool, null or string
+                raise ValueError(
+                    f"{path}: O-RU {oru} maps to {json.dumps(edu)}, "
+                    "not to an integer EDU index"
+                )
         pairs = list(mapping.items())
     else:
         pairs = read_csv_rows(path, ["oru_index", "edu_index"])
