@@ -505,6 +505,33 @@ def test_partition_json_that_is_not_an_object_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ul_power_mw", float("nan")),
+        ("noise_psd_dbm_hz", float("nan")),
+        ("shadow_sigma_db", float("nan")),
+        ("dl_pmax_mw", float("inf")),
+    ],
+)
+def test_non_finite_config_float_exits_2_before_any_drop(
+    tmp_path, cfg_file, field, value, monkeypatch, capsys
+):
+    raw = json.load(open(cfg_file))
+    raw[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity as json.dumps writes them
+    out = tmp_path / "out"
+    record = _rejected(
+        ["simulate", "--config", str(path), "--out", str(out),
+         "--deployment", "clustered"],
+        monkeypatch,
+        capsys,
+    )
+    assert field in record["detail"] and "finite" in record["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, None, True, "1"])
 def test_partition_json_with_a_non_integer_edu_exits_2(
     tmp_path, cfg_file, bad, monkeypatch, capsys

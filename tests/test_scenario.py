@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -95,6 +96,25 @@ def test_validate_reports_every_violation():
         ScenarioConfig(num_edu=0, ul_power_mw=-1.0, mc_drops=0)
     )
     assert len(errors) >= 3
+
+
+_FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"
+]
+
+
+def test_float_fields_found():
+    assert len(_FLOAT_FIELDS) == 12
+    assert "ul_power_mw" in _FLOAT_FIELDS and "asd_azimuth_deg" in _FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validate_rejects_non_finite_floats(name, value):
+    errors = validate_config(ScenarioConfig(**{name: value}))
+    assert errors
+    if not name.startswith("asd_"):  # the spread check reports those
+        assert f"{name} must be finite, got {value}" in errors
 
 
 @pytest.mark.parametrize(
