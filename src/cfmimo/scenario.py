@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -164,7 +164,17 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         )
     if c.antennas_per_oru < 1:
         errors.append("antennas_per_oru must be >= 1")
-    spread = max(c.asd_azimuth_deg, c.asd_elevation_deg)
+    for f in fields(c):
+        value = getattr(c, f.name)
+        # the spread check below reports non-finite spreads itself
+        if (
+            f.type == "float"
+            and f.name not in ("asd_azimuth_deg", "asd_elevation_deg")
+            and isinstance(value, float)
+            and not math.isfinite(value)
+        ):
+            errors.append(f"{f.name} must be finite, got {value}")
+    spread = float(np.max(np.abs([c.asd_azimuth_deg, c.asd_elevation_deg])))  # NaN wins
     if not (
         spread <= MAX_SPREAD_DEG
         and (c.antennas_per_oru - 1) * spread <= MAX_ARRAY_SPREAD_DEG

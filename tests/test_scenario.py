@@ -144,6 +144,13 @@ def test_validate_angular_spread_within_quadrature(N, az, el, ok):
         assert "max(asd) <= 40 deg" in errors[0]
 
 
+@pytest.mark.parametrize("az, el, ok", [(-50.0, 15.0, False), (15.0, -50.0, False), (-15.0, 15.0, True)])
+def test_validate_compares_spread_magnitudes(az, el, ok):
+    # the correlation depends on a spread through its magnitude only
+    errors = validate_config(ScenarioConfig(asd_azimuth_deg=az, asd_elevation_deg=el))
+    assert (errors == []) == ok
+
+
 def test_benchmark_configs_within_quadrature():
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
