@@ -7,6 +7,7 @@ antennas. Arrays are indexed (k, l) or (realization, k, l).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -17,6 +18,7 @@ from .scenario import ScenarioConfig, Topology, rng_stream
 
 QUAD_NODES = 40  # Gauss-Legendre nodes per angular axis
 ANGLE_TRUNC_SIGMAS = 4.0  # angular densities truncated at +/- 4 std
+_TAIL_BOUND = 1e-17  # largest sum of the expansion terms left out, per offset
 _BLOCK_BYTES = 1 << 18  # largest temporary array of one kernel block
 
 
@@ -68,19 +70,105 @@ def large_scale_gain(
 
 @cache
 def _quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes x on [-1, 1] and the normalized (n, n)
-    joint weight grid of two Gaussian axes truncated at +/-4 std.
+    """Read-only Gauss-Legendre nodes x on [-1, 1] and normalized weights of
+    a Gaussian axis truncated at +/-4 std.
 
     The node centre + 4*std*x has the Gaussian weight exp(-8 x^2) whatever
-    the centre and std, so one grid, made once per size, serves every link.
+    the centre and std, so one rule, made once per size, serves every link
+    and both axes; the joint weight of a node pair is the product.
     """
     x, w = leggauss(n_nodes)
-    wx = w * np.exp(-0.5 * (ANGLE_TRUNC_SIGMAS * x) ** 2)
-    grid = np.outer(wx, wx)
-    grid /= grid.sum()
+    w = w * np.exp(-0.5 * (ANGLE_TRUNC_SIGMAS * x) ** 2)
+    w /= w.sum()
     x.flags.writeable = False
-    grid.flags.writeable = False
-    return x, grid
+    w.flags.writeable = False
+    return x, w
+
+
+def _bessel_j(x: float, kmax: int) -> np.ndarray:
+    """J_0(x), ..., J_kmax(x) for x > 0 by Miller's backward recurrence,
+    normalized by J_0 + 2 (J_2 + J_4 + ...) = 1."""
+    start = kmax + 20 + math.isqrt(160 * kmax)
+    j = np.zeros(start + 1)
+    above, cur = 0.0, 1.0
+    for k in range(start, 0, -1):
+        j[k] = cur
+        above, cur = cur, 2.0 * k / x * cur - above
+        if abs(cur) > 1e250:  # rescale before the recurrence overflows
+            j[k:] *= 1e-250
+            above *= 1e-250
+            cur *= 1e-250
+    j[0] = cur
+    return j[: kmax + 1] / (j[0] + 2.0 * j[2::2].sum())
+
+
+@cache
+def _expansion(offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only coefficients of exp(j*pi*d*sin(az)*cos(el)) for antenna
+    offset d in the products T_m(sin az) T_n(cos el) of Chebyshev polynomials.
+
+    With Jacobi-Anger (DLMF 10.12) applied to sin(az)cos(el) =
+    (sin(az + el) + sin(az - el)) / 2, the coefficient is
+    eps_m eps_n j^m J_{(m+n)/2}(pi*d/2) J_{(m-n)/2}(pi*d/2) when m = n
+    (mod 2) and 0 otherwise, with eps_0 = 1 and eps_m = 2 for m > 0. It
+    returns the real blocks of even (m, n) and of odd (m, n), with j^m's
+    sign and without its j: the real part of the exponential is
+    T_even @ even @ T_even, the imaginary part T_odd @ odd @ T_odd. The
+    order M (m, n < M) is the least at which the terms left out sum to
+    less than ``_TAIL_BOUND`` in absolute value; |T_m| <= 1 on [-1, 1].
+    """
+    x = math.pi * offset / 2
+    kmax = math.ceil(x)  # past kmax, J_k(x) <= (x/2)^k / k! < 1e-30
+    while kmax * math.log(x / 2) - math.lgamma(kmax + 1) > math.log(1e-30):
+        kmax += 1
+    bessel = _bessel_j(x, 2 * kmax)
+    # the terms with max(m, n) >= M are those with |k| + |l| >= M over the
+    # orders k = (m+n)/2, l = (m-n)/2 of all signs, whose |J| are eps*|J|
+    eps_abs = np.abs(bessel)
+    eps_abs[1:] *= 2.0
+    pair_sums = np.convolve(eps_abs, eps_abs)
+    tail = np.cumsum(pair_sums[::-1])[::-1]
+    order = int(np.argmax(tail < _TAIL_BOUND))
+
+    m = np.arange(order)
+    half_sum = (m[:, None] + m[None, :]) // 2
+    half_diff = (m[:, None] - m[None, :]) // 2
+    eps = np.where(m > 0, 2.0, 1.0)
+    coef = (
+        np.outer(eps * (-1.0) ** (m // 2), eps)
+        * bessel[half_sum]
+        * bessel[np.abs(half_diff)]
+        * (-1.0) ** np.minimum(half_diff, 0)  # J_{-l} = (-1)^l J_l
+    )
+    even = np.ascontiguousarray(coef[0::2, 0::2])
+    odd = np.ascontiguousarray(coef[1::2, 1::2])
+    even.flags.writeable = False
+    odd.flags.writeable = False
+    return even, odd
+
+
+def _chebyshev(s: np.ndarray, order: int) -> np.ndarray:
+    """T_0(s), ..., T_{order-1}(s) stacked on a new first axis, by the
+    three-term recurrence T_{m+1} = 2 s T_m - T_{m-1}."""
+    t = np.empty((order,) + s.shape)
+    t[0] = 1.0
+    if order > 1:
+        t[1] = s
+    for m in range(1, order - 1):
+        np.multiply(t[m], 2.0 * s, out=t[m + 1])
+        t[m + 1] -= t[m - 1]
+    return t
+
+
+def _bilinear(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[p, :n] @ q @ b[p, :n] for every link p, with q of size (n, n).
+
+    Links are the batch axis of the product, so a link's value does not
+    depend on the other links of the call.
+    """
+    n = q.shape[0]
+    t = np.matmul(a[:, None, :n], q)[:, 0]
+    return np.einsum("pj,pj->p", t, b[:, :n])
 
 
 def spatial_correlation_batch(
@@ -101,6 +189,14 @@ def spatial_correlation_batch(
     trace(R) = N*beta by construction; a zero spread puts every node on the
     nominal angle.
 
+    The quadrature sum is evaluated in closed form: the exponential of
+    offset d expands in T_m(sin az) T_n(cos el) (see ``_expansion``). A
+    scattering offset delta shifts each axis angle, and the symmetric rule
+    turns exp(j*m*(angle + delta)) into exp(j*m*angle) * g_m with
+    g_m = sum_i w_i cos(m * 4 * std * x_i). So per link and offset the sum
+    is one bilinear form of the scaled Chebyshev values g_m T_m, and no
+    node-pair exponential is evaluated.
+
     Returns an array of shape (P, N, N), Hermitian PSD.
     """
     az = np.atleast_1d(np.asarray(nominal_azimuth, dtype=float))
@@ -114,24 +210,24 @@ def spatial_correlation_batch(
     N = num_antennas
 
     # r[p, d] = E[exp(j*pi*d*sin(az)*cos(el))] for antenna offset d;
-    # r[:, 0] is exactly 1 because the grid sums to one, so one antenna
-    # needs no quadrature. Links run in blocks so that the (links, n, n)
-    # phase arrays stay cache-sized.
+    # r[:, 0] is exactly 1 because the weights sum to one, so one antenna
+    # needs no expansion.
     r = np.ones((P, N), dtype=complex)
     if N > 1:
-        x, grid = _quadrature(QUAD_NODES)
-        sin_az = np.sin(az[:, None] + (ANGLE_TRUNC_SIGMAS * asd_azimuth) * x[None, :])
-        cos_el = np.cos(el[:, None] + (ANGLE_TRUNC_SIGMAS * asd_elevation) * x[None, :])
-        for b in _blocks(P, 16 * grid.size):
-            # Phase step exp(j*pi*sin(az)*cos(el)) between neighbouring
-            # antennas, per node pair; offset d takes its d-th power.
-            step = 1j * np.pi * sin_az[b, :, None] * cos_el[b, None, :]
-            np.exp(step, out=step)
-            term = grid * step
-            for d in range(1, N):
-                if d > 1:
-                    term *= step
-                r[b, d] = term.sum(axis=(1, 2))
+        x, w = _quadrature(QUAD_NODES)
+        coefs = [_expansion(d) for d in range(1, N)]
+        order = max(even.shape[0] + odd.shape[0] for even, odd in coefs)
+        m = np.arange(order)[:, None]
+        g_az = np.cos(m * ((ANGLE_TRUNC_SIGMAS * asd_azimuth) * x)) @ w
+        g_el = np.cos(m * ((ANGLE_TRUNC_SIGMAS * asd_elevation) * x)) @ w
+        t = _chebyshev(np.stack([np.sin(az), np.cos(el)]), order)
+        a = g_az[:, None] * t[:, 0]  # (order, P)
+        b = g_el[:, None] * t[:, 1]
+        a_even, a_odd = np.ascontiguousarray(a[0::2].T), np.ascontiguousarray(a[1::2].T)
+        b_even, b_odd = np.ascontiguousarray(b[0::2].T), np.ascontiguousarray(b[1::2].T)
+        for d, (even, odd) in enumerate(coefs, 1):
+            r[:, d].real = _bilinear(a_even, even, b_even)
+            r[:, d].imag = _bilinear(a_odd, odd, b_odd)
 
     offsets = np.arange(N)
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -189,8 +192,7 @@ def test_quadrature_nodes_cached_read_only():
     x_ref, w_ref = np.polynomial.legendre.leggauss(ch.QUAD_NODES)
     np.testing.assert_array_equal(x, x_ref)
     w_pdf = w_ref * np.exp(-0.5 * (ch.ANGLE_TRUNC_SIGMAS * x_ref) ** 2)
-    grid_ref = np.outer(w_pdf, w_pdf)
-    np.testing.assert_array_equal(grid, grid_ref / grid_ref.sum())
+    np.testing.assert_array_equal(grid, w_pdf / w_pdf.sum())
 
 
 def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
@@ -232,6 +234,134 @@ def test_correlation_blocks_bit_identical_to_one_block(monkeypatch, N):
         np.testing.assert_array_equal(
             ch.spatial_correlation_batch(az, el, s, s, N, beta), whole
         )
+
+
+def _random_links(seed, P=1000):
+    rng = np.random.default_rng(seed)
+    az = rng.uniform(-np.pi, np.pi, P)
+    el = rng.uniform(-np.pi / 2, np.pi / 2, P)
+    beta = 10.0 ** rng.uniform(-12.0, 1.0, P)
+    return az, el, beta
+
+
+@pytest.mark.parametrize(
+    "N, az_deg, el_deg",
+    [
+        (3, 15.0, 15.0),
+        (5, 15.0, 15.0),
+        (6, 15.0, 15.0),
+        (7, 15.0, 15.0),  # (N - 1) * asd = 90 deg
+        (4, 5.0, 30.0),
+        (4, 30.0, 5.0),
+        (8, 1e-6, 1e-6),
+        (2, 40.0, 40.0),  # the corners of validate_config's region
+        (3, 40.0, 40.0),
+        (4, 30.0, 30.0),
+        (10, 10.0, 10.0),
+        (16, 6.0, 6.0),
+        (16, 0.0, 0.0),
+    ],
+)
+def test_correlation_matches_frozen_reference_across_the_validated_region(
+    N, az_deg, el_deg
+):
+    az, el, beta = _random_links(N)
+    s_az, s_el = np.deg2rad(az_deg), np.deg2rad(el_deg)
+    R = ch.spatial_correlation_batch(az, el, s_az, s_el, N, beta)
+    ref = reference_spatial_correlation_batch(az, el, s_az, s_el, N, beta)
+    rel = np.abs(R - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-14
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    assert np.array_equal(diag, np.broadcast_to(beta[:, None], diag.shape))
+    assert np.array_equal(R, np.conj(np.swapaxes(R, -1, -2)))
+
+
+@pytest.mark.parametrize("N, spread_deg", [(32, 90.0 / 31), (64, 0.0)])
+def test_long_array_correlation_within_its_phase_rounding(N, spread_deg):
+    # offset d multiplies the rounding of sin(az)cos(el) by pi*d, in the
+    # reference as much as here
+    az, el, beta = _random_links(N, P=300)
+    s = np.deg2rad(spread_deg)
+    R = ch.spatial_correlation_batch(az, el, s, s, N, beta)
+    ref = reference_spatial_correlation_batch(az, el, s, s, N, beta)
+    rel = np.abs(R - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= N * 1e-15
+
+
+def test_correlation_of_a_link_does_not_depend_on_the_other_links():
+    az, el, beta = _random_links(18, P=64)
+    s_az, s_el = np.deg2rad(15.0), np.deg2rad(5.0)
+    whole = ch.spatial_correlation_batch(az, el, s_az, s_el, 8, beta)
+    for width in (1, 3, 17):
+        for i in range(0, az.size, width):
+            part = slice(i, i + width)
+            np.testing.assert_array_equal(
+                ch.spatial_correlation_batch(
+                    az[part], el[part], s_az, s_el, 8, beta[part]
+                ),
+                whole[part],
+            )
+    flip = slice(None, None, -1)
+    np.testing.assert_array_equal(
+        ch.spatial_correlation_batch(az[flip], el[flip], s_az, s_el, 8, beta[flip]),
+        whole[flip],
+    )
+
+
+def test_bessel_recurrence_matches_scipy():
+    from scipy.special import jv
+
+    for d in range(1, 17):
+        x = np.pi * d / 2
+        kmax = 2 * d + 60
+        err = np.abs(ch._bessel_j(x, kmax) - jv(np.arange(kmax + 1), x)).max()
+        assert err <= 1e-15
+
+
+def _expansion_terms(d, size):
+    """|C_mn| for m, n < size from scipy's Bessel functions, and C itself."""
+    from scipy.special import jv
+
+    m = np.arange(size)
+    mm, nn = np.meshgrid(m, m, indexing="ij")
+    eps = np.where(m > 0, 2.0, 1.0)
+    J = jv(np.arange(-size, size), np.pi * d / 2)  # J[size + k] = J_k
+    C = (
+        np.outer(eps, eps) * np.array([1, 1j, -1, -1j])[mm % 4]  # j^m
+        * J[size + (mm + nn) // 2] * J[size + (mm - nn) // 2]
+    )
+    return np.where((mm - nn) % 2 == 0, C, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 15, 31, 63])
+def test_expansion_matches_scipy_and_drops_a_tail_below_the_bound(d):
+    even, odd = ch._expansion(d)
+    M = even.shape[0] + odd.shape[0]
+    assert even.shape == (-(-M // 2),) * 2 and odd.shape == (M // 2,) * 2
+    C = _expansion_terms(d, M + 80)
+    # scipy's J_k(x) drifts by up to 6.5e-15 at x = 99 (against 40 digits)
+    atol = 1e-15 * max(1, d // 12)
+    np.testing.assert_allclose(even, C[:M:2, :M:2].real, rtol=0, atol=atol)
+    np.testing.assert_allclose(odd, C[1:M:2, 1:M:2].imag, rtol=0, atol=atol)
+    assert not np.any(C[:M:2, :M:2].imag) and not np.any(C[1:M:2, 1:M:2].real)
+    dropped = np.abs(C)
+    dropped[:M, :M] = 0.0
+    assert dropped.sum() < 1e-17
+    one_less = np.abs(C)
+    one_less[: M - 1, : M - 1] = 0.0
+    assert one_less.sum() >= 1e-17  # the order is the least that meets it
+
+
+def test_expansion_cached_per_offset_read_only():
+    code = "import cfmimo.channel as ch; print(ch._expansion.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "0"  # nothing computed at import
+    even, odd = ch._expansion(4)
+    again = ch._expansion(4)
+    assert again[0] is even and again[1] is odd
+    assert not even.flags.writeable and not odd.flags.writeable
 
 
 def test_correlation_rejects_nonfinite():
