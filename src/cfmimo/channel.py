@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,6 +20,9 @@ QUAD_NODES = 40  # Gauss-Legendre nodes per angular axis
 ANGLE_TRUNC_SIGMAS = 4.0  # angular densities truncated at +/- 4 std
 _TAIL_BOUND = 1e-17  # largest sum of the expansion terms left out, per offset
 _BLOCK_BYTES = 1 << 18  # largest temporary array of one kernel block
+# Offsets whose expansion stays cached: every offset of an array of up to 33
+# antennas, 1.3 MB. A longer array recomputes its offsets on every call.
+_EXPANSION_CACHE = 32
 
 
 def _blocks(n: int, item_bytes: int) -> list[slice]:
@@ -102,7 +105,7 @@ def _bessel_j(x: float, kmax: int) -> np.ndarray:
     return j[: kmax + 1] / (j[0] + 2.0 * j[2::2].sum())
 
 
-@cache
+@lru_cache(maxsize=_EXPANSION_CACHE)
 def _expansion(offset: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only coefficients of exp(j*pi*d*sin(az)*cos(el)) for antenna
     offset d in the products T_m(sin az) T_n(cos el) of Chebyshev polynomials.
@@ -264,6 +267,25 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)[..., None, :] @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
+def _per_link(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x[t] for every link and realization t: (..., N, N) matrices, one
+    per link, and (T, ..., N) vectors give (T, ..., N).
+
+    Each link is one product over its realizations, with the realizations
+    innermost, and the links run in chunks sized by ``_blocks``. A link's
+    product sums over m in order, as a single einsum over the whole batch
+    does, so it does not depend on the chunk it falls in.
+    """
+    T, N = x.shape[0], x.shape[-1]
+    out = np.empty(x.shape, dtype=np.result_type(A, x))
+    A = np.ascontiguousarray(A).reshape(-1, N, N)  # W is stored transposed
+    x_links = x.reshape(T, -1, N).transpose(1, 2, 0)  # (links, N, T) views
+    out_links = out.reshape(T, -1, N).transpose(1, 2, 0)
+    for b in _blocks(A.shape[0], 32 * N * T):  # a chunk of x and of out
+        out_links[b] = np.einsum("pnm,pmt->pnt", A[b], x_links[b])
+    return out
+
+
 def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` correlated circular-Gaussian channel draws h = R^(1/2) g.
 
@@ -275,7 +297,7 @@ def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> n
     g.real = rng.standard_normal(shape)
     g.imag = rng.standard_normal(shape)
     g /= np.sqrt(2.0)
-    return np.einsum("...nm,t...m->t...n", sqrt_R, g)
+    return _per_link(sqrt_R, g)
 
 
 def mmse_filters(
@@ -320,7 +342,7 @@ def estimate_channels(
     y = np.sqrt(ptau) * h
     y.real += sigma * rng.standard_normal(h.shape)
     y.imag += sigma * rng.standard_normal(h.shape)
-    return np.einsum("klnm,tklm->tkln", W, y)
+    return _per_link(W, y)
 
 
 def phase_drift(

@@ -29,6 +29,7 @@ from .transceiver import (
     Association,
     CombinerWorkspace,
     SinrReport,
+    _link_moments,
     downlink_sinr,
     uplink_sinr,
 )
@@ -127,7 +128,8 @@ def run_drop(
     channel statistics, resolves the dynamic-cluster association under the
     genome (Q-learning runs only when an enabled scheme uses it), draws the
     realization batch, builds each scheme's combiners once for the batch,
-    and evaluates uplink and/or downlink SINR from them.
+    and evaluates uplink and/or downlink SINR from them; an unquantized
+    uplink and an undrifted downlink share one pass of link moments.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
@@ -146,6 +148,10 @@ def run_drop(
         )
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
 
+        # The unquantized uplink and the undrifted downlink read the same
+        # moments of (v, h), formed once per scheme.
+        plain_ul = "ul" in options.links and config.quantizer_bits == "infinite"
+        plain_dl = "dl" in options.links and not options.phase_drift_deg > 0
         reports: dict[str, dict[str, SinrReport]] = {}
         for scheme in config.schemes:
             spec = SCHEMES[scheme]
@@ -153,6 +159,7 @@ def run_drop(
             v = CombinerWorkspace(
                 spec, assoc, genome, stats.C, p_ul, stats.noise_mw
             ).combiners(hhat)
+            moments = _link_moments(v, h) if plain_ul or plain_dl else None
             per_link: dict[str, SinrReport] = {}
             if "ul" in options.links:
                 per_link["ul"] = uplink_sinr(
@@ -166,9 +173,14 @@ def run_drop(
                     stats.noise_mw,
                     quantizer_bits=config.quantizer_bits,
                     combiners=v,
+                    moments=moments if plain_ul else None,
                 )
             if "dl" in options.links:
-                drift_rng = rng_stream(config.master_seed, drop_index, "phase-drift")
+                drift_rng = (
+                    rng_stream(config.master_seed, drop_index, "phase-drift")
+                    if options.phase_drift_deg > 0
+                    else None
+                )
                 dl = downlink_sinr(
                     scheme,
                     h,
@@ -184,6 +196,7 @@ def run_drop(
                     phase_drift_deg=options.phase_drift_deg,
                     drift_rng=drift_rng,
                     combiners=v,
+                    moments=moments if plain_dl else None,
                 )
                 per_link["dl"] = dl.report
             reports[scheme] = per_link

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .channel import _blocks, phase_drift
 from .deployment import _one_hot, unit_labels
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
+
+_PLAN_CACHE = 32  # combiner plans kept: a campaign's schemes and a few masks
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,66 @@ def _solve_regularized(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X.reshape(batch + X.shape[-2:])
 
 
+@lru_cache(maxsize=_PLAN_CACHE)
+def _combiner_plan(units: bytes, mask: bytes, num_ue: int, N: int) -> tuple:
+    """The structure of a ``CombinerWorkspace``, which depends only on the
+    O-RUs' unit labels (``np.intp`` bytes), the (K, L) service mask (bool
+    bytes) and N, so drops with the same ones share it.
+
+    Returns read-only (local, wide, sets, set_of, groups, item_bytes): the
+    O-RUs solved in the antenna domain, the Woodbury O-RUs with each atom's
+    O-RUs side by side, the (S, A) atoms of each serving set, the (A, K)
+    serving set of each (atom, UE), the (atoms, O-RUs, stacked antennas)
+    slices of each atom size and the bytes per realization of a block's
+    largest array. Without Woodbury O-RUs, ``sets`` and ``set_of`` are
+    None.
+    """
+    units = np.frombuffer(units, dtype=np.intp)
+    K = num_ue
+    delta = np.frombuffer(mask, dtype=bool).reshape(K, -1)
+    local = (np.bincount(units)[units] == 1) & (N <= K)
+    # Bytes per realization of the largest array of a block: Hl and G
+    # here, the Woodbury arrays below.
+    item_bytes = 16 * int(local.sum()) * N * max(N, K)
+    wide = np.flatnonzero(~local)
+    local = np.flatnonzero(local)
+    local.flags.writeable = False
+    if not wide.size:
+        wide.flags.writeable = False
+        return local, wide, None, None, (), item_bytes
+    # Serving set of every (UE, unit) over the Woodbury O-RUs; each
+    # distinct set is one system, the empty set included (it is masked).
+    wide_units = units[wide]
+    in_unit = _one_hot(wide_units, units.max() + 1).T  # (U, Lw)
+    sets = delta[:, None, wide] & in_unit[None]
+    sets, which = np.unique(sets.reshape(-1, wide.size), axis=0, return_inverse=True)
+    set_of = which.reshape(K, -1)[:, wide_units].T  # (Lw, K)
+    # Atoms: O-RUs of one unit that serve the same UEs. Number them by
+    # size and put each atom's O-RUs side by side, so that atoms of one
+    # size form one batch.
+    key = np.column_stack([wide_units, delta[:, wide].T])
+    _, first, atom = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    size = np.bincount(atom)
+    by_size = np.argsort(size, kind="stable")
+    order = np.argsort(np.argsort(by_size)[atom], kind="stable")
+    first = first[by_size]
+    # (atoms, their O-RUs, stacked antennas per atom) for each size
+    groups = []
+    a = l = 0
+    for n, count in zip(*np.unique(size, return_counts=True)):
+        groups.append((slice(a, a + count), slice(l, l + count * n), n * N))
+        a, l = a + count, l + count * n
+    # Hw, F, a group's conjugate and its product are (Lw N, K) each and
+    # live at once; the per-set systems and per-atom partials are K x K.
+    item_bytes = max(
+        item_bytes, 16 * K * max(4 * wide.size * N, len(sets) * K, len(first) * K)
+    )
+    plan = (wide[order], sets[:, first].astype(float), set_of[first])
+    for array in plan:
+        array.flags.writeable = False
+    return (local, *plan, tuple(groups), item_bytes)
+
+
 class CombinerWorkspace:
     """One scheme's combiners for a whole realization batch.
 
@@ -175,6 +238,10 @@ class CombinerWorkspace:
     Realizations are independent, so the batch runs in blocks whose largest
     temporary fits the kernels' working-set budget; each block makes the
     same products and solves, row for row, as the whole batch would.
+
+    The units, serving sets, atoms and block size come from the mask, the
+    unit labels and N alone (``_combiner_plan``, cached), so a workspace
+    made for another drop with the same ones only forms D and its inverses.
     """
 
     def __init__(
@@ -193,48 +260,13 @@ class CombinerWorkspace:
         self.p = np.asarray(p_mw, dtype=float)
         if spec.rule != "mmse":
             return
-        units = unit_labels(spec.granularity, genome, L)
+        units = np.asarray(unit_labels(spec.granularity, genome, L), dtype=np.intp)
+        (self.local, self.wide, self.sets, self.set_of, self.groups,
+         self.item_bytes) = _combiner_plan(units.tobytes(), self.delta.tobytes(), K, N)
         D = np.einsum("i,ilnm->lnm", self.p, C) + float(noise_mw) * np.eye(N)
-        local = (np.bincount(units)[units] == 1) & (N <= K)
-        self.local = np.flatnonzero(local)
-        self.D_local = D[local]
-        # Bytes per realization of the largest array of a block: Hl and G
-        # here, the Woodbury arrays below.
-        self.item_bytes = 16 * self.local.size * N * max(N, K)
-        self.wide = wide = np.flatnonzero(~local)
-        if not wide.size:
-            return
-        # Serving set of every (UE, unit) over the Woodbury O-RUs; each
-        # distinct set is one system, the empty set included (it is masked).
-        wide_units = units[wide]
-        in_unit = _one_hot(wide_units, units.max() + 1).T  # (U, Lw)
-        sets = self.delta[:, None, wide] & in_unit[None]
-        sets, which = np.unique(sets.reshape(-1, wide.size), axis=0, return_inverse=True)
-        set_of = which.reshape(K, -1)[:, wide_units].T  # (Lw, K)
-        # Atoms: O-RUs of one unit that serve the same UEs. Number them by
-        # size and put each atom's O-RUs side by side, so that atoms of one
-        # size form one batch.
-        key = np.column_stack([wide_units, self.delta[:, wide].T])
-        _, first, atom = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        size = np.bincount(atom)
-        by_size = np.argsort(size, kind="stable")
-        order = np.argsort(np.argsort(by_size)[atom], kind="stable")
-        self.wide = wide[order]
-        self.Dinv = _solve_regularized(D[self.wide], np.eye(N))
-        first = first[by_size]
-        self.sets = sets[:, first].astype(float)  # (S, A): atoms of each set
-        self.set_of = set_of[first]  # (A, K)
-        # (atoms, their O-RUs, stacked antennas per atom) for each size
-        self.groups = []
-        a = l = 0
-        for n, count in zip(*np.unique(size, return_counts=True)):
-            self.groups.append((slice(a, a + count), slice(l, l + count * n), n * N))
-            a, l = a + count, l + count * n
-        # Hw, F, a group's conjugate and its product are (Lw N, K) each and
-        # live at once; the per-set systems and per-atom partials are K x K.
-        self.item_bytes = max(
-            self.item_bytes, 16 * K * max(4 * wide.size * N, len(sets) * K, len(first) * K)
-        )
+        self.D_local = D[self.local]
+        if self.wide.size:
+            self.Dinv = _solve_regularized(D[self.wide], np.eye(N))
 
     def combiners(self, hhat: np.ndarray) -> np.ndarray:
         """Stacked combiner/precoder vectors (T, K, L, N) for a batch."""
@@ -297,7 +329,12 @@ def _link_moments(
         else:
             g = np.einsum("tkln,tiln->tkil", np.conj(v[b]), hb) @ E
             s[b] = quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
-        energy[b] = (np.abs(v[b]) ** 2).sum(axis=-1)
+        # the antennas added in order: for N < 8 the bits of .sum(axis=-1),
+        # which costs several times more on so short an axis
+        e = np.abs(v[b]) ** 2
+        energy[b] = e[..., 0]
+        for n in range(1, N):
+            energy[b] += e[..., n]
     num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
     return num, (np.abs(s) ** 2).mean(axis=0), energy.mean(axis=0)
 
@@ -313,6 +350,7 @@ def uplink_sinr(
     noise_mw: float,
     quantizer_bits: int | str = "infinite",
     combiners: np.ndarray | None = None,
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SinrReport:
     """Uplink SINR/SE per UE, Monte Carlo over realizations.
 
@@ -326,18 +364,26 @@ def uplink_sinr(
     own estimates. The per-unit detected-symbol coefficients are optionally
     quantized, each realization on its own statistics, summed over units,
     and the coherent/interference/noise moments averaged over the batch.
+    An unquantized uplink may be given its ``moments``,
+    ``_link_moments(combiners, h)``, in place of the combiners.
     """
     spec = SCHEMES[scheme]
     _, K, L, _ = h.shape
     p = np.asarray(p_mw, dtype=float)
-    v = combiners
-    if v is None:
-        v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
-    E = None
-    if quantizer_bits != "infinite":
-        units = unit_labels(spec.granularity, genome, L)
-        E = _one_hot(units, units.max() + 1)
-    num, isq, energy = _link_moments(v, h, bits=quantizer_bits, E=E)
+    if moments is not None:
+        if quantizer_bits != "infinite":
+            raise ValueError("given link moments are unquantized")
+    else:
+        v = combiners
+        if v is None:
+            ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
+            v = ws.combiners(hhat)
+        E = None
+        if quantizer_bits != "infinite":
+            units = unit_labels(spec.granularity, genome, L)
+            E = _one_hot(units, units.max() + 1)
+        moments = _link_moments(v, h, bits=quantizer_bits, E=E)
+    num, isq, energy = moments
 
     signal = p * np.abs(num) ** 2
     interference = (isq * p[None, :]).sum(axis=1) - p * np.diagonal(isq)
@@ -411,6 +457,7 @@ def downlink_sinr(
     phase_drift_deg: float = 0.0,
     drift_rng: np.random.Generator | None = None,
     combiners: np.ndarray | None = None,
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> DownlinkResult:
     """Downlink use-and-then-forget SINR/SE with heuristic power allocation.
 
@@ -421,23 +468,28 @@ def downlink_sinr(
     as the per-UE amplitude a_k that scales the moments of the raw products
     w'_i^H h_k (see the module docstring). Optional per-O-RU phase drift
     rotates the true channels used for reception while the precoders stay
-    matched to the undrifted estimates.
+    matched to the undrifted estimates. An undrifted downlink may be given
+    its ``moments``, ``_link_moments(combiners, h)``, in place of the
+    combiners: the same moments as the unquantized uplink's.
     """
     spec = SCHEMES[scheme]
     T, K, L, _ = h.shape
-    w_prime = combiners
-    if w_prime is None:
-        p_ul = np.asarray(p_ul_mw, dtype=float)
-        ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
-        w_prime = ws.combiners(hhat)
-
     rot = None
     if phase_drift_deg > 0:
+        if moments is not None:
+            raise ValueError("given link moments are undrifted")
         if drift_rng is None:
             raise ValueError("phase drift requires an rng")
         rot = phase_drift(T, L, phase_drift_deg, drift_rng)
-    # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
-    num, isq, slice_energy = _link_moments(w_prime, h, rot)
+    if moments is None:
+        w_prime = combiners
+        if w_prime is None:
+            p_ul = np.asarray(p_ul_mw, dtype=float)
+            ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
+            w_prime = ws.combiners(hhat)
+        # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
+        moments = _link_moments(w_prime, h, rot)
+    num, isq, slice_energy = moments
 
     amp, omega, excluded = normalize_precoders(slice_energy, association)
     p_dl, _ = downlink_power(

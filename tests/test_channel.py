@@ -85,7 +85,7 @@ def test_single_antenna_correlation_is_beta():
 
 def test_single_antenna_batch_skips_the_quadrature(monkeypatch):
     """One antenna has no offset d >= 1: R is exactly beta, as the quadrature
-    gave before it was skipped, and no link block is evaluated."""
+    gave before it was skipped, and no part of the expansion is evaluated."""
     rng = np.random.default_rng(16)
     P = 300
     az = rng.uniform(-np.pi, np.pi, P)
@@ -94,10 +94,11 @@ def test_single_antenna_batch_skips_the_quadrature(monkeypatch):
     s = np.deg2rad(15)
     ref = reference_spatial_correlation_batch(az, el, s, s, 1, beta)
 
-    def no_blocks(n, item_bytes):
-        raise AssertionError("link blocks evaluated for one antenna")
+    def skipped(*args):
+        raise AssertionError("expansion evaluated for one antenna")
 
-    monkeypatch.setattr(ch, "_blocks", no_blocks)
+    for name in ("_quadrature", "_expansion", "_chebyshev", "_bilinear"):
+        monkeypatch.setattr(ch, name, skipped)
     R = ch.spatial_correlation_batch(az, el, s, s, 1, beta)
     assert R.dtype == complex
     assert np.array_equal(R, beta[:, None, None])
@@ -217,23 +218,22 @@ def test_blocks_cover_every_item_once(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8])
-def test_correlation_blocks_bit_identical_to_one_block(monkeypatch, N):
+def test_correlation_blocks_bit_identical_to_one_block(N):
+    # the links of one call, evaluated one per call and in calls of 3 with a
+    # ragged last call of 1, give the whole call's R bit for bit
     rng = np.random.default_rng(15)
     P = 7
     az = rng.uniform(-np.pi, np.pi, P)
     el = rng.uniform(-np.pi / 3, 0.0, P)
     beta = rng.uniform(0.01, 10.0, P)
     s = np.deg2rad(15)
-    link_bytes = 16 * ch.QUAD_NODES**2
-    monkeypatch.setattr(ch, "_BLOCK_BYTES", P * link_bytes)
     whole = ch.spatial_correlation_batch(az, el, s, s, N, beta)
-    # one link per block, and blocks of 3 with a ragged last block of 1
     for links in (1, 3):
-        monkeypatch.setattr(ch, "_BLOCK_BYTES", links * link_bytes)
-        assert len(ch._blocks(P, link_bytes)) == -(-P // links)
-        np.testing.assert_array_equal(
-            ch.spatial_correlation_batch(az, el, s, s, N, beta), whole
-        )
+        parts = [
+            ch.spatial_correlation_batch(az[b], el[b], s, s, N, beta[b])
+            for b in (slice(i, i + links) for i in range(0, P, links))
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def _random_links(seed, P=1000):
@@ -364,6 +364,20 @@ def test_expansion_cached_per_offset_read_only():
     assert not even.flags.writeable and not odd.flags.writeable
 
 
+def test_expansion_cache_is_bounded_and_holds_sixteen_antennas():
+    az, el, beta = _random_links(128, P=5)
+    ch._expansion.cache_clear()
+    ch.spatial_correlation_batch(az, el, 0.1, 0.1, 16, beta)
+    misses = ch._expansion.cache_info().misses
+    ch.spatial_correlation_batch(az, el, 0.1, 0.1, 16, beta)
+    assert ch._expansion.cache_info().misses == misses  # every offset cached
+
+    R = ch.spatial_correlation_batch(az, el, 0.0, 0.0, 128, beta)
+    info = ch._expansion.cache_info()
+    assert info.currsize <= info.maxsize < 127
+    np.testing.assert_array_equal(ch.spatial_correlation_batch(az, el, 0.0, 0.0, 128, beta), R)
+
+
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
         ch.spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)
@@ -488,6 +502,23 @@ def test_in_place_sampling_matches_frozen_expressions():
     assert np.array_equal(h, h_ref)
     assert np.array_equal(hhat, hhat_ref)
     assert new.standard_normal() == old.standard_normal()  # same draws used
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8])
+def test_per_link_products_bit_identical_for_any_link_chunks(monkeypatch, N):
+    # whole, in chunks of 4 links with a ragged last chunk of 1, and one link
+    # per chunk; with the matrices stored transposed as mmse_filters makes W
+    rng = np.random.default_rng(N)
+    K, L, T = 3, 3, 5
+    A = rng.standard_normal((K, L, N, N)) + 1j * rng.standard_normal((K, L, N, N))
+    x = rng.standard_normal((T, K, L, N)) + 1j * rng.standard_normal((T, K, L, N))
+    chunk_bytes = 32 * N * T
+    for matrices in (A, np.swapaxes(A, -1, -2)):
+        ref = np.einsum("klnm,tklm->tkln", matrices, x)
+        for links in (K * L, 4, 1):
+            monkeypatch.setattr(ch, "_BLOCK_BYTES", links * chunk_bytes)
+            assert len(ch._blocks(K * L, chunk_bytes)) == -(-K * L // links)
+            np.testing.assert_array_equal(ch._per_link(matrices, x), ref)
 
 
 # ---------------------------------------------------------------------------

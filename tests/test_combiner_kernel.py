@@ -297,3 +297,66 @@ def test_jitter_fallback_resolves_only_failing_matrices():
         np.testing.assert_array_equal(X[i], np.linalg.solve(A[i], B[i]))
     jitter = 1e-12 * np.trace(A[1]).real / 2
     np.testing.assert_array_equal(X[1], np.linalg.solve(A[1] + jitter * np.eye(2), B[1]))
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_cached_plan_serves_another_drop_bit_for_bit(name, mask, scheme):
+    # a second drop with the same mask, units and N reuses the first drop's
+    # plan with its own C, p and estimates, and builds the combiners that a
+    # workspace planned from scratch builds
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    T, K, L, N = hhat.shape
+    rng = np.random.default_rng([len(name), MASKS.index(mask), len(scheme)])
+    C2 = random_error_covs(rng, K, L, N)
+    hhat2 = random_channels(rng, hhat.shape)
+    p2 = rng.uniform(0.5, 2.0, K)
+    spec = SCHEMES[scheme]
+    transceiver._combiner_plan.cache_clear()
+    CombinerWorkspace(spec, assoc, genome, C, np.ones(K), 0.4).combiners(hhat)
+    reused = CombinerWorkspace(spec, assoc, genome, C2, p2, 0.7)
+    if spec.rule == "mmse":
+        assert transceiver._combiner_plan.cache_info().hits == 1
+    v = reused.combiners(hhat2)
+    transceiver._combiner_plan.cache_clear()
+    np.testing.assert_array_equal(
+        v, CombinerWorkspace(spec, assoc, genome, C2, p2, 0.7).combiners(hhat2)
+    )
+
+
+def test_each_mask_unit_map_and_antenna_count_gets_its_own_read_only_plan():
+    K, L, N, genome = INSTANCES["mixed"]
+    genome = np.array(genome)
+    rng = np.random.default_rng(41)
+    delta = rng.random((K, L)) < 0.5
+    other = delta.copy()
+    other[0, 0] = ~other[0, 0]
+    p = np.ones(K)
+    plan = transceiver._combiner_plan
+    plan.cache_clear()
+
+    def misses(scheme, mask, genome, n):
+        before = plan.cache_info().misses
+        ws = CombinerWorkspace(
+            SCHEMES[scheme], Association(mask), genome, random_error_covs(rng, K, L, n), p, 0.4
+        )
+        for array in (ws.local, ws.wide, ws.sets, ws.set_of):
+            assert not array.flags.writeable
+        return plan.cache_info().misses - before
+
+    assert misses("edu-pmmse", delta, genome, N) == 1
+    assert misses("edu-pmmse", delta, genome, N) == 0  # same inputs: cached
+    assert misses("edu-pmmse", other, genome, N) == 1  # another mask
+    assert misses("edu-pmmse", delta, genome[::-1], N) == 1  # another partition
+    assert misses("edu-pmmse", delta, genome, N + 1) == 1  # another N
+    # the joint unit map does not read the partition, so neither does its plan
+    assert misses("p-mmse", delta, genome, N) == 1
+    assert misses("p-mmse", delta, genome[::-1], N) == 0
+
+    size = plan.cache_info().maxsize
+    for i in range(size + 3):
+        mask = np.zeros((K, L), dtype=bool)
+        mask.flat[:] = [(i >> j) & 1 for j in range(K * L)]
+        assert misses("p-mmse", mask, genome, N) == 1
+    assert plan.cache_info().currsize == size

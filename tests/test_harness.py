@@ -376,3 +376,62 @@ def test_partition_files_round_trip(tmp_path_factory, num_edu, num_oru, seed):
         loaded, meta = resolve_partition(cfg, "file", genome_file=path)
         np.testing.assert_array_equal(loaded, genome)
         assert meta == {"deployment": "file", "path": path}
+
+
+def _drop_inputs(config, drop_index, genome):
+    """The arrays ``run_drop`` evaluates, rebuilt through the public stages."""
+    from cfmimo.channel import build_statistics, sample_drop_channels
+    from cfmimo.power import uplink_power
+    from cfmimo.scenario import build_topology
+
+    stats = build_statistics(config, build_topology(config, drop_index), drop_index)
+    h, hhat = sample_drop_channels(stats, config.mc_realizations, config, drop_index)
+    return stats, h, hhat, uplink_power(config.num_ue, config.ul_power_mw)
+
+
+def test_plain_links_share_one_moment_pass_per_scheme(desk_config, monkeypatch):
+    import cfmimo.harness as hz
+    import cfmimo.transceiver as tr
+
+    original = tr._link_moments
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "_link_moments", counted)
+    monkeypatch.setattr(hz, "_link_moments", counted)
+    genome = resolve_partition(desk_config, "clustered")[0]
+    run_drop(desk_config, 0, genome)
+    assert len(calls) == len(desk_config.schemes)  # one per scheme, not per link
+
+
+@pytest.mark.parametrize("drift", [0.0, 10.0])
+@pytest.mark.parametrize("bits", ["infinite", 3])
+def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
+    from cfmimo.scenario import rng_stream
+    from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
+
+    cfg = ScenarioConfig(
+        **{**desk_config.to_dict(), "quantizer_bits": bits,
+           "schemes": ("joint-mmse", "joint-mrc", "l-mmse", "edu-mmse")}
+    )
+    genome = resolve_partition(cfg, "clustered")[0]
+    res = run_drop(cfg, 1, genome, DropOptions(phase_drift_deg=drift))
+    stats, h, hhat, p = _drop_inputs(cfg, 1, genome)
+    assoc = Association.all_serve(cfg.num_ue, cfg.num_oru)
+    for scheme in cfg.schemes:
+        ul = uplink_sinr(
+            scheme, h, hhat, stats.C, assoc, genome, p, stats.noise_mw,
+            quantizer_bits=bits,
+        )
+        dl = downlink_sinr(
+            scheme, h, hhat, stats.C, assoc, genome, stats.beta, p, stats.noise_mw,
+            stats.noise_mw, cfg.dl_pmax_mw, phase_drift_deg=drift,
+            drift_rng=rng_stream(cfg.master_seed, 1, "phase-drift"),
+        ).report
+        for link, ref in (("ul", ul), ("dl", dl)):
+            got = res.reports[scheme][link]
+            for name in ("signal", "interference", "noise", "gamma", "se", "uncertainty"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))

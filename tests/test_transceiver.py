@@ -15,6 +15,7 @@ from cfmimo.transceiver import (
     Association,
     CombinerWorkspace,
     SchemeSpec,
+    _link_moments,
     downlink_sinr,
     normalize_precoders,
     quantize,
@@ -317,6 +318,38 @@ def test_downlink_requires_two_realizations():
             "joint-mrc", h, hhat, C, Association.all_serve(3, 4),
             np.zeros(4, dtype=int), np.ones((3, 4)), p, 0.5, 0.5, 4.0,
         )
+
+
+def test_given_moments_must_be_those_of_the_plain_links():
+    # the shared moments are unquantized and undrifted; a link that
+    # quantizes or drifts must form its own
+    rng = np.random.default_rng(11)
+    h, hhat, C, p = _setup(rng, T=4)
+    assoc, genome = Association.all_serve(3, 4), np.zeros(4, dtype=int)
+    moments = _link_moments(hhat, h)
+    ul = ("joint-mrc", h, hhat, C, assoc, genome, p, 0.5)
+    np.testing.assert_array_equal(
+        uplink_sinr(*ul, moments=moments).gamma, uplink_sinr(*ul, combiners=hhat).gamma
+    )
+    with pytest.raises(ValueError, match="unquantized"):
+        uplink_sinr(*ul, quantizer_bits=4, moments=moments)
+    dl = ("joint-mrc", h, hhat, C, assoc, genome, np.ones((3, 4)), p, 0.5, 0.5, 4.0)
+    np.testing.assert_array_equal(
+        downlink_sinr(*dl, moments=moments).report.gamma,
+        downlink_sinr(*dl, combiners=hhat).report.gamma,
+    )
+    with pytest.raises(ValueError, match="undrifted"):
+        downlink_sinr(*dl, 10.0, np.random.default_rng(0), moments=moments)
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_link_energies_keep_the_bits_of_one_antenna_sum(N):
+    # the per-(UE, O-RU) energies add the antennas in order, which for fewer
+    # than 8 antennas is what (|v|^2).sum(axis=-1) computed before
+    rng = np.random.default_rng(N)
+    v = random_channels(rng, (6, 3, 5, N))
+    energy = _link_moments(v, random_channels(rng, v.shape))[2]
+    np.testing.assert_array_equal(energy, (np.abs(v) ** 2).sum(axis=-1).mean(axis=0))
 
 
 def test_uplink_report_invariants(desk_config):
