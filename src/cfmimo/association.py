@@ -154,8 +154,9 @@ def ql_associate(
     deployment would keep.
 
     Each EDU's state is its K-bit serving set held as an int, and each
-    visited (EDU, state) owns one row of 2K+1 Q values plus a mask of the
-    actions written so far; a state without a row has all Q values 0.
+    visited (EDU, state) owns one row of 2K+1 Q values plus an int bitmask
+    of the actions written so far; a state without a row has all Q values
+    0. An EDU's Q-table size counts its first writes as they happen.
     """
     config.validate()
     K, M = num_ue, num_edu
@@ -165,7 +166,8 @@ def ql_associate(
     r_sum_all = float(evaluator(np.ones((K, M), dtype=bool)))
 
     q_rows: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
-    written: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
+    written: list[dict[int, int]] = [dict() for _ in range(M)]
+    q_table_sizes = [0] * M
     delta = np.zeros((K, M), dtype=bool)
 
     best_delta = np.zeros((K, M), dtype=bool)
@@ -210,9 +212,11 @@ def ql_associate(
             max_next = 0.0 if row_next is None else float(row_next.max())
             if row is None:
                 row = rows[s] = np.zeros(n_actions)
-                written[m][s] = np.zeros(n_actions, dtype=bool)
+                written[m][s] = 0
             row[a] = q_update(row.item(a), r, max_next, LEARNING_RATE, DISCOUNT)
-            written[m][s][a] = True
+            if not written[m][s] >> a & 1:
+                written[m][s] |= 1 << a
+                q_table_sizes[m] += 1
 
             if chi and r_sum > best_r:
                 best_r = r_sum
@@ -226,9 +230,7 @@ def ql_associate(
         r_sum_all=r_sum_all,
         episode_rewards=ep_rewards,
         episode_best=ep_best,
-        q_table_sizes=[
-            sum(int(mask.sum()) for mask in w.values()) for w in written
-        ],
+        q_table_sizes=q_table_sizes,
     )
 
 
