@@ -532,6 +532,37 @@ def test_non_finite_config_float_exits_2_before_any_drop(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("master_seed", "1", "an integer"),
+        ("num_edu", 4.0, "an integer"),
+        ("num_edu", 4.5, "an integer"),
+        ("mc_drops", 2.5, "an integer"),
+        ("num_ue", True, "an integer"),
+        ("mc_realizations", 20.9, "an integer"),
+        ("pathloss_exponent", "3", "a real number"),
+        ("schemes", "joint-mmse", "a list of scheme tags"),
+    ],
+)
+def test_mistyped_config_field_exits_2_before_any_drop(
+    tmp_path, cfg_file, field, value, kind, monkeypatch, capsys
+):
+    raw = json.load(open(cfg_file))
+    raw[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    record = _rejected(
+        ["simulate", "--config", str(path), "--out", str(out),
+         "--deployment", "clustered"],
+        monkeypatch,
+        capsys,
+    )
+    assert f"{field} must be {kind}, got {value!r}" in record["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, None, True, "1"])
 def test_partition_json_with_a_non_integer_edu_exits_2(
     tmp_path, cfg_file, bad, monkeypatch, capsys

@@ -103,6 +103,42 @@ _FLOAT_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("num_ue", True),
+        ("num_edu", 4.0),
+        ("mc_drops", np.float64(2.0)),
+        ("master_seed", "1"),
+        ("pilot_count", None),
+        ("ul_power_mw", True),
+        ("pathloss_exponent", "3"),
+        ("pathloss_model", 1),
+        ("schemes", "joint-mmse"),
+        ("schemes", ("joint-mmse", 1)),
+    ],
+)
+def test_validate_rejects_mistyped_fields(name, value):
+    errors = validate_config(ScenarioConfig(**{name: value}))
+    assert [e for e in errors if e.startswith(f"{name} must be ")]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("num_ue", np.int64(4)),
+        ("master_seed", np.int32(7)),
+        ("ul_power_mw", 200),
+        ("ul_power_mw", np.float32(2.0)),
+        ("bandwidth_hz", np.int64(10**7)),
+        ("schemes", ["joint-mmse", "edu-mmse"]),
+        ("quantizer_bits", 4),
+    ],
+)
+def test_validate_accepts_numpy_scalars_and_lists(name, value):
+    assert validate_config(ScenarioConfig(**{name: value})) == []
+
+
 def test_float_fields_found():
     assert len(_FLOAT_FIELDS) == 12
     assert "ul_power_mw" in _FLOAT_FIELDS and "asd_azimuth_deg" in _FLOAT_FIELDS
