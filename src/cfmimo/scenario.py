@@ -105,7 +105,8 @@ class ScenarioConfig:
         return 10.0 ** (self.noise_psd_dbm_hz / 10.0) * self.bandwidth_hz
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields as JSON values: numpy scalars become Python numbers."""
+        d = {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
         d["schemes"] = list(self.schemes)
         return d
 
@@ -146,10 +147,46 @@ def _grid_dims(L: int) -> tuple[int, int] | None:
     return best
 
 
+# What each field annotation admits, and how a message names it. A bool is
+# an int to Python but not a count or a number here.
+_FIELD_TYPES = {
+    "int": ((int, np.integer), "an integer"),
+    "float": ((int, float, np.integer, np.floating), "a real number"),
+    "str": ((str,), "a string"),
+}
+
+
 def validate_config(config: ScenarioConfig) -> list[str]:
-    """Return every violated invariant as a message; empty list means ok."""
+    """Return every violated invariant as a message; empty list means ok.
+
+    A field of the wrong type is reported alone with the others of its kind,
+    since the range checks need the declared types.
+    """
     errors: list[str] = []
     c = config
+    mistyped = False
+    for f in fields(c):
+        value = getattr(c, f.name)
+        if f.type in _FIELD_TYPES:
+            types, kind = _FIELD_TYPES[f.type]
+            ok = isinstance(value, types) and not isinstance(value, bool)
+        elif f.name == "schemes":
+            kind = "a list of scheme tags"
+            ok = isinstance(value, (tuple, list)) and all(isinstance(s, str) for s in value)
+        else:  # quantizer_bits has its own rule below
+            continue
+        if not ok:
+            errors.append(f"{f.name} must be {kind}, got {value!r}")
+            mistyped = True
+        # the spread check below reports non-finite spreads itself
+        elif (
+            f.type == "float"
+            and f.name not in ("asd_azimuth_deg", "asd_elevation_deg")
+            and not math.isfinite(value)
+        ):
+            errors.append(f"{f.name} must be finite, got {value}")
+    if mistyped:
+        return errors
     if c.num_oru < 1:
         errors.append("num_oru must be >= 1")
     if c.num_edu < 1:
@@ -164,16 +201,6 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         )
     if c.antennas_per_oru < 1:
         errors.append("antennas_per_oru must be >= 1")
-    for f in fields(c):
-        value = getattr(c, f.name)
-        # the spread check below reports non-finite spreads itself
-        if (
-            f.type == "float"
-            and f.name not in ("asd_azimuth_deg", "asd_elevation_deg")
-            and isinstance(value, float)
-            and not math.isfinite(value)
-        ):
-            errors.append(f"{f.name} must be finite, got {value}")
     spread = float(np.max(np.abs([c.asd_azimuth_deg, c.asd_elevation_deg])))  # NaN wins
     if not (
         spread <= MAX_SPREAD_DEG
@@ -277,9 +304,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "schemes" in raw:
-        raw = dict(raw)
-        raw["schemes"] = tuple(raw["schemes"])
+    if isinstance(raw.get("schemes"), list):  # anything else fails validation
+        raw = {**raw, "schemes": tuple(raw["schemes"])}
     cfg = ScenarioConfig(**raw)
     errors = validate_config(cfg)
     if errors:

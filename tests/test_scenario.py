@@ -139,6 +139,12 @@ def test_validate_accepts_numpy_scalars_and_lists(name, value):
     assert validate_config(ScenarioConfig(**{name: value})) == []
 
 
+def test_numpy_scalar_fields_echo_as_json_numbers():
+    cfg = ScenarioConfig(num_ue=np.int64(4), master_seed=np.int32(7), ul_power_mw=np.float32(2.0))
+    plain = ScenarioConfig(num_ue=4, master_seed=7, ul_power_mw=2.0)
+    assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+
+
 def test_float_fields_found():
     assert len(_FLOAT_FIELDS) == 12
     assert "ul_power_mw" in _FLOAT_FIELDS and "asd_azimuth_deg" in _FLOAT_FIELDS
