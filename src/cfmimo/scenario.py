@@ -159,8 +159,8 @@ _FIELD_TYPES = {
 def validate_config(config: ScenarioConfig) -> list[str]:
     """Return every violated invariant as a message; empty list means ok.
 
-    A field of the wrong type is reported alone with the others of its kind,
-    since the range checks need the declared types.
+    Fields of the wrong type are reported without the range checks, which
+    need the declared types.
     """
     errors: list[str] = []
     c = config

@@ -370,19 +370,17 @@ def uplink_sinr(
     spec = SCHEMES[scheme]
     _, K, L, _ = h.shape
     p = np.asarray(p_mw, dtype=float)
-    if moments is not None:
-        if quantizer_bits != "infinite":
-            raise ValueError("given link moments are unquantized")
-    else:
+    if moments is None:
         v = combiners
         if v is None:
-            ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
-            v = ws.combiners(hhat)
+            v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
         E = None
         if quantizer_bits != "infinite":
             units = unit_labels(spec.granularity, genome, L)
             E = _one_hot(units, units.max() + 1)
         moments = _link_moments(v, h, bits=quantizer_bits, E=E)
+    elif quantizer_bits != "infinite":
+        raise ValueError("given link moments are unquantized")
     num, isq, energy = moments
 
     signal = p * np.abs(num) ** 2

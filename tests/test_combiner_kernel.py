@@ -305,7 +305,7 @@ def test_jitter_fallback_resolves_only_failing_matrices():
 def test_cached_plan_serves_another_drop_bit_for_bit(name, mask, scheme):
     # a second drop with the same mask, units and N reuses the first drop's
     # plan with its own C, p and estimates, and builds the combiners that a
-    # workspace planned from scratch builds
+    # workspace planned anew builds
     h, hhat, C, beta, assoc, genome = _instance(name, mask)
     T, K, L, N = hhat.shape
     rng = np.random.default_rng([len(name), MASKS.index(mask), len(scheme)])

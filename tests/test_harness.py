@@ -18,7 +18,10 @@ from cfmimo.harness import (
     run_drop,
     write_partition,
 )
-from cfmimo.scenario import config_from_dict
+from cfmimo.channel import build_statistics, sample_drop_channels
+from cfmimo.power import uplink_power
+from cfmimo.scenario import build_topology, config_from_dict, rng_stream
+from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
 
 from conftest import edu_consistent
 
@@ -378,17 +381,6 @@ def test_partition_files_round_trip(tmp_path_factory, num_edu, num_oru, seed):
         assert meta == {"deployment": "file", "path": path}
 
 
-def _drop_inputs(config, drop_index, genome):
-    """The arrays ``run_drop`` evaluates, rebuilt through the public stages."""
-    from cfmimo.channel import build_statistics, sample_drop_channels
-    from cfmimo.power import uplink_power
-    from cfmimo.scenario import build_topology
-
-    stats = build_statistics(config, build_topology(config, drop_index), drop_index)
-    h, hhat = sample_drop_channels(stats, config.mc_realizations, config, drop_index)
-    return stats, h, hhat, uplink_power(config.num_ue, config.ul_power_mw)
-
-
 def test_plain_links_share_one_moment_pass_per_scheme(desk_config, monkeypatch):
     import cfmimo.harness as hz
     import cfmimo.transceiver as tr
@@ -410,16 +402,15 @@ def test_plain_links_share_one_moment_pass_per_scheme(desk_config, monkeypatch):
 @pytest.mark.parametrize("drift", [0.0, 10.0])
 @pytest.mark.parametrize("bits", ["infinite", 3])
 def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
-    from cfmimo.scenario import rng_stream
-    from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
-
     cfg = ScenarioConfig(
         **{**desk_config.to_dict(), "quantizer_bits": bits,
            "schemes": ("joint-mmse", "joint-mrc", "l-mmse", "edu-mmse")}
     )
     genome = resolve_partition(cfg, "clustered")[0]
     res = run_drop(cfg, 1, genome, DropOptions(phase_drift_deg=drift))
-    stats, h, hhat, p = _drop_inputs(cfg, 1, genome)
+    stats = build_statistics(cfg, build_topology(cfg, 1), 1)
+    h, hhat = sample_drop_channels(stats, cfg.mc_realizations, cfg, 1)
+    p = uplink_power(cfg.num_ue, cfg.ul_power_mw)
     assoc = Association.all_serve(cfg.num_ue, cfg.num_oru)
     for scheme in cfg.schemes:
         ul = uplink_sinr(
