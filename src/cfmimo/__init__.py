@@ -18,7 +18,6 @@ from .channel import (  # noqa: F401
     build_statistics,
     pathloss_db,
     sample_shadowing,
-    spatial_correlation,
     sample_channel,
     phase_drift,
 )
@@ -43,10 +42,8 @@ from .association import (  # noqa: F401
     EduSinrTable,
     epsilon_schedule,
     q_update,
-    fronthaul_ok,
     reward,
     ql_associate,
-    exhaustive_oracle,
 )
 from .power import uplink_power, downlink_power  # noqa: F401
 from .harness import (  # noqa: F401

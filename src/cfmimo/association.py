@@ -4,13 +4,11 @@ Each EDU is an agent whose state is the K-bit vector of UEs it serves and
 whose actions toggle a single UE on or off (plus a no-op). Agents act in
 round-robin order on a shared environment; the shared reward compares the
 current sum rate against the all-associated reference. A statistical
-(large-scale-only) SINR table makes the in-loop rate evaluation cheap, and
-an exhaustive search over small instances serves as the validation oracle.
+(large-scale-only) SINR table makes the in-loop rate evaluation cheap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +52,6 @@ def q_update(
 ) -> float:
     """One temporal-difference update of a tabular Q value."""
     return (1.0 - alpha) * q + alpha * (reward_next + kappa * max_next_q)
-
-
-def fronthaul_ok(delta_km: np.ndarray, ue_cap: int) -> int:
-    """1 if every EDU serves at most ue_cap UEs, else 0."""
-    delta_km = np.asarray(delta_km, dtype=bool)
-    return int(delta_km.sum(axis=0).max(initial=0) <= ue_cap)
 
 
 def reward(chi: int, r_sum: float, r_sum_all: float) -> float:
@@ -232,36 +224,3 @@ def ql_associate(
         episode_best=ep_best,
         q_table_sizes=q_table_sizes,
     )
-
-
-def exhaustive_oracle(
-    evaluator,
-    num_ue: int,
-    num_edu: int,
-    ue_cap: int,
-    max_states: int = 100_000,
-) -> tuple[np.ndarray, float]:
-    """Brute-force best feasible association (per-UE subsets of EDUs).
-
-    Refuses when the joint space (2^M)^K exceeds ``max_states``. The empty
-    association is always feasible and scores 0, so an all-infeasible cap
-    returns it.
-    """
-    K, M = num_ue, num_edu
-    total = (2**M) ** K
-    if total > max_states:
-        raise ValueError(f"{total} joint associations exceed the oracle limit")
-    best_delta = np.zeros((K, M), dtype=bool)
-    best_r = 0.0
-    subsets = np.array(
-        [[bool(s >> m & 1) for m in range(M)] for s in range(2**M)], dtype=bool
-    )
-    for combo in itertools.product(range(2**M), repeat=K):
-        delta = subsets[list(combo)]
-        if not fronthaul_ok(delta, ue_cap):
-            continue
-        r = float(evaluator(delta))
-        if r > best_r:
-            best_r = r
-            best_delta = delta.copy()
-    return best_delta, best_r

@@ -238,25 +238,6 @@ def spatial_correlation_batch(
     return R * beta[:, None, None]
 
 
-def spatial_correlation(
-    nominal_azimuth: float,
-    nominal_elevation: float,
-    asd_azimuth: float,
-    asd_elevation: float,
-    num_antennas: int,
-    beta: float,
-) -> np.ndarray:
-    """Single-link convenience wrapper around :func:`spatial_correlation_batch`."""
-    return spatial_correlation_batch(
-        np.array([nominal_azimuth]),
-        np.array([nominal_elevation]),
-        asd_azimuth,
-        asd_elevation,
-        num_antennas,
-        np.array([beta]),
-    )[0]
-
-
 def correlation_factor(R: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of R (batched over leading axes)."""
     vals, vecs = np.linalg.eigh(R)

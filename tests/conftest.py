@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo import ScenarioConfig
+from cfmimo.channel import spatial_correlation_batch
 
 
 @pytest.fixture
@@ -55,3 +56,23 @@ def edu_consistent(delta, genome):
 
 def random_channels(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def spatial_correlation(
+    nominal_azimuth: float,
+    nominal_elevation: float,
+    asd_azimuth: float,
+    asd_elevation: float,
+    num_antennas: int,
+    beta: float,
+) -> np.ndarray:
+    """Single-link convenience wrapper around
+    :func:`cfmimo.channel.spatial_correlation_batch`."""
+    return spatial_correlation_batch(
+        np.array([nominal_azimuth]),
+        np.array([nominal_elevation]),
+        asd_azimuth,
+        asd_elevation,
+        num_antennas,
+        np.array([beta]),
+    )[0]

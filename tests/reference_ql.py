@@ -17,10 +17,10 @@ import numpy as np
 from cfmimo.association import (
     QlResult,
     epsilon_schedule,
-    fronthaul_ok,
     q_update,
     reward,
 )
+from reference_association import fronthaul_ok
 
 
 def reference_ql_associate(evaluator, num_ue, num_edu, config, rng):

@@ -13,7 +13,7 @@ import pytest
 
 from cfmimo import ScenarioConfig
 from cfmimo import channel as ch
-from cfmimo.association import EduSinrTable, QlConfig, exhaustive_oracle, ql_associate
+from cfmimo.association import EduSinrTable, QlConfig, ql_associate
 from cfmimo.channel import build_statistics
 from cfmimo.deployment import GaConfig, fitness, ga_optimize, is_balanced
 from cfmimo.harness import DropOptions, resolve_partition, run_drop
@@ -21,7 +21,8 @@ from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology
 from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
 
-from conftest import random_channels, random_error_covs
+from conftest import random_channels, random_error_covs, spatial_correlation
+from reference_association import exhaustive_oracle
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -232,7 +233,7 @@ def test_criterion_7_closed_form_sinr():
     rng = np.random.default_rng(2)
     K, L, N, T = 1, 4, 2, 1000
     R = np.stack(
-        [[ch.spatial_correlation(a, -0.1, 0.2, 0.2, N, b)
+        [[spatial_correlation(a, -0.1, 0.2, 0.2, N, b)
           for a, b in zip([0.3, 1.0, -0.7, 2.0], [1.0, 0.5, 2.0, 0.25])]]
     )
     h = ch.sample_channel(ch.correlation_factor(R), rng, size=T)
@@ -285,7 +286,7 @@ def test_criterion_9_channel_statistics():
     psd_ok = bool(np.all(np.linalg.eigvalsh(R).min(axis=-1) >= -1e-10 * traces))
 
     # estimator orthogonality at 3 sigma
-    Rkl = ch.spatial_correlation(0.4, -0.1, 0.2, 0.2, 2, 1.0)
+    Rkl = spatial_correlation(0.4, -0.1, 0.2, 0.2, 2, 1.0)
     W, Phi, C = ch.mmse_filters(Rkl, 1.0, 1.0, 1.0)
     T = 10_000
     h = ch.sample_channel(ch.correlation_factor(Rkl), rng, size=T)

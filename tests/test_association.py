@@ -7,8 +7,6 @@ from cfmimo.association import (
     EduSinrTable,
     QlConfig,
     epsilon_schedule,
-    exhaustive_oracle,
-    fronthaul_ok,
     q_update,
     ql_associate,
     reward,
@@ -20,6 +18,7 @@ from cfmimo.scenario import build_topology
 from cfmimo.transceiver import Association, se_from_sinr
 
 from conftest import edu_consistent
+from reference_association import exhaustive_oracle, fronthaul_ok
 from reference_ql import reference_ql_associate
 
 

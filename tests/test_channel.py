@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from cfmimo import channel as ch
+from conftest import spatial_correlation
 from reference_correlation import axis_nodes, reference_spatial_correlation_batch
 
 
@@ -78,7 +79,7 @@ def _dense_oracle(az, el, s_az, s_el, N, beta, nodes=201):
 
 
 def test_single_antenna_correlation_is_beta():
-    R = ch.spatial_correlation(0.3, -0.1, 0.2, 0.2, 1, 2.5)
+    R = spatial_correlation(0.3, -0.1, 0.2, 0.2, 1, 2.5)
     assert R.shape == (1, 1)
     assert R[0, 0] == pytest.approx(2.5)
 
@@ -107,7 +108,7 @@ def test_single_antenna_batch_skips_the_quadrature(monkeypatch):
 
 def test_zero_spread_rank_one():
     az, el, beta = 0.6, -0.15, 1.7
-    R = ch.spatial_correlation(az, el, 0.0, 0.0, 4, beta)
+    R = spatial_correlation(az, el, 0.0, 0.0, 4, beta)
     m, n = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     expect = beta * np.exp(1j * np.pi * (m - n) * np.sin(az) * np.cos(el))
     np.testing.assert_allclose(R, expect, atol=1e-14)
@@ -117,7 +118,7 @@ def test_zero_spread_rank_one():
 def test_correlation_matches_dense_quadrature():
     az, el = np.deg2rad(30), np.deg2rad(-10)
     s = np.deg2rad(15)
-    R = ch.spatial_correlation(az, el, s, s, 4, 1.0)
+    R = spatial_correlation(az, el, s, s, 4, 1.0)
     Rref = _dense_oracle(az, el, s, s, 4, 1.0)
     assert np.abs(R - Rref).max() < 1e-4
 
@@ -380,7 +381,7 @@ def test_expansion_cache_is_bounded_and_holds_sixteen_antennas():
 
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
-        ch.spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)
+        spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ def test_sample_channel_rank_one():
 
 def test_sample_channel_covariance_converges():
     rng = np.random.default_rng(5)
-    R = ch.spatial_correlation(0.4, -0.1, np.deg2rad(15), np.deg2rad(15), 4, 1.0)
+    R = spatial_correlation(0.4, -0.1, np.deg2rad(15), np.deg2rad(15), 4, 1.0)
     sq = ch.correlation_factor(R)
     h = ch.sample_channel(sq, rng, size=100_000)
     Cs = np.einsum("tn,tm->nm", h, h.conj()) / h.shape[0]
@@ -418,7 +419,7 @@ def test_sample_channel_covariance_converges():
 # MMSE estimation
 # ---------------------------------------------------------------------------
 def test_mmse_noiseless_limit():
-    R = ch.spatial_correlation(0.4, -0.1, 0.2, 0.2, 3, 2.0)
+    R = spatial_correlation(0.4, -0.1, 0.2, 0.2, 3, 2.0)
     W, Phi, C = ch.mmse_filters(R, 200.0, 24, 1e-15)
     rng = np.random.default_rng(3)
     h = ch.sample_channel(ch.correlation_factor(R), rng, size=1)[0]

@@ -23,7 +23,12 @@ from cfmimo.transceiver import (
     uplink_sinr,
 )
 
-from conftest import edu_consistent, random_channels, random_error_covs
+from conftest import (
+    edu_consistent,
+    random_channels,
+    random_error_covs,
+    spatial_correlation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,7 @@ def test_uplink_k1_perfect_csi_mrc_closed_form():
     angles = [0.3, 1.0, -0.7, 2.0]
     betas = [1.0, 0.5, 2.0, 0.25]
     R = np.stack(
-        [[ch.spatial_correlation(a, -0.1, 0.2, 0.2, N, b) for a, b in zip(angles, betas)]]
+        [[spatial_correlation(a, -0.1, 0.2, 0.2, N, b) for a, b in zip(angles, betas)]]
     )
     h = ch.sample_channel(ch.correlation_factor(R), rng, size=T)
     C0 = np.zeros((K, L, N, N), dtype=complex)
@@ -372,7 +377,7 @@ def test_downlink_k1_mrt_matches_brute_force():
     rng = np.random.default_rng(11)
     K, L, N, T = 1, 3, 2, 10_000
     R = np.stack(
-        [[ch.spatial_correlation(a, -0.2, 0.25, 0.25, N, b)
+        [[spatial_correlation(a, -0.2, 0.25, 0.25, N, b)
           for a, b in zip([0.4, -1.2, 2.2], [1.0, 2.0, 0.5])]]
     )
     h = ch.sample_channel(ch.correlation_factor(R), rng, size=T)
