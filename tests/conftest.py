@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,19 @@ def spatial_correlation(
         num_antennas,
         np.array([beta]),
     )[0]
+
+
+def nan_uplink_reports(monkeypatch, scheme):
+    """Make ``harness.uplink_sinr`` return NaN SINR and SE for ``scheme``."""
+    import cfmimo.harness as hz
+
+    real = hz.uplink_sinr
+
+    def uplink_sinr(*args, **kwargs):
+        report = real(*args, **kwargs)
+        if report.scheme != scheme:
+            return report
+        nan = np.full_like(report.gamma, np.nan)
+        return dataclasses.replace(report, gamma=nan, se=nan.copy())
+
+    monkeypatch.setattr(hz, "uplink_sinr", uplink_sinr)

@@ -7,6 +7,8 @@ import pytest
 from cfmimo.cli import main
 from cfmimo.scenario import save_config
 
+from conftest import nan_uplink_reports
+
 
 @pytest.fixture
 def cfg_file(tmp_path, desk_config):
@@ -724,4 +726,100 @@ def test_malformed_input_row_exits_2_naming_file_and_row(
     assert repr(bad_row) in record["detail"]
     if kind == "association":
         assert record["error"] == "usage"
+    assert not out.exists()
+
+
+def _strict_json(path):
+    """JSON file contents; NaN, Infinity and -Infinity raise ``ValueError``."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_non_finite_report_fails_the_drop_and_exits_1(
+    tmp_path, cfg_file, command, monkeypatch
+):
+    nan_uplink_reports(monkeypatch, "edu-mmse")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered"]
+    run_dir = out
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "4"]
+        run_dir = out / "num_edu=4"
+    assert _exit_code(argv) == 1
+    summary = _strict_json(run_dir / "summary.json")
+    assert summary["drops_completed"] == 0
+    error = summary["failures"][0]["error"]
+    assert "edu-mmse" in error and "ul" in error
+    if command == "sweep":
+        _strict_json(out / "sweep_summary.json")
+
+
+def test_boolean_quantizer_bits_exits_2_before_any_drop(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    raw = json.load(open(cfg_file))
+    raw["quantizer_bits"] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    record = _rejected(
+        ["simulate", "--config", str(path), "--out", str(out),
+         "--deployment", "clustered"],
+        monkeypatch,
+        capsys,
+    )
+    assert 'quantizer_bits must be an integer or "infinite", got True' in record["detail"]
+    assert not out.exists()
+
+
+def test_negative_config_seed_exits_2_naming_master_seed(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    raw = json.load(open(cfg_file))
+    raw["master_seed"] = -1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    record = _rejected(
+        ["simulate", "--config", str(path), "--out", str(out),
+         "--deployment", "clustered"],
+        monkeypatch,
+        capsys,
+    )
+    assert "master_seed must be >= 0" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "deploy-ga", "associate-ql"])
+def test_negative_seed_flag_exits_2_naming_master_seed(
+    tmp_path, cfg_file, command, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), "--seed", "-5"]
+    if command in ("simulate", "sweep"):
+        argv += ["--deployment", "clustered"]
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "2"]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert "master_seed must be >= 0" in record["detail"]
+    assert not out.exists()
+
+
+def test_associate_ql_negative_drop_exits_2_naming_the_flag(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    record = _rejected(
+        ["associate-ql", "--config", cfg_file, "--out", str(out), "--drop", "-1"],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "usage"
+    assert "--drop" in record["detail"]
     assert not out.exists()

@@ -16,6 +16,7 @@ from cfmimo.harness import (
     resolve_partition,
     run_campaign,
     run_drop,
+    write_json,
     write_partition,
 )
 from cfmimo.channel import build_statistics, sample_drop_channels
@@ -23,7 +24,7 @@ from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology, config_from_dict, rng_stream
 from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
 
-from conftest import edu_consistent
+from conftest import edu_consistent, nan_uplink_reports
 
 
 def _read_raw(path):
@@ -255,6 +256,61 @@ def test_campaign_records_failures_and_continues(desk_config, monkeypatch):
     assert len(campaign.failures) == 1
     assert campaign.failures[0][0] == 1
     assert campaign.summary["failures"][0]["drop"] == 1
+
+
+def test_non_finite_report_fails_the_drop_naming_scheme_and_link(
+    desk_config, monkeypatch
+):
+    nan_uplink_reports(monkeypatch, "edu-mmse")
+    genome = resolve_partition(desk_config, "clustered")[0]
+    with pytest.raises(RuntimeError) as exc:
+        run_drop(desk_config, 0, genome, DropOptions(links=("ul",)))
+    message = str(exc.value)
+    assert "edu-mmse" in message and "ul" in message and "joint-mmse" not in message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_rejects_non_finite_values(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "out.json"), {"se": [1.0, value]})
+
+
+@pytest.mark.parametrize(
+    "drops, workers, started", [(2, 64, [2]), (1, 8, []), (3, 2, [2])]
+)
+def test_campaign_starts_no_more_workers_than_drops(
+    desk_config, monkeypatch, drops, workers, started
+):
+    import cfmimo.harness as hz
+
+    created = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and maps in this process: starts nothing."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(hz, "ProcessPoolExecutor", RecordingPool)
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": drops})
+    cfg.schemes = ("edu-mmse",)
+    campaign = hz.run_campaign(
+        cfg,
+        deployment_mode="clustered",
+        options=DropOptions(links=("ul",)),
+        workers=workers,
+    )
+    assert created == started
+    assert campaign.summary["drops_completed"] == drops
 
 
 def test_partition_file_roundtrip(tmp_path, desk_config):

@@ -116,6 +116,9 @@ _FLOAT_FIELDS = [
         ("pathloss_model", 1),
         ("schemes", "joint-mmse"),
         ("schemes", ("joint-mmse", 1)),
+        ("quantizer_bits", True),
+        ("quantizer_bits", "four"),
+        ("quantizer_bits", 4.0),
     ],
 )
 def test_validate_rejects_mistyped_fields(name, value):
@@ -133,10 +136,15 @@ def test_validate_rejects_mistyped_fields(name, value):
         ("bandwidth_hz", np.int64(10**7)),
         ("schemes", ["joint-mmse", "edu-mmse"]),
         ("quantizer_bits", 4),
+        ("quantizer_bits", np.int64(4)),
     ],
 )
 def test_validate_accepts_numpy_scalars_and_lists(name, value):
     assert validate_config(ScenarioConfig(**{name: value})) == []
+
+
+def test_validate_rejects_negative_master_seed():
+    assert "master_seed must be >= 0" in validate_config(ScenarioConfig(master_seed=-1))
 
 
 def test_numpy_scalar_fields_echo_as_json_numbers():
