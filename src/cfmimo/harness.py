@@ -129,7 +129,8 @@ def run_drop(
     genome (Q-learning runs only when an enabled scheme uses it), draws the
     realization batch, builds each scheme's combiners once for the batch,
     and evaluates uplink and/or downlink SINR from them; an unquantized
-    uplink and an undrifted downlink share one pass of link moments.
+    uplink and an undrifted downlink share one pass of link moments. A
+    report with a non-finite SINR or SE fails the drop.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
@@ -199,6 +200,9 @@ def run_drop(
                     moments=moments if plain_dl else None,
                 )
                 per_link["dl"] = dl.report
+            for link, report in per_link.items():
+                if not np.isfinite([report.gamma, report.se]).all():
+                    raise ValueError(f"{scheme} {link}: non-finite SINR or SE")
             reports[scheme] = per_link
             del v  # before the next scheme's combiners are built
 
@@ -439,8 +443,9 @@ def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
 
 
 def write_json(path: str, obj) -> None:
+    """Strict JSON: a NaN or infinite value raises ``ValueError``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
