@@ -173,8 +173,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         elif f.name == "schemes":
             kind = "a list of scheme tags"
             ok = isinstance(value, (tuple, list)) and all(isinstance(s, str) for s in value)
-        else:  # quantizer_bits has its own rule below
-            continue
+        else:  # quantizer_bits
+            kind = 'an integer or "infinite"'
+            ok = value == "infinite" or (
+                isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            )
         if not ok:
             errors.append(f"{f.name} must be {kind}, got {value!r}")
             mistyped = True
@@ -227,9 +230,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append("mc_realizations must be >= 2")
     if c.fronthaul_ue_cap < 0:
         errors.append("fronthaul_ue_cap must be >= 0")
-    if c.quantizer_bits != "infinite":
-        if not isinstance(c.quantizer_bits, int) or c.quantizer_bits < 1:
-            errors.append('quantizer_bits must be an integer >= 1 or "infinite"')
+    if c.master_seed < 0:
+        errors.append("master_seed must be >= 0")
+    if c.quantizer_bits != "infinite" and c.quantizer_bits < 1:
+        errors.append('quantizer_bits must be an integer >= 1 or "infinite"')
     bad = [s for s in c.schemes if s not in VALID_SCHEMES]
     if bad:
         errors.append(
