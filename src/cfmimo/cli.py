@@ -233,6 +233,8 @@ def cmd_deploy_ga(args) -> int:
 
 def cmd_associate_ql(args) -> int:
     cfg = _load(args)
+    if args.drop < 0:
+        _fail("--drop must be >= 0")
     qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap)
     if args.episodes is not None:
         qcfg.episodes = args.episodes
