@@ -368,8 +368,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute all drops, aggregate CDFs, and optionally write result files.
 
-    Drops run in index order, in this process or on ``workers`` processes,
-    with the same results either way. Individual drop failures are recorded
+    Drops run in index order, in this process or on up to ``workers``
+    processes (never more than there are drops), with the same results
+    either way. Individual drop failures are recorded
     and the campaign continues.
     """
     options = options or DropOptions()
@@ -378,6 +379,7 @@ def run_campaign(
     )
 
     tasks = [(config, i, genome, options) for i in range(config.mc_drops)]
+    workers = min(workers, len(tasks))  # the pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_drop_task, tasks))
