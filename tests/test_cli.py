@@ -823,3 +823,20 @@ def test_associate_ql_negative_drop_exits_2_naming_the_flag(
     assert record["error"] == "usage"
     assert "--drop" in record["detail"]
     assert not out.exists()
+
+
+def test_one_edu_ga_campaign_writes_strict_json(tmp_path, desk_config):
+    # one EDU leaves no cross-EDU spread, so every GA score is +inf
+    cfg = desk_config
+    cfg.num_edu, cfg.mc_drops, cfg.mc_realizations = 1, 1, 8
+    path = tmp_path / "one_edu.json"
+    save_config(cfg, str(path))
+    out = tmp_path / "out"
+    rc = _exit_code(
+        ["simulate", "--config", str(path), "--out", str(out), "--links", "ul",
+         "--deployment", "ga"]
+    )
+    assert rc == 0
+    deployment = _strict_json(out / "summary.json")["deployment"]
+    assert deployment["fitness"] is None
+    assert set(deployment["history"]) == {None}
