@@ -357,6 +357,19 @@ def _run_drop_task(args):
         return (drop_index, str(exc))
 
 
+def _json_deployment(meta: dict) -> dict:
+    """Partition metadata for ``summary.json``. One EDU leaves no cross-EDU
+    spread, so the GA scores it +inf, which JSON cannot hold: null here."""
+    if meta["deployment"] != "ga":
+        return meta
+    fitness = meta["fitness"]
+    return {
+        **meta,
+        "fitness": fitness if np.isfinite(fitness) else None,
+        "history": [f if np.isfinite(f) else None for f in meta["history"]],
+    }
+
+
 def run_campaign(
     config: ScenarioConfig,
     out_dir: str | None = None,
@@ -394,7 +407,7 @@ def run_campaign(
             failures.append(outcome)
 
     summary = summarize(config, results, failures)
-    summary["deployment"] = deploy_meta
+    summary["deployment"] = _json_deployment(deploy_meta)
     campaign = CampaignResult(
         config=config,
         genome=genome,
