@@ -383,8 +383,8 @@ def run_campaign(
 
     Drops run in index order, in this process or on up to ``workers``
     processes (never more than there are drops), with the same results
-    either way. Individual drop failures are recorded
-    and the campaign continues.
+    either way. Individual drop failures are recorded and the campaign
+    continues.
     """
     options = options or DropOptions()
     genome, deploy_meta = resolve_partition(

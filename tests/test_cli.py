@@ -545,6 +545,7 @@ def test_non_finite_config_float_exits_2_before_any_drop(
         ("mc_realizations", 20.9, "an integer"),
         ("pathloss_exponent", "3", "a real number"),
         ("schemes", "joint-mmse", "a list of scheme tags"),
+        ("quantizer_bits", True, 'an integer or "infinite"'),
     ],
 )
 def test_mistyped_config_field_exits_2_before_any_drop(
@@ -758,24 +759,6 @@ def test_non_finite_report_fails_the_drop_and_exits_1(
     assert "edu-mmse" in error and "ul" in error
     if command == "sweep":
         _strict_json(out / "sweep_summary.json")
-
-
-def test_boolean_quantizer_bits_exits_2_before_any_drop(
-    tmp_path, cfg_file, monkeypatch, capsys
-):
-    raw = json.load(open(cfg_file))
-    raw["quantizer_bits"] = True
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    record = _rejected(
-        ["simulate", "--config", str(path), "--out", str(out),
-         "--deployment", "clustered"],
-        monkeypatch,
-        capsys,
-    )
-    assert 'quantizer_bits must be an integer or "infinite", got True' in record["detail"]
-    assert not out.exists()
 
 
 def test_negative_config_seed_exits_2_naming_master_seed(
