@@ -791,6 +791,7 @@ def test_negative_seed_flag_exits_2_naming_master_seed(
         argv += ["--param", "num_edu", "--values", "2"]
     record = _rejected(argv, monkeypatch, capsys)
     assert "master_seed must be >= 0" in record["detail"]
+    assert record["error"] == "usage"  # one error kind for every subcommand
     assert not out.exists()
 
 
