@@ -127,6 +127,9 @@ def _load(args) -> ScenarioConfig:
         _fail(str(exc))
     if args.seed is not None:
         cfg.master_seed = args.seed
+        errors = validate_config(cfg)
+        if errors:
+            _fail("; ".join(errors))
     return cfg
 
 
