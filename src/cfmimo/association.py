@@ -87,6 +87,7 @@ class EduSinrTable:
         if np.any(gamma < 0):
             raise ValueError("SINR table must be >= 0")
         self.gamma = gamma
+        self._ue_rates: list[dict[int, float]] = [{} for _ in range(len(gamma))]
 
     @classmethod
     def from_statistics(
@@ -116,6 +117,23 @@ class EduSinrTable:
         """Sum over UEs of log2(1 + SINR) for a boolean (K, M) association."""
         return float(np.log2(1.0 + (self.gamma * delta_km).sum(axis=1)).sum())
 
+    def ue_rate(self, k: int, edus: int) -> float:
+        """log2(1 + SINR) of UE k served by the EDUs of the bitmask ``edus``.
+
+        This is the k-th term that :meth:`r_sum` adds, bit for bit: it comes
+        from the same (K, M) array expression, so the same summation order
+        and log2 kernel run. Rates are memoized per (UE, bitmask) as they
+        are asked for, so a table with many EDUs stores only those visited.
+        """
+        memo = self._ue_rates[k]
+        rate = memo.get(edus)
+        if rate is None:
+            delta = np.zeros(self.gamma.shape, dtype=bool)
+            delta[k] = [edus >> m & 1 for m in range(delta.shape[1])]
+            rates = np.log2(1.0 + (self.gamma * delta).sum(axis=1))
+            rate = memo[edus] = rates.item(k)
+        return rate
+
 
 @dataclass
 class QlResult:
@@ -128,7 +146,7 @@ class QlResult:
 
 
 def ql_associate(
-    evaluator,
+    table: EduSinrTable,
     num_ue: int,
     num_edu: int,
     config: QlConfig,
@@ -136,86 +154,110 @@ def ql_associate(
 ) -> QlResult:
     """Learn a UE-EDU association maximizing the constrained sum rate.
 
-    ``evaluator`` maps a (K, M) boolean association to its sum rate. It must
-    be a pure function of the association: it is called once for the
-    all-serve reference, once at the start of each episode (the empty
-    association) and once after each action that changes the association;
-    no-ops and redundant toggles reuse the last rate. Actions per agent:
-    no-op, associate UE k, disassociate UE k. The best feasible association
-    observed anywhere during training is returned, which is the quantity a
-    deployment would keep.
+    ``table`` rates associations: :meth:`EduSinrTable.r_sum` gives the
+    all-serve reference and the empty association that starts each episode.
+    An action toggles one (UE k, EDU m) entry, which changes only UE k's
+    term of the sum, so the loop keeps the K per-UE rates
+    (:meth:`EduSinrTable.ue_rate` of UE k's served-EDU bitmask) and sums
+    them as ``r_sum`` does, to the same bits; no-ops and redundant toggles
+    reuse the last rate. Actions per agent: no-op, associate UE k,
+    disassociate UE k. The best feasible association observed anywhere
+    during training is returned, which is the quantity a deployment would
+    keep.
 
     Each EDU's state is its K-bit serving set held as an int, and each
-    visited (EDU, state) owns one row of 2K+1 Q values plus an int bitmask
-    of the actions written so far; a state without a row has all Q values
-    0. An EDU's Q-table size counts its first writes as they happen.
+    visited (EDU, state) owns one row of 2K+1 Q values in one growing
+    array, together with its largest value and that value's first action,
+    both kept current as the row is written, and an int bitmask of the
+    actions written so far; a state without a row has all Q values 0. An
+    EDU's Q-table size counts its first writes as they happen.
     """
     config.validate()
     K, M = num_ue, num_edu
     n_actions = 2 * K + 1
     steps = config.steps_per_episode or 4 * K * M
     cap = config.fronthaul_ue_cap
-    r_sum_all = float(evaluator(np.ones((K, M), dtype=bool)))
+    r_sum_all = float(table.r_sum(np.ones((K, M), dtype=bool)))
 
-    q_rows: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
-    written: list[dict[int, int]] = [dict() for _ in range(M)]
+    q = np.zeros((256, n_actions))
+    row_of: list[dict[int, int]] = [dict() for _ in range(M)]  # state -> row
+    row_max: list[float] = []  # the largest Q value of each row
+    row_arg: list[int] = []  # its first action, which argmax would pick
+    written: list[int] = []
     q_table_sizes = [0] * M
-    delta = np.zeros((K, M), dtype=bool)
+    rates = np.zeros(K)  # log2(1 + SINR) of each UE
 
-    best_delta = np.zeros((K, M), dtype=bool)
+    best_states = [0] * M
     best_r = 0.0  # the empty association is feasible and rates 0
 
     ep_rewards = np.zeros(config.episodes)
     ep_best = np.zeros(config.episodes)
 
     for e in range(config.episodes):
-        delta[:] = False
         states = [0] * M
+        edus = [0] * K  # served-EDU bitmask of each UE
         load = [0] * M
+        rates[:] = 0.0
         chi = 1  # no EDU serves anyone
-        r_sum = float(evaluator(delta))
+        r_sum = float(table.r_sum(np.zeros((K, M), dtype=bool)))
         r = reward(chi, r_sum, r_sum_all)
         eps = epsilon_schedule(e, EPSILON_INIT, ATTENUATION, n_actions)
         acc_reward = 0.0
         for t in range(steps):
             m = t % M
-            rows = q_rows[m]
+            rows = row_of[m]
             s = states[m]
-            row = rows.get(s)
+            i = rows.get(s)
             if rng.random() < eps:
                 a = int(rng.integers(n_actions))
             else:
-                a = 0 if row is None else int(row.argmax())
+                a = 0 if i is None else row_arg[i]
 
-            s_next = s
+            i_next = i
             if a:
                 on = a <= K
                 k = a - 1 if on else a - K - 1
                 if bool(s >> k & 1) != on:
-                    s_next = states[m] = s ^ (1 << k)
-                    delta[k, m] = on
+                    states[m] = s ^ (1 << k)
+                    i_next = rows.get(states[m])
+                    edus[k] ^= 1 << m
                     load[m] += 1 if on else -1
                     chi = int(max(load) <= cap)
-                    r_sum = float(evaluator(delta))
+                    rates[k] = table.ue_rate(k, edus[k])
+                    r_sum = float(rates.sum())
                     r = reward(chi, r_sum, r_sum_all)
             acc_reward += r
 
-            row_next = row if s_next == s else rows.get(s_next)
-            max_next = 0.0 if row_next is None else float(row_next.max())
-            if row is None:
-                row = rows[s] = np.zeros(n_actions)
-                written[m][s] = 0
-            row[a] = q_update(row.item(a), r, max_next, LEARNING_RATE, DISCOUNT)
-            if not written[m][s] >> a & 1:
-                written[m][s] |= 1 << a
+            max_next = 0.0 if i_next is None else row_max[i_next]
+            if i is None:
+                i = rows[s] = len(written)
+                if i == len(q):  # untouched zero pages cost no memory
+                    grown = np.zeros((2 * i, n_actions))
+                    grown[:i] = q
+                    q = grown
+                row_max.append(0.0)
+                row_arg.append(0)
+                written.append(0)
+            value = q_update(q.item(i, a), r, max_next, LEARNING_RATE, DISCOUNT)
+            q[i, a] = value
+            if value > row_max[i] or (value == row_max[i] and a < row_arg[i]):
+                row_max[i], row_arg[i] = value, a
+            elif a == row_arg[i] and value < row_max[i]:  # the max entry fell
+                row_arg[i] = int(q[i].argmax())
+                row_max[i] = q.item(i, row_arg[i])
+            if not written[i] >> a & 1:
+                written[i] |= 1 << a
                 q_table_sizes[m] += 1
 
             if chi and r_sum > best_r:
                 best_r = r_sum
-                best_delta = delta.copy()
+                best_states = states.copy()
         ep_rewards[e] = acc_reward / steps
         ep_best[e] = best_r
 
+    best_delta = np.array(
+        [[s >> k & 1 for s in best_states] for k in range(K)], dtype=bool
+    ).reshape(K, M)
     return QlResult(
         best_delta=best_delta,
         best_r_sum=best_r,

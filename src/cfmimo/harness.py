@@ -74,7 +74,7 @@ def ql_association(
     )
     qcfg = ql_config or QlConfig(fronthaul_ue_cap=config.fronthaul_ue_cap)
     return ql_associate(
-        table.r_sum,
+        table,
         config.num_ue,
         config.num_edu,
         qcfg,

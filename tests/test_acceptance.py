@@ -214,7 +214,7 @@ def test_criterion_6_ql_vs_oracle():
     worst = 1.0
     for seed in range(10):
         res = ql_associate(
-            table.r_sum,
+            table,
             4,
             2,
             QlConfig(episodes=500, fronthaul_ue_cap=2),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfmimo.association import (
@@ -20,6 +20,37 @@ from cfmimo.transceiver import Association, se_from_sinr
 from conftest import edu_consistent
 from reference_association import exhaustive_oracle, fronthaul_ok
 from reference_ql import reference_ql_associate
+
+
+class RescaledTable(EduSinrTable):
+    """Every rate 2.5 times that of ``gamma``, in ``r_sum`` and per UE
+    alike: a rate model other than log2(1 + SINR) for the loop to follow."""
+
+    def r_sum(self, delta_km):
+        return float((2.5 * np.log2(1.0 + (self.gamma * delta_km).sum(axis=1))).sum())
+
+    def ue_rate(self, k, edus):
+        return 2.5 * super().ue_rate(k, edus)
+
+
+class EvaluatingTable(EduSinrTable):
+    """Hands ``evaluator`` the whole (K, M) association on every ``r_sum``
+    call and on every per-UE rate, which the loop asks for once per change;
+    the rates themselves come from ``gamma``."""
+
+    def __init__(self, gamma, evaluator):
+        super().__init__(gamma)
+        self.evaluator = evaluator
+        self.delta = np.zeros(self.gamma.shape, dtype=bool)
+
+    def r_sum(self, delta_km):
+        self.delta = np.array(delta_km, dtype=bool)
+        return self.evaluator(self.delta)
+
+    def ue_rate(self, k, edus):
+        self.delta[k] = [edus >> m & 1 for m in range(self.delta.shape[1])]
+        self.evaluator(self.delta)
+        return super().ue_rate(k, edus)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +140,7 @@ def _toy_table(tiny_config):
 def test_single_ue_single_edu_converges():
     table = EduSinrTable(np.array([[3.0]]))
     res = ql_associate(
-        table.r_sum, 1, 1, QlConfig(episodes=50, fronthaul_ue_cap=1),
+        table, 1, 1, QlConfig(episodes=50, fronthaul_ue_cap=1),
         np.random.default_rng(0),
     )
     assert res.best_delta[0, 0]
@@ -119,7 +150,7 @@ def test_single_ue_single_edu_converges():
 def test_ql_never_returns_empty_when_positive_reward_exists(tiny_config):
     table, _ = _toy_table(tiny_config)
     res = ql_associate(
-        table.r_sum, 4, 2, QlConfig(episodes=60, fronthaul_ue_cap=2),
+        table, 4, 2, QlConfig(episodes=60, fronthaul_ue_cap=2),
         np.random.default_rng(1),
     )
     assert res.best_delta.any()
@@ -132,7 +163,7 @@ def test_ql_toy_instance_beats_095_of_oracle(tiny_config):
     wins = 0
     for seed in range(10):
         res = ql_associate(
-            table.r_sum, 4, 2, QlConfig(episodes=500, fronthaul_ue_cap=2),
+            table, 4, 2, QlConfig(episodes=500, fronthaul_ue_cap=2),
             np.random.default_rng(seed),
         )
         wins += res.best_r_sum >= 0.95 * r_opt
@@ -142,7 +173,7 @@ def test_ql_toy_instance_beats_095_of_oracle(tiny_config):
 def test_ql_respects_cap(tiny_config):
     table, _ = _toy_table(tiny_config)
     res = ql_associate(
-        table.r_sum, 4, 2, QlConfig(episodes=100, fronthaul_ue_cap=1),
+        table, 4, 2, QlConfig(episodes=100, fronthaul_ue_cap=1),
         np.random.default_rng(2),
     )
     assert res.best_delta.sum(axis=0).max() <= 1
@@ -151,7 +182,7 @@ def test_ql_respects_cap(tiny_config):
 def test_ql_emits_edu_granular_association(tiny_config):
     table, topo = _toy_table(tiny_config)
     res = ql_associate(
-        table.r_sum, 4, 2, QlConfig(episodes=50, fronthaul_ue_cap=2),
+        table, 4, 2, QlConfig(episodes=50, fronthaul_ue_cap=2),
         np.random.default_rng(3),
     )
     assoc = Association.from_edu(res.best_delta, topo.edu_partition)
@@ -164,15 +195,11 @@ def test_greedy_policy_invariant_to_reward_rescale(tiny_config):
     table, _ = _toy_table(tiny_config)
 
     res_a = ql_associate(
-        table.r_sum, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2),
+        table, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2),
         np.random.default_rng(7),
     )
-
-    def scaled(delta):
-        return 2.5 * table.r_sum(delta)
-
     res_b = ql_associate(
-        scaled, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2),
+        RescaledTable(table.gamma), 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2),
         np.random.default_rng(7),
     )
     np.testing.assert_array_equal(res_a.best_delta, res_b.best_delta)
@@ -269,6 +296,31 @@ def test_r_sum_matches_se_from_sinr():
         assert table.r_sum(delta) == float(se_from_sinr(g).sum())
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    K=st.integers(1, 24),
+    M=st.integers(1, 10),
+    toggles=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(K=24, M=8, toggles=300, seed=1)
+@example(K=24, M=10, toggles=300, seed=2)
+def test_ue_rates_sum_to_r_sum_bit_for_bit(K, M, toggles, seed):
+    # the loop's running sum of per-UE rates after each toggle is r_sum of
+    # the association, to the bit; M >= 8 sums each UE's row pairwise
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, (K, M))
+    table = EduSinrTable(rng.exponential(size=(K, M)) * scale * (rng.random((K, M)) < 0.7))
+    delta = np.zeros((K, M), dtype=bool)
+    edus = [0] * K
+    rates = np.zeros(K)
+    for k, m in zip(rng.integers(0, K, toggles), rng.integers(0, M, toggles)):
+        delta[k, m] = not delta[k, m]
+        edus[k] ^= 1 << int(m)
+        rates[k] = table.ue_rate(int(k), edus[k])
+        assert float(rates.sum()) == table.r_sum(delta)
+
+
 def test_sinr_table_monotone_in_edus(tiny_config):
     table, _ = _toy_table(tiny_config)
     none = np.zeros((4, 2), dtype=bool)
@@ -303,19 +355,19 @@ def _gate_instances(tiny_config):
     wide = _random_table(24, 8, 11)
     single = _random_table(5, 1, 12)
     return {
-        "toy": (toy.r_sum, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2), 7),
+        "toy": (toy, 4, 2, QlConfig(episodes=120, fronthaul_ue_cap=2), 7),
         "toy-rescaled": (
-            lambda d: 2.5 * toy.r_sum(d), 4, 2,
+            RescaledTable(toy.gamma), 4, 2,
             QlConfig(episodes=120, fronthaul_ue_cap=2), 7,
         ),
         "k24-m8-binding-cap": (
-            wide.r_sum, 24, 8, QlConfig(episodes=6, fronthaul_ue_cap=5), 3,
+            wide, 24, 8, QlConfig(episodes=6, fronthaul_ue_cap=5), 3,
         ),
         "steps-per-episode": (
-            toy.r_sum, 4, 2,
+            toy, 4, 2,
             QlConfig(episodes=40, fronthaul_ue_cap=1, steps_per_episode=7), 4,
         ),
-        "m1": (single.r_sum, 5, 1, QlConfig(episodes=60, fronthaul_ue_cap=3), 5),
+        "m1": (single, 5, 1, QlConfig(episodes=60, fronthaul_ue_cap=3), 5),
     }
 
 
@@ -323,9 +375,9 @@ def _gate_instances(tiny_config):
     "name", ["toy", "toy-rescaled", "k24-m8-binding-cap", "steps-per-episode", "m1"]
 )
 def test_ql_matches_frozen_reference(tiny_config, name):
-    evaluator, K, M, qcfg, seed = _gate_instances(tiny_config)[name]
-    res = ql_associate(evaluator, K, M, qcfg, np.random.default_rng(seed))
-    ref = reference_ql_associate(evaluator, K, M, qcfg, np.random.default_rng(seed))
+    table, K, M, qcfg, seed = _gate_instances(tiny_config)[name]
+    res = ql_associate(table, K, M, qcfg, np.random.default_rng(seed))
+    ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
     _assert_same_result(res, ref)
 
 
@@ -345,7 +397,7 @@ def test_ql_matches_frozen_reference_on_random_tables(K, M, cap, episodes, seed,
     )
     table = EduSinrTable(np.array(gamma, dtype=float).reshape(K, M))
     qcfg = QlConfig(episodes=episodes, fronthaul_ue_cap=cap)
-    res = ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
+    res = ql_associate(table, K, M, qcfg, np.random.default_rng(seed))
     ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
     _assert_same_result(res, ref)
 
@@ -359,7 +411,7 @@ def test_ql_evaluates_once_per_association_change(tiny_config):
         return table.r_sum(delta)
 
     qcfg = QlConfig(episodes=30, fronthaul_ue_cap=2)
-    ql_associate(evaluator, 4, 2, qcfg, np.random.default_rng(0))
+    ql_associate(EvaluatingTable(table.gamma, evaluator), 4, 2, qcfg, np.random.default_rng(0))
     assert calls[0].all()  # the all-serve reference
     starts = [i for i, d in enumerate(calls) if not d.any()]
     assert len(starts) >= qcfg.episodes
