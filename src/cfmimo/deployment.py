@@ -165,17 +165,22 @@ def _crossover(
     in_head = np.arange(L) < cut[:, None]
     heads = np.concatenate([a, b])
     kids = np.concatenate([np.where(in_head, a, b), np.where(in_head, b, a)])
-    X = _one_hot(kids, M)
-    excess = X.sum(1) - _one_hot(heads, M).sum(1)  # (2n, M)
+    # Labels offset by M per child, so one bincount counts every child's
+    # groups and one stable sort lines up each group's genes in order.
+    offset = M * np.arange(2 * n)[:, None]
+    flat = (kids + offset).ravel()
+    counts = np.bincount(flat, minlength=2 * n * M)
+    excess = counts - np.bincount((heads + offset).ravel(), minlength=2 * n * M)
     # 1 for the last gene of its label, 2 for the one before it, ...
-    from_end = np.cumsum(X[:, ::-1], axis=1)[:, ::-1]
-    rank = np.take_along_axis(from_end, kids[..., None], 2)[..., 0]
-    move = rank <= np.take_along_axis(excess, kids, 1)
-    # The k-th moved gene takes the k-th slot of the under-full EDUs' list.
-    slots_end = np.cumsum(np.maximum(-excess, 0), axis=1)
-    k = np.cumsum(move, axis=1) - 1
-    label = (k[..., None] >= slots_end[:, None, :]).sum(-1)
-    return np.where(move, label, kids)
+    order = np.argsort(flat, kind="stable")
+    rank = np.empty_like(flat)
+    rank[order] = np.cumsum(counts)[flat[order]] - np.arange(flat.size)
+    move = (rank <= excess[flat]).reshape(kids.shape)
+    # Row by row, the moved genes in order take the under-full EDUs' slots
+    # in index order; each child has as many of one as of the other.
+    slots = np.repeat(np.tile(np.arange(M), 2 * n), np.maximum(-excess, 0))
+    kids[move] = slots
+    return kids
 
 
 def _mutate(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfmimo import ScenarioConfig
 from cfmimo.deployment import (
+    GA_CROSSOVER_RATE,
     GaConfig,
     Partition,
     _crossover,
@@ -21,6 +22,8 @@ from cfmimo.deployment import (
 )
 from cfmimo.harness import resolve_partition
 from cfmimo.scenario import build_topology, rng_stream
+
+from reference_crossover import reference_crossover
 
 
 def line_distances(L):
@@ -187,6 +190,36 @@ def test_operators_keep_group_sizes(data, pairs, crossover_rate, mutation_rate, 
     )
     mutated = _mutate(children.copy(), mutation_rate, rng)
     np.testing.assert_array_equal(_group_sizes(mutated, M), _group_sizes(children, M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    pairs=st.integers(1, 6),
+    rate=st.sampled_from([0.0, 1.0, GA_CROSSOVER_RATE]),
+    balanced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crossover_matches_frozen_reference(data, pairs, rate, balanced, seed):
+    L = data.draw(st.integers(2, 100), label="L")
+    M = data.draw(st.integers(1, min(L, 8)), label="M")
+    rng = np.random.default_rng(seed)
+    if balanced:  # parents as the GA makes them
+        a, b = (
+            np.stack([random_balanced_genome(L, M, rng) for _ in range(pairs)])
+            for _ in range(2)
+        )
+    else:
+        a, b = rng.integers(0, M, (2, pairs, L))
+    got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    parents = a.copy(), b.copy()
+    got = _crossover(a, b, M, rate, got_rng)
+    ref = reference_crossover(a, b, M, rate, ref_rng)
+    np.testing.assert_array_equal(got, ref)
+    assert got.dtype == ref.dtype
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_array_equal(a, parents[0])  # the parents are left as they were
+    np.testing.assert_array_equal(b, parents[1])
 
 
 def test_ga_rejects_more_edus_than_orus():
