@@ -159,13 +159,14 @@ def _combiner_plan(units: bytes, mask: bytes, num_ue: int, N: int) -> tuple:
     O-RUs' unit labels (``np.intp`` bytes), the (K, L) service mask (bool
     bytes) and N, so drops with the same ones share it.
 
-    Returns read-only (local, wide, sets, set_of, groups, item_bytes): the
-    O-RUs solved in the antenna domain, the Woodbury O-RUs with each atom's
-    O-RUs side by side, the (S, A) atoms of each serving set, the (A, K)
-    serving set of each (atom, UE), the (atoms, O-RUs, stacked antennas)
-    slices of each atom size and the bytes per realization of a block's
-    largest array. Without Woodbury O-RUs, ``sets`` and ``set_of`` are
-    None.
+    Returns read-only (local, wide, sets, cols, read, groups, item_bytes):
+    the O-RUs solved in the antenna domain, the Woodbury O-RUs with each
+    atom's O-RUs side by side, the (S, A) atoms of each nonempty serving
+    set, the (S, K, R) identity columns each set is solved for, the
+    (2, A, K) set and column that each (atom, UE) reads, the (atoms,
+    O-RUs, stacked antennas) slices of each atom size and the bytes per
+    realization of a block's largest array. Without Woodbury O-RUs,
+    ``sets``, ``cols`` and ``read`` are None.
     """
     units = np.frombuffer(units, dtype=np.intp)
     K = num_ue
@@ -179,9 +180,10 @@ def _combiner_plan(units: bytes, mask: bytes, num_ue: int, N: int) -> tuple:
     local.flags.writeable = False
     if not wide.size:
         wide.flags.writeable = False
-        return local, wide, None, None, (), item_bytes
+        return local, wide, None, None, None, (), item_bytes
     # Serving set of every (UE, unit) over the Woodbury O-RUs; each
-    # distinct set is one system, the empty set included (it is masked).
+    # distinct nonempty set is one system. A UE that no O-RU of a unit
+    # serves has the empty set there, and its combiners are masked.
     wide_units = units[wide]
     in_unit = _one_hot(wide_units, units.max() + 1).T  # (U, Lw)
     sets = delta[:, None, wide] & in_unit[None]
@@ -196,6 +198,28 @@ def _combiner_plan(units: bytes, mask: bytes, num_ue: int, N: int) -> tuple:
     by_size = np.argsort(size, kind="stable")
     order = np.argsort(np.argsort(by_size)[atom], kind="stable")
     first = first[by_size]
+    set_of = set_of[first]  # (A, K)
+    # Each set is solved only for the identity columns of the UEs that
+    # read it, padded with zero columns to the largest such count R: an
+    # all-serve set reads every column, the empty set none.
+    ue = np.arange(K)
+    nonempty = sets.any(axis=1)
+    reads = np.zeros((len(sets), K), dtype=bool)
+    reads[set_of, ue] = True
+    reads &= nonempty[:, None]
+    R = int(reads.sum(axis=1).max())
+    slot = np.cumsum(reads, axis=1) - 1  # UE k's column among its set's
+    # (set, column) that each (atom, UE) reads; a pair on the empty set,
+    # whose combiners are masked, reads column 0 of set 0.
+    on = reads[set_of, ue]
+    read = np.stack([
+        np.where(on, (np.cumsum(nonempty) - 1)[set_of], 0),
+        np.where(on, slot[set_of, ue], 0),
+    ])
+    sets, reads, slot = sets[nonempty], reads[nonempty], slot[nonempty]
+    cols = np.zeros((len(sets), K, R))
+    s, k = np.nonzero(reads)
+    cols[s, k, slot[s, k]] = 1.0
     # (atoms, their O-RUs, stacked antennas per atom) for each size
     groups = []
     a = l = 0
@@ -207,7 +231,7 @@ def _combiner_plan(units: bytes, mask: bytes, num_ue: int, N: int) -> tuple:
     item_bytes = max(
         item_bytes, 16 * K * max(4 * wide.size * N, len(sets) * K, len(first) * K)
     )
-    plan = (wide[order], sets[:, first].astype(float), set_of[first])
+    plan = (wide[order], sets[:, first].astype(float), cols, read)
     for array in plan:
         array.flags.writeable = False
     return (local, *plan, tuple(groups), item_bytes)
@@ -228,8 +252,9 @@ class CombinerWorkspace:
       v_k = p_k D^-1 H (I + P Q)^-1 e_k with Q = sum over S of the
       partials Q_l = hh_l^H D_l^-1 hh_l. Each distinct serving set of a unit
       (one per unit for all-serve and EDU-consistent masks, up to one per UE
-      otherwise) is one K x K system. (I + P Q) rather than (P^-1 + Q)
-      keeps a UE with zero power well defined. The O-RUs of a unit that
+      otherwise) is one K x K system, solved only for the e_k of the UEs
+      that use it (all K for an all-serve set). (I + P Q) rather than
+      (P^-1 + Q) keeps a UE with zero power well defined. The O-RUs of a unit that
       serve the same UEs (an atom: the whole unit for all-serve and
       EDU-consistent masks, single O-RUs for an arbitrary mask) lie in the
       same serving sets, so each atom gets one partial over its stacked
@@ -261,7 +286,7 @@ class CombinerWorkspace:
         if spec.rule != "mmse":
             return
         units = np.asarray(unit_labels(spec.granularity, genome, L), dtype=np.intp)
-        (self.local, self.wide, self.sets, self.set_of, self.groups,
+        (self.local, self.wide, self.sets, self.cols, self.read, self.groups,
          self.item_bytes) = _combiner_plan(units.tobytes(), self.delta.tobytes(), K, N)
         D = np.einsum("i,ilnm->lnm", self.p, C) + float(noise_mw) * np.eye(N)
         self.D_local = D[self.local]
@@ -287,19 +312,20 @@ class CombinerWorkspace:
             Hl = H[:, self.local] * p
             G = Hl @ np.conj(H[:, self.local]).swapaxes(-1, -2) + self.D_local
             v[:, :, self.local] = _solve_regularized(G, Hl).transpose(0, 3, 1, 2)
-        if self.wide.size:
+        if self.wide.size and len(self.sets):  # else every combiner is masked
             Hw = H[:, self.wide]  # (T, Lw, N, K), atoms side by side
             F = self.Dinv @ Hw  # D_l^-1 hh_l
-            A = len(self.set_of)
+            A = self.read.shape[1]
             Q = np.empty((T, A, K, K), dtype=complex)
             for atoms, orus, n in self.groups:
                 Ha = np.conj(Hw[:, orus]).reshape(T, -1, n, K)
                 Q[:, atoms] = Ha.swapaxes(-1, -2) @ F[:, orus].reshape(T, -1, n, K)
             Qs = (self.sets @ Q.reshape(T, A, K * K)).reshape(T, -1, K, K)
             del Q
-            X = _solve_regularized(np.eye(K) + p[:, None] * Qs, np.eye(K))
-            # Y[t, a, j, k] = X[t, set of (k, atom a), j, k]
-            Y = X.swapaxes(-1, -2)[:, self.set_of, np.arange(K)].swapaxes(-1, -2)
+            X = _solve_regularized(np.eye(K) + p[:, None] * Qs, self.cols)
+            # Y[t, a, :, k]: the column of (I + P Q)^-1 e_k of the set that
+            # (k, atom a) reads
+            Y = X.swapaxes(-1, -2)[:, self.read[0], self.read[1]].swapaxes(-1, -2)
             for atoms, orus, n in self.groups:
                 Va = (F[:, orus].reshape(T, -1, n, K) @ Y[:, atoms]) * p
                 v[:, :, self.wide[orus]] = Va.reshape(T, -1, N, K).transpose(0, 3, 1, 2)

@@ -32,6 +32,7 @@ from reference_combiner import (
     reference_downlink_gamma,
     reference_uplink_gamma,
 )
+from reference_woodbury import full_inverse_combiners
 
 RTOL = 1e-8
 
@@ -258,6 +259,39 @@ def test_uncertainty_matches_per_realization_loop(mask, scheme):
     np.testing.assert_allclose(dl.report.uncertainty, variance(d), rtol=RTOL, atol=0)
 
 
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_column_solves_bit_identical_to_full_inverse(name, mask, scheme):
+    # each serving set solved only for the columns its UEs read gives the
+    # combiners of the full-inverse kernel, bit for bit
+    h, hhat, C, beta, assoc, genome = _instance(name, mask)
+    K = hhat.shape[1]
+    p = np.linspace(0.5, 2.0, K)
+    p[1] = 0.0
+    args = (SCHEMES[scheme], assoc, genome, C, p, 0.4)
+    np.testing.assert_array_equal(
+        CombinerWorkspace(*args).combiners(hhat), full_inverse_combiners(*args, hhat)
+    )
+
+
+@pytest.mark.parametrize("scheme", ["p-mmse", "edu-pmmse", "lp-mmse"])
+@pytest.mark.parametrize("served", [0.0, 0.15, 0.5, 1.0])
+def test_column_solves_bit_identical_on_larger_masks(scheme, served):
+    # 16 UEs on 12 O-RUs of four EDUs: from no UE served (nothing to
+    # solve) through one-UE sets to the all-serve set, which reads all K
+    K, L, N = 16, 12, 2
+    rng = np.random.default_rng(int(100 * served))
+    genome = np.arange(L) % 4
+    hhat = random_channels(rng, (5, K, L, N))
+    C = random_error_covs(rng, K, L, N)
+    assoc = Association(rng.random((K, L)) < served)
+    args = (SCHEMES[scheme], assoc, genome, C, rng.uniform(0.5, 2.0, K), 0.4)
+    v = CombinerWorkspace(*args).combiners(hhat)
+    np.testing.assert_array_equal(v, full_inverse_combiners(*args, hhat))
+    assert v.any() == assoc.delta.any()
+
+
 def test_block_size_counts_the_per_set_systems():
     # more serving sets than O-RUs: the (S, K, K) systems are
     # the largest per-realization arrays and must set the block size
@@ -341,7 +375,7 @@ def test_each_mask_unit_map_and_antenna_count_gets_its_own_read_only_plan():
         ws = CombinerWorkspace(
             SCHEMES[scheme], Association(mask), genome, random_error_covs(rng, K, L, n), p, 0.4
         )
-        for array in (ws.local, ws.wide, ws.sets, ws.set_of):
+        for array in (ws.local, ws.wide, ws.sets, ws.cols, ws.read):
             assert not array.flags.writeable
         return plan.cache_info().misses - before
 
