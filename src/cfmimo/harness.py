@@ -13,6 +13,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -420,13 +421,29 @@ def run_campaign(
     return campaign
 
 
+@contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A text file to write in place of ``path``: it is written under a
+    temporary name in the same directory and renamed to ``path`` once
+    complete, so a write that raises leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> None:
     """CSV file: the config echo as ``#`` lines, a header row, then ``rows``.
 
     The echo (code version, full config, seed) is enough to rerun the
     campaign that produced the file.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(
             f"# cfmimo {__version__}\n"
             f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n"
@@ -459,7 +476,7 @@ def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
 
 def write_json(path: str, obj) -> None:
     """Strict JSON: a NaN or infinite value raises ``ValueError``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 

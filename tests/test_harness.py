@@ -16,6 +16,7 @@ from cfmimo.harness import (
     resolve_partition,
     run_campaign,
     run_drop,
+    write_csv,
     write_json,
     write_partition,
 )
@@ -273,6 +274,38 @@ def test_non_finite_report_fails_the_drop_naming_scheme_and_link(
 def test_write_json_rejects_non_finite_values(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(str(tmp_path / "out.json"), {"se": [1.0, value]})
+
+
+def test_a_write_that_raises_leaves_the_file_as_it_was(tmp_path, desk_config, monkeypatch):
+    path = tmp_path / "summary.json"
+    write_json(str(path), {"se": [1.0, 2.0]})
+    before = path.read_bytes()
+
+    def dump_partway(obj, fh, **kwargs):
+        fh.write('{"se": [3.0')
+        raise ValueError("encoder failed partway")
+
+    monkeypatch.setattr(json, "dump", dump_partway)
+    with pytest.raises(ValueError, match="partway"):
+        write_json(str(path), {"se": [3.0]})
+    with pytest.raises(ValueError, match="partway"):
+        write_json(str(tmp_path / "new.json"), {"se": [3.0]})
+    monkeypatch.undo()
+
+    csv_path = tmp_path / "raw.csv"
+    write_csv(str(csv_path), desk_config, ["a", "b"], [[1, 2]])
+    csv_before = csv_path.read_bytes()
+
+    def rows():
+        yield [3, 4]
+        raise RuntimeError("row source failed partway")
+
+    with pytest.raises(RuntimeError, match="partway"):
+        write_csv(str(csv_path), desk_config, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert csv_path.read_bytes() == csv_before
+    # no temporary file is left, and no file where there was none
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv", "summary.json"]
 
 
 @pytest.mark.parametrize(
