@@ -21,7 +21,8 @@ ANGLE_TRUNC_SIGMAS = 4.0  # angular densities truncated at +/- 4 std
 _TAIL_BOUND = 1e-17  # largest sum of the expansion terms left out, per offset
 _BLOCK_BYTES = 1 << 18  # largest temporary array of one kernel block
 # Offsets whose expansion stays cached: every offset of an array of up to 33
-# antennas, 1.3 MB. A longer array recomputes its offsets on every call.
+# antennas, 1.3 MB. A longer array recomputes its larger offsets on every
+# call, outside the cache, so that they do not push out offsets 1-32.
 _EXPANSION_CACHE = 32
 
 
@@ -218,7 +219,10 @@ def spatial_correlation_batch(
     r = np.ones((P, N), dtype=complex)
     if N > 1:
         x, w = _quadrature(QUAD_NODES)
-        coefs = [_expansion(d) for d in range(1, N)]
+        coefs = [
+            _expansion(d) if d <= _EXPANSION_CACHE else _expansion.__wrapped__(d)
+            for d in range(1, N)
+        ]
         order = max(even.shape[0] + odd.shape[0] for even, odd in coefs)
         m = np.arange(order)[:, None]
         g_az = np.cos(m * ((ANGLE_TRUNC_SIGMAS * asd_azimuth) * x)) @ w

@@ -379,6 +379,18 @@ def test_expansion_cache_is_bounded_and_holds_sixteen_antennas():
     np.testing.assert_array_equal(ch.spatial_correlation_batch(az, el, 0.0, 0.0, 128, beta), R)
 
 
+def test_expansion_cache_keeps_offsets_1_to_32_past_33_antennas():
+    # offsets above the bound bypass the cache, so a second 40-antenna call
+    # finds offsets 1-32 there instead of having scanned them out
+    az, el, beta = _random_links(129, P=5)
+    ch._expansion.cache_clear()
+    R = ch.spatial_correlation_batch(az, el, 0.1, 0.1, 40, beta)
+    hits = ch._expansion.cache_info().hits
+    again = ch.spatial_correlation_batch(az, el, 0.1, 0.1, 40, beta)
+    assert ch._expansion.cache_info().hits == hits + 32
+    np.testing.assert_array_equal(again, R)
+
+
 def test_correlation_rejects_nonfinite():
     with pytest.raises(ValueError):
         spatial_correlation(np.nan, 0.0, 0.1, 0.1, 2, 1.0)
