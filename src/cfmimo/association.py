@@ -87,7 +87,7 @@ class EduSinrTable:
         if np.any(gamma < 0):
             raise ValueError("SINR table must be >= 0")
         self.gamma = gamma
-        self._ue_rates: list[dict[int, float]] = [{} for _ in range(len(gamma))]
+        self._ue_rates: dict[int, list[float]] = {}  # bitmask -> every UE's rate
 
     @classmethod
     def from_statistics(
@@ -120,19 +120,18 @@ class EduSinrTable:
     def ue_rate(self, k: int, edus: int) -> float:
         """log2(1 + SINR) of UE k served by the EDUs of the bitmask ``edus``.
 
-        This is the k-th term that :meth:`r_sum` adds, bit for bit: it comes
-        from the same (K, M) array expression, so the same summation order
-        and log2 kernel run. Rates are memoized per (UE, bitmask) as they
-        are asked for, so a table with many EDUs stores only those visited.
+        This is the k-th term that :meth:`r_sum` adds, bit for bit: every
+        UE's rate under one bitmask comes from the same (K, M) array
+        expression, so the same summation order and log2 kernel run. The
+        rates are memoized per bitmask as they are asked for, so a table
+        with many EDUs stores only the bitmasks visited.
         """
-        memo = self._ue_rates[k]
-        rate = memo.get(edus)
-        if rate is None:
-            delta = np.zeros(self.gamma.shape, dtype=bool)
-            delta[k] = [edus >> m & 1 for m in range(delta.shape[1])]
-            rates = np.log2(1.0 + (self.gamma * delta).sum(axis=1))
-            rate = memo[edus] = rates.item(k)
-        return rate
+        rates = self._ue_rates.get(edus)
+        if rates is None:
+            served = np.array([edus >> m & 1 for m in range(self.gamma.shape[1])], dtype=bool)
+            rates = np.log2(1.0 + (self.gamma * served).sum(axis=1)).tolist()
+            self._ue_rates[edus] = rates
+        return rates[k]
 
 
 @dataclass
