@@ -254,9 +254,7 @@ def ql_associate(
         ep_rewards[e] = acc_reward / steps
         ep_best[e] = best_r
 
-    best_delta = np.array(
-        [[s >> k & 1 for s in best_states] for k in range(K)], dtype=bool
-    ).reshape(K, M)
+    best_delta = np.array([[s >> k & 1 for s in best_states] for k in range(K)], dtype=bool)
     return QlResult(
         best_delta=best_delta,
         best_r_sum=best_r,
