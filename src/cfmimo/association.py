@@ -23,8 +23,10 @@ EPSILON_INIT = 0.9  # exploration probability of the first episode
 ATTENUATION = 10.0  # phi, how slowly exploration decays over episodes
 
 
-@dataclass
+@dataclass(frozen=True)
 class QlConfig:
+    """Q-learning settings, checked by :meth:`validate` when made."""
+
     episodes: int = 300
     fronthaul_ue_cap: int = 24
     steps_per_episode: int | None = None  # default 4 * K * M
@@ -36,6 +38,8 @@ class QlConfig:
             raise ValueError("fronthaul_ue_cap must be >= 0")
         if self.steps_per_episode is not None and self.steps_per_episode < 1:
             raise ValueError("steps_per_episode must be None or >= 1")
+
+    __post_init__ = validate
 
 
 def epsilon_schedule(
@@ -171,7 +175,6 @@ def ql_associate(
     actions written so far; a state without a row has all Q values 0. An
     EDU's Q-table size counts its first writes as they happen.
     """
-    config.validate()
     K, M = num_ue, num_edu
     n_actions = 2 * K + 1
     steps = config.steps_per_episode or 4 * K * M

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,13 +31,7 @@ from .harness import (
     write_json,
     write_partition,
 )
-from .scenario import (
-    ConfigError,
-    ScenarioConfig,
-    build_topology,
-    load_config,
-    validate_config,
-)
+from .scenario import ScenarioConfig, build_topology, load_config
 
 USAGE_EXIT = 2
 
@@ -56,6 +49,16 @@ def _fail(message: str, usage: str | None = None) -> None:
     raise SystemExit(USAGE_EXIT)
 
 
+def _tags(text: str) -> tuple[str, ...]:
+    """A comma list's non-empty entries, stripped."""
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def int_or_infinite(text: str) -> int | str:
+    """A ``--quant-bits`` value; argparse names this function when it fails."""
+    return text if text == "infinite" else int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON scenario config file")
     p.add_argument("--seed", type=int, help="override master_seed")
@@ -64,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--drops", type=int, help="override mc_drops")
-    p.add_argument("--schemes", help="comma-separated scheme tags")
+    p.add_argument("--schemes", type=_tags, help="comma-separated scheme tags")
     p.add_argument(
         "--deployment",
         choices=("ga", "clustered", "file"),
@@ -80,8 +83,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--association-file", help="CSV for --association file")
     p.add_argument("--phase-drift-deg", type=float, default=0.0)
-    p.add_argument("--quant-bits", help='integer or "infinite"')
-    p.add_argument("--links", default="ul,dl", help="subset of ul,dl")
+    p.add_argument("--quant-bits", type=int_or_infinite, help='integer or "infinite"')
+    p.add_argument("--links", type=_tags, default="ul,dl", help="subset of ul,dl")
     p.add_argument("--workers", type=int, default=1)
 
 
@@ -91,15 +94,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo campaign")
+    p_sim.set_defaults(run=cmd_simulate)
     _add_common(p_sim)
     _add_sim_flags(p_sim)
 
     p_ga = sub.add_parser("deploy-ga", help="optimize the O-RU to EDU partition")
+    p_ga.set_defaults(run=cmd_deploy_ga)
     _add_common(p_ga)
     p_ga.add_argument("--generations", type=int)
     p_ga.add_argument("--population", type=int)
 
     p_ql = sub.add_parser("associate-ql", help="learn the UE-EDU association")
+    p_ql.set_defaults(run=cmd_associate_ql)
     _add_common(p_ql)
     p_ql.add_argument("--drop", type=int, default=0)
     p_ql.add_argument("--episodes", type=int)
@@ -109,6 +115,7 @@ def build_parser() -> _Parser:
     p_ql.add_argument("--partition-file")
 
     p_sweep = sub.add_parser("sweep", help="run campaigns over a parameter range")
+    p_sweep.set_defaults(run=cmd_sweep)
     _add_common(p_sweep)
     _add_sim_flags(p_sweep)
     p_sweep.add_argument(
@@ -118,56 +125,44 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> ScenarioConfig:
+def _checked(make, *args, **fields):
+    """``make(*args, **fields)`` without the fields that are None (flags not
+    given); a ``ValueError`` from its checks exits 2."""
+    try:
+        return make(*args, **{k: v for k, v in fields.items() if v is not None})
+    except ValueError as exc:  # a ConfigError or json.JSONDecodeError among them
+        _fail(str(exc))
+
+
+def _load(args, **overrides) -> ScenarioConfig:
+    """The config file with the config-field flags and then ``overrides`` in
+    place of its fields, built and validated once."""
     if not os.path.exists(args.config):
         _fail(f"config file not found: {args.config}")
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-        errors = validate_config(cfg)
-        if errors:
-            _fail("; ".join(errors))
-    return cfg
+    flags = vars(args)
+    return _checked(
+        load_config,
+        args.config,
+        master_seed=args.seed,
+        mc_drops=flags.get("drops"),
+        schemes=flags.get("schemes") or None,  # an empty --schemes is ignored
+        quantizer_bits=flags.get("quant_bits"),
+        **overrides,
+    )
 
 
-def _apply_sim_overrides(cfg: ScenarioConfig, args) -> DropOptions:
-    """Apply the config-field flags to ``cfg`` in place, validate it, and
-    return the per-drop options of the flags that are not config fields."""
-    if args.drops is not None:
-        cfg.mc_drops = args.drops
-    if args.schemes:
-        cfg.schemes = tuple(t.strip() for t in args.schemes.split(",") if t.strip())
-    if args.quant_bits == "infinite":
-        cfg.quantizer_bits = "infinite"
-    elif args.quant_bits is not None:
-        try:
-            cfg.quantizer_bits = int(args.quant_bits)
-        except ValueError:
-            _fail('--quant-bits must be an integer or "infinite"')
-    errors = validate_config(cfg)
-    if errors:
-        _fail("; ".join(errors))
-    links = tuple(t.strip() for t in args.links.split(",") if t.strip())
-    if any(l not in ("ul", "dl") for l in links) or not links:
-        _fail("--links must be a subset of ul,dl")
-    if not 0.0 <= args.phase_drift_deg < np.inf:
-        _fail("--phase-drift-deg must be a finite angle >= 0")
+def _drop_options(cfg: ScenarioConfig, args) -> DropOptions:
+    """The per-drop options of the flags that are not config fields."""
     if args.workers < 1:
         _fail("--workers must be >= 1")
-    assoc_delta = None
-    if args.association == "file":
-        if not args.association_file:
-            _fail("--association file requires --association-file")
-        assoc_delta = _read_association_csv(
-            args.association_file, cfg.num_ue, cfg.num_edu
-        )
-    return DropOptions(
-        links=links,
+    delta = None
+    if args.association == "file" and args.association_file:
+        delta = _read_association_csv(args.association_file, cfg.num_ue, cfg.num_edu)
+    return _checked(
+        DropOptions,
+        links=args.links,
         association_mode=args.association,
-        association_delta=assoc_delta,
+        association_delta=delta,
         phase_drift_deg=args.phase_drift_deg,
     )
 
@@ -182,19 +177,23 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
     except (OSError, ValueError) as exc:  # a missing file or a malformed row
         _fail(str(exc))
     delta_km = np.zeros((K, M), dtype=bool)
-    for k, m, served in rows:
+    seen = set()
+    for n, (k, m, served) in rows.items():
         if not (0 <= k < K and 0 <= m < M and served in (0, 1)):
             _fail(
-                f"{path}: association row {k},{m},{served} needs "
+                f"{path}, line {n}: association row {k},{m},{served} needs "
                 f"0 <= ue_index < {K}, 0 <= edu_index < {M} and served in {{0, 1}}"
             )
+        if (k, m) in seen:
+            _fail(f"{path}, line {n}: repeats ue_index {k}, edu_index {m}")
+        seen.add((k, m))
         delta_km[k, m] = bool(served)
     return delta_km
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    options = _apply_sim_overrides(cfg, args)
+    options = _drop_options(cfg, args)
     campaign = run_campaign(
         cfg,
         out_dir=args.out,
@@ -216,11 +215,9 @@ def _failed_drops_exit(failures) -> int:
 
 def cmd_deploy_ga(args) -> int:
     cfg = _load(args)
-    ga_cfg = GaConfig()
-    if args.generations is not None:
-        ga_cfg.generations = args.generations
-    if args.population is not None:
-        ga_cfg.population_size = args.population
+    ga_cfg = _checked(
+        GaConfig, generations=args.generations, population_size=args.population
+    )
     genome, meta = resolve_partition(cfg, "ga", ga_cfg)
     os.makedirs(args.out, exist_ok=True)
     write_partition(args.out, cfg, genome)
@@ -238,10 +235,9 @@ def cmd_associate_ql(args) -> int:
     cfg = _load(args)
     if args.drop < 0:
         _fail("--drop must be >= 0")
-    qcfg = QlConfig(fronthaul_ue_cap=cfg.fronthaul_ue_cap)
-    if args.episodes is not None:
-        qcfg.episodes = args.episodes
-    qcfg.validate()
+    qcfg = _checked(
+        QlConfig, episodes=args.episodes, fronthaul_ue_cap=cfg.fronthaul_ue_cap
+    )
     genome, _ = resolve_partition(
         cfg, args.deployment, genome_file=args.partition_file
     )
@@ -278,7 +274,6 @@ def cmd_associate_ql(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
     if args.param == "num_edu":
         if not args.values:
             _fail("--param num_edu requires --values")
@@ -288,19 +283,16 @@ def cmd_sweep(args) -> int:
             _fail("--values must be a comma list of integers")
         if len(set(values)) < len(values):
             _fail(f"--values repeats a value: {args.values}")
-        runs = [
-            (f"num_edu={m}", replace(cfg, num_edu=m), args.deployment) for m in values
-        ]
+        runs = [(f"num_edu={m}", args.deployment, {"num_edu": m}) for m in values]
     else:
-        runs = [(f"deployment={mode}", cfg, mode) for mode in ("ga", "clustered")]
-    # Every run's config, options and partition file are checked first.
-    plans = [
-        (label, run_cfg, mode, _apply_sim_overrides(run_cfg, args))
-        for label, run_cfg, mode in runs
-    ]
-    for _, run_cfg, mode, _ in plans:
+        runs = [(f"deployment={m}", m, {}) for m in ("ga", "clustered")]
+    # Every run's config, partition file and options are checked first.
+    plans = []
+    for label, mode, overrides in runs:
+        run_cfg = _load(args, **overrides)
         if mode == "file":
             resolve_partition(run_cfg, mode, genome_file=args.partition_file)
+        plans.append((label, run_cfg, mode, _drop_options(run_cfg, args)))
     summaries = {}
     failures = []
     for label, run_cfg, mode, options in plans:
@@ -323,17 +315,9 @@ def cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "deploy-ga": cmd_deploy_ga,
-        "associate-ql": cmd_associate_ql,
-        "sweep": cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
-    except SystemExit:
-        raise
-    except (ConfigError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # a ConfigError among them
         sys.stderr.write(json.dumps({"error": "config", "detail": str(exc)}) + "\n")
         return USAGE_EXIT
     except Exception as exc:  # operational failure, not usage

@@ -28,8 +28,10 @@ GA_MUTATION_RATE = 0.05  # per-gene probability of a swap mutation
 _TIE_MARGIN = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaConfig:
+    """GA hyperparameters, checked by :meth:`validate` when made."""
+
     population_size: int = 50
     generations: int = 200
     fitness_mode: str = "pairwise-surrogate"  # or "exact"
@@ -41,6 +43,8 @@ class GaConfig:
             raise ValueError("generations must be >= 1")
         if self.fitness_mode not in ("exact", "pairwise-surrogate"):
             raise ValueError(f"unknown fitness_mode {self.fitness_mode!r}")
+
+    __post_init__ = validate
 
 
 @dataclass
@@ -218,7 +222,6 @@ def ga_optimize(
     Survivor selection merges parents and children and keeps the best, so
     the best-so-far fitness never decreases.
     """
-    config.validate()
     dist = np.asarray(oru_distances, dtype=float)
     L = dist.shape[0]
     M = num_edu

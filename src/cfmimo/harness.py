@@ -38,15 +38,30 @@ from .transceiver import (
 LINKS = ("ul", "dl")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropOptions:
-    """Per-drop behavior switches shared by the CLI and campaign loop."""
+    """Per-drop behavior switches shared by the CLI and campaign loop. A bad
+    field raises ``ValueError`` when it is made; each drop checks the shape
+    of ``association_delta`` against its config."""
 
     links: tuple[str, ...] = LINKS
     association_mode: str = "all"  # "all" | "ql" | "file"
     association_delta: np.ndarray | None = None  # (K, M) EDU-level, for "file"
     phase_drift_deg: float = 0.0
     ql_config: QlConfig | None = None
+
+    def __post_init__(self):
+        links = tuple(self.links)
+        object.__setattr__(self, "links", links)
+        if not links or not set(links) <= set(LINKS) or len(set(links)) < len(links):
+            raise ValueError(f"links must be ul, dl or both, once each: {links}")
+        if self.association_mode not in ("all", "ql", "file"):
+            raise ValueError(f"unknown association mode {self.association_mode!r}")
+        if (self.association_mode == "file") != (self.association_delta is not None):
+            msg = "'file' association needs association_delta; only 'file' takes one"
+            raise ValueError(msg)
+        if not 0.0 <= self.phase_drift_deg < np.inf:
+            raise ValueError("phase_drift_deg must be a finite angle >= 0")
 
 
 @dataclass
@@ -91,29 +106,21 @@ def _dcc_association(
     drop_index: int,
 ) -> tuple[Association, dict]:
     K, L, M = config.num_ue, config.num_oru, config.num_edu
-    if options.association_mode == "all":
+    mode = options.association_mode
+    dcc_used = any(SCHEMES[s].dcc for s in config.schemes)
+    if mode == "all" or (mode == "ql" and not dcc_used):  # QL only if a scheme uses it
         return Association.all_serve(K, L), {}
-    if options.association_mode == "file":
+    if mode == "file":
         delta_km = options.association_delta
-        if delta_km is None:
-            raise ValueError("association_mode 'file' needs association_delta")
         if np.shape(delta_km) != (K, M):
             raise ValueError(
                 f"association is {np.shape(delta_km)}, expected (num_ue, num_edu) = "
                 f"{(K, M)}"
             )
         return Association.from_edu(delta_km, genome), {}
-    if options.association_mode == "ql":
-        if not any(SCHEMES[s].dcc for s in config.schemes):
-            return Association.all_serve(K, L), {}  # no scheme would use it
-        result = ql_association(config, stats, genome, drop_index, options.ql_config)
-        assoc = Association.from_edu(result.best_delta, genome)
-        meta = {
-            "ql_best_r_sum": result.best_r_sum,
-            "ql_r_sum_all": result.r_sum_all,
-        }
-        return assoc, meta
-    raise ValueError(f"unknown association mode {options.association_mode!r}")
+    result = ql_association(config, stats, genome, drop_index, options.ql_config)
+    meta = {"ql_best_r_sum": result.best_r_sum, "ql_r_sum_all": result.r_sum_all}
+    return Association.from_edu(result.best_delta, genome), meta
 
 
 def run_drop(
@@ -285,7 +292,7 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
                 )
         pairs = list(mapping.items())
     else:
-        pairs = read_csv_rows(path, ["oru_index", "edu_index"])
+        pairs = list(read_csv_rows(path, ["oru_index", "edu_index"]).values())
     orus = [int(oru) for oru, _ in pairs]
     if sorted(orus) != list(range(num_oru)):
         raise ValueError(
@@ -440,8 +447,8 @@ def _replacing(path: str, newline: str | None = None):
 def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> None:
     """CSV file: the config echo as ``#`` lines, a header row, then ``rows``.
 
-    The echo (code version, full config, seed) is enough to rerun the
-    campaign that produced the file.
+    The echo holds the code version, the config after the CLI overrides and
+    the seed, but not the links, association, phase drift or deployment mode.
     """
     with _replacing(path, newline="") as fh:
         fh.write(
@@ -454,18 +461,18 @@ def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> Non
         writer.writerows(rows)
 
 
-def read_csv_rows(path: str, header: list[str]) -> list[list[int]]:
-    """Integer rows of a CSV input in :func:`write_csv`'s layout, without the
-    ``#`` echo, blank lines and the ``header`` row; a row that is not one
+def read_csv_rows(path: str, header: list[str]) -> dict[int, list[int]]:
+    """Integer rows of a CSV input in :func:`write_csv`'s layout by line, not
+    the ``#`` echo, blank lines and the ``header`` row; a row that is not one
     integer per column raises ``ValueError`` naming the file and the row."""
-    rows = []
+    rows = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for n, line in enumerate(fh, 1):
             row = next(csv.reader([line]), [])
             if line.startswith("#") or not row or row[0] == header[0]:
                 continue
             try:
-                rows.append([int(cell) for _, cell in zip(header, row, strict=True)])
+                rows[n] = [int(cell) for _, cell in zip(header, row, strict=True)]
             except ValueError:
                 raise ValueError(
                     f"{path}, line {n}: row {line.strip()!r} is not one integer "

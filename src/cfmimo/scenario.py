@@ -296,11 +296,14 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
     )
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Load a JSON config file using the exact ScenarioConfig field names."""
+def load_config(path: str, **overrides) -> ScenarioConfig:
+    """Load a JSON config file using the exact ScenarioConfig field names;
+    ``overrides`` replace its fields before the one validation."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a config file must hold a JSON object")
+    return config_from_dict({**raw, **overrides})
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:

@@ -121,6 +121,13 @@ def test_qlconfig_validation():
     QlConfig(steps_per_episode=1).validate()
 
 
+def test_qlconfig_is_checked_when_made_and_frozen():
+    with pytest.raises(ValueError, match="episodes"):
+        QlConfig(episodes=0)
+    with pytest.raises(AttributeError):
+        QlConfig().episodes = 0
+
+
 # ---------------------------------------------------------------------------
 # learning loop and oracle
 # ---------------------------------------------------------------------------

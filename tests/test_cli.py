@@ -266,6 +266,42 @@ def test_association_row_out_of_range_exits_2(tmp_path, cfg_file, capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_repeated_association_row_exits_2_naming_file_and_line(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    # the second row would leave UE 0 unserved by EDU 0 without a message
+    assoc = tmp_path / "assoc.csv"
+    assoc.write_text("ue_index,edu_index,served\n0,0,1\n1,1,1\n0,0,0\n")
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--schemes", "p-mmse",
+            "--association", "file", "--association-file", str(assoc),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "usage"
+    assert f"{assoc}, line 4: repeats ue_index 0, edu_index 0" in record["detail"]
+    assert not out.exists()
+
+
+def test_config_value_a_flag_replaces_is_not_checked(tmp_path, cfg_file, capsys):
+    raw = json.load(open(cfg_file))
+    raw["mc_drops"] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(raw))
+    argv = ["simulate", "--config", str(path), "--links", "ul",
+            "--deployment", "clustered"]
+    out = tmp_path / "flag"
+    assert _exit_code(argv + ["--out", str(out), "--drops", "2"]) == 0
+    assert json.load(open(out / "summary.json"))["drops_completed"] == 2
+    assert _exit_code(argv + ["--out", str(tmp_path / "file")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "mc_drops must be >= 1" in record["detail"]
+
+
 def _fail_drop(monkeypatch, drop):
     import cfmimo.harness as hz
 
@@ -454,7 +490,7 @@ def test_bad_phase_drift_exits_2_before_any_drop(
     if command == "sweep":
         argv += ["--param", "num_edu", "--values", "2"]
     record = _rejected(argv, monkeypatch, capsys)
-    assert "--phase-drift-deg" in record["detail"]
+    assert "phase_drift_deg must be a finite angle >= 0" in record["detail"]
     assert not out.exists()
 
 
@@ -613,6 +649,23 @@ def test_missing_association_file_exits_2(tmp_path, cfg_file, monkeypatch, capsy
         capsys,
     )
     assert str(assoc) in record["detail"]
+    assert not out.exists()
+
+
+def test_association_file_mode_without_a_file_exits_2(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--schemes", "p-mmse", "--association", "file",
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "usage"
+    assert "'file' association needs association_delta" in record["detail"]
     assert not out.exists()
 
 

@@ -246,6 +246,13 @@ def test_ga_config_validation():
         GaConfig(population_size=7).validate()
 
 
+def test_ga_config_is_checked_when_made_and_frozen():
+    with pytest.raises(ValueError, match="generations"):
+        GaConfig(generations=0)
+    with pytest.raises(AttributeError):
+        GaConfig().generations = 0
+
+
 # ---------------------------------------------------------------------------
 # clustered baseline
 # ---------------------------------------------------------------------------

@@ -103,6 +103,32 @@ def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
         run_drop(tiny_config, 0, [0, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"links": ()}, "links"),
+        ({"links": ("xx",)}, "links"),
+        ({"links": ("ul", "ul")}, "links"),
+        ({"phase_drift_deg": -30.0}, "phase_drift_deg"),
+        ({"phase_drift_deg": float("nan")}, "phase_drift_deg"),
+        ({"association_mode": "bogus"}, "unknown association mode 'bogus'"),
+        ({"association_mode": "file"}, "association_delta"),
+        ({"association_delta": np.ones((8, 4), dtype=bool)}, "association_delta"),
+    ],
+)
+def test_drop_options_reject_a_bad_field_when_made(fields, match):
+    # unchecked, each would run: with no report, with drift 0, or failing every drop
+    with pytest.raises(ValueError, match=match):
+        DropOptions(**fields)
+
+
+def test_drop_options_are_frozen_and_hold_links_as_a_tuple():
+    opts = DropOptions(links=["dl"])
+    assert opts.links == ("dl",)
+    with pytest.raises(AttributeError):
+        opts.phase_drift_deg = -1.0
+
+
 def test_raw_csv_row_counts(tmp_path):
     cfg = ScenarioConfig(
         num_oru=16,
