@@ -253,34 +253,54 @@ def correlation_factor(R: np.ndarray) -> np.ndarray:
 
 
 def _per_link(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x[t] for every link and realization t: (..., N, N) matrices, one
-    per link, and (T, ..., N) vectors give (T, ..., N).
+    """x[t] <- A @ x[t] in place, for every link and realization t:
+    (..., N, N) matrices, one per link, and C-contiguous (T, ..., N)
+    vectors; returns x.
 
     Each link is one product over its realizations, with the realizations
-    innermost, and the links run in chunks sized by ``_blocks``. A link's
-    product sums over m in order, as a single einsum over the whole batch
-    does, so it does not depend on the chunk it falls in.
+    innermost, and the links run in chunks sized by ``_blocks``; a chunk's
+    product is complete before it overwrites its vectors. A link's product
+    sums over m in order, as a single einsum over the whole batch does, so
+    it does not depend on the chunk it falls in.
     """
     T, N = x.shape[0], x.shape[-1]
-    out = np.empty(x.shape, dtype=np.result_type(A, x))
     A = np.ascontiguousarray(A).reshape(-1, N, N)  # W is stored transposed
     x_links = x.reshape(T, -1, N).transpose(1, 2, 0)  # (links, N, T) views
-    out_links = out.reshape(T, -1, N).transpose(1, 2, 0)
-    for b in _blocks(A.shape[0], 32 * N * T):  # a chunk of x and of out
-        out_links[b] = np.einsum("pnm,pmt->pnt", A[b], x_links[b])
-    return out
+    for b in _blocks(A.shape[0], 32 * N * T):  # a chunk of x and its product
+        x_links[b] = np.einsum("pnm,pmt->pnt", A[b], x_links[b])
+    return x
+
+
+def _draw_into(z: np.ndarray, rng: np.random.Generator, sigma=None) -> None:
+    """Standard normal draws from ``rng`` for the real parts of the complex
+    array ``z``, all of them in C order, then for its imaginary parts: each
+    part is set to them, or with ``sigma`` gets ``sigma`` times them added.
+
+    The draws go through one buffer of ``_BLOCK_BYTES``; consecutive draws
+    into it give the same stream as one draw of the whole part.
+    """
+    flat = z.reshape(-1)  # a view: z is C-contiguous
+    buf = np.empty(min(flat.size, max(1, _BLOCK_BYTES // 8)))
+    for part in (flat.real, flat.imag):
+        for b in _blocks(flat.size, 8):
+            seg = part[b]
+            draws = rng.standard_normal(out=buf[: seg.size])
+            if sigma is None:
+                seg[...] = draws
+            else:
+                draws *= sigma
+                seg += draws
 
 
 def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` correlated circular-Gaussian channel draws h = R^(1/2) g.
 
     ``sqrt_R`` has shape (..., N, N); returns (size, ..., N). The real
-    parts of all draws come from ``rng`` before the imaginary ones.
+    parts of all draws come from ``rng`` before the imaginary ones. The
+    draws, their scaling and the products all fill the returned array.
     """
-    shape = (size,) + sqrt_R.shape[:-1]
-    g = np.empty(shape, dtype=complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
+    g = np.empty((size,) + sqrt_R.shape[:-1], dtype=complex)
+    _draw_into(g, rng)
     g /= np.sqrt(2.0)
     return _per_link(sqrt_R, g)
 
@@ -321,12 +341,12 @@ def estimate_channels(
 
     ``h`` has shape (T, K, L, N) and ``W`` (K, L, N, N); the pilot noise is
     drawn fresh per realization, all real parts before the imaginary ones.
+    The observations, their noise and the filtered estimates share one
+    array, the one returned.
     """
     ptau = pilot_power_mw * pilot_len
-    sigma = np.sqrt(noise_mw / 2.0)
-    y = np.sqrt(ptau) * h
-    y.real += sigma * rng.standard_normal(h.shape)
-    y.imag += sigma * rng.standard_normal(h.shape)
+    y = np.sqrt(ptau) * h  # becomes the estimates
+    _draw_into(y, rng, np.sqrt(noise_mw / 2.0))
     return _per_link(W, y)
 
 

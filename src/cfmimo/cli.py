@@ -71,8 +71,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--deployment",
         choices=("ga", "clustered", "file"),
-        default="ga",
-        help="how O-RUs are grouped into EDUs",
+        help="how O-RUs are grouped into EDUs (default: ga)",
     )
     p.add_argument("--partition-file", help="partition CSV/JSON for --deployment file")
     p.add_argument(
@@ -155,8 +154,10 @@ def _drop_options(cfg: ScenarioConfig, args) -> DropOptions:
     """The per-drop options of the flags that are not config fields."""
     if args.workers < 1:
         _fail("--workers must be >= 1")
+    if args.association_file and args.association != "file":
+        _fail("--association-file needs --association file")
     delta = None
-    if args.association == "file" and args.association_file:
+    if args.association_file:
         delta = _read_association_csv(args.association_file, cfg.num_ue, cfg.num_edu)
     return _checked(
         DropOptions,
@@ -197,7 +198,7 @@ def cmd_simulate(args) -> int:
     campaign = run_campaign(
         cfg,
         out_dir=args.out,
-        deployment_mode=args.deployment,
+        deployment_mode=args.deployment or "ga",
         options=options,
         genome_file=args.partition_file,
         workers=args.workers,
@@ -283,8 +284,14 @@ def cmd_sweep(args) -> int:
             _fail("--values must be a comma list of integers")
         if len(set(values)) < len(values):
             _fail(f"--values repeats a value: {args.values}")
-        runs = [(f"num_edu={m}", args.deployment, {"num_edu": m}) for m in values]
+        mode = args.deployment or "ga"
+        runs = [(f"num_edu={m}", mode, {"num_edu": m}) for m in values]
     else:
+        flags = {"--values": args.values, "--deployment": args.deployment,
+                 "--partition-file": args.partition_file}
+        for flag, value in flags.items():
+            if value is not None:
+                _fail(f"--param deployment runs ga and clustered; it takes no {flag}")
         runs = [(f"deployment={m}", m, {}) for m in ("ga", "clustered")]
     # Every run's config, partition file and options are checked first.
     plans = []

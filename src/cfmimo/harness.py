@@ -12,16 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median loads it on first call; load it with cfmimo
 
 from . import __version__
 from .association import EduSinrTable, QlConfig, QlResult, ql_associate
-from .channel import build_statistics, sample_drop_channels
+from .channel import build_statistics, phase_drift, sample_drop_channels
 from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
 from .scenario import ScenarioConfig, build_topology, rng_stream
@@ -135,10 +133,12 @@ def run_drop(
     :func:`resolve_partition`) against the config once, builds topology and
     channel statistics, resolves the dynamic-cluster association under the
     genome (Q-learning runs only when an enabled scheme uses it), draws the
-    realization batch, builds each scheme's combiners once for the batch,
-    and evaluates uplink and/or downlink SINR from them; an unquantized
-    uplink and an undrifted downlink share one pass of link moments. A
-    report with a non-finite SINR or SE fails the drop.
+    realization batch, and evaluates uplink and/or downlink SINR per scheme
+    from one pass of link moments (``_link_moments``). That pass builds the
+    scheme's combiners block by block and forms every moment set the links
+    need: plain (an unquantized uplink, an undrifted downlink), the quantized
+    uplink and the drifted downlink. A report with a non-finite SINR or SE
+    fails the drop.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
@@ -157,20 +157,24 @@ def run_drop(
         )
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
 
-        # The unquantized uplink and the undrifted downlink read the same
-        # moments of (v, h), formed once per scheme.
-        plain_ul = "ul" in options.links and config.quantizer_bits == "infinite"
-        plain_dl = "dl" in options.links and not options.phase_drift_deg > 0
+        ul, dl = "ul" in options.links, "dl" in options.links
+        bits = config.quantizer_bits if ul else "infinite"
+        rot = None
+        if dl and options.phase_drift_deg > 0:
+            rng = rng_stream(config.master_seed, drop_index, "phase-drift")
+            rot = phase_drift(h.shape[0], config.num_oru, options.phase_drift_deg, rng)
+        # the unquantized uplink and the undrifted downlink share one set
+        plain = (ul and bits == "infinite") or (dl and rot is None)
         reports: dict[str, dict[str, SinrReport]] = {}
         for scheme in config.schemes:
             spec = SCHEMES[scheme]
             assoc = dcc if spec.dcc else all_serve
-            v = CombinerWorkspace(
-                spec, assoc, genome, stats.C, p_ul, stats.noise_mw
-            ).combiners(hhat)
-            moments = _link_moments(v, h) if plain_ul or plain_dl else None
+            ws = CombinerWorkspace(spec, assoc, genome, stats.C, p_ul, stats.noise_mw)
+            plain_m, quantized_m, drifted_m = _link_moments(
+                ws, hhat, h, plain=plain, bits=bits, rot=rot
+            )
             per_link: dict[str, SinrReport] = {}
-            if "ul" in options.links:
+            if ul:
                 per_link["ul"] = uplink_sinr(
                     scheme,
                     h,
@@ -180,17 +184,11 @@ def run_drop(
                     genome,
                     p_ul,
                     stats.noise_mw,
-                    quantizer_bits=config.quantizer_bits,
-                    combiners=v,
-                    moments=moments if plain_ul else None,
+                    quantizer_bits=bits,
+                    moments=plain_m if quantized_m is None else quantized_m,
                 )
-            if "dl" in options.links:
-                drift_rng = (
-                    rng_stream(config.master_seed, drop_index, "phase-drift")
-                    if options.phase_drift_deg > 0
-                    else None
-                )
-                dl = downlink_sinr(
+            if dl:
+                per_link["dl"] = downlink_sinr(
                     scheme,
                     h,
                     hhat,
@@ -203,16 +201,12 @@ def run_drop(
                     stats.noise_mw,
                     config.dl_pmax_mw,
                     phase_drift_deg=options.phase_drift_deg,
-                    drift_rng=drift_rng,
-                    combiners=v,
-                    moments=moments if plain_dl else None,
-                )
-                per_link["dl"] = dl.report
+                    moments=plain_m if drifted_m is None else drifted_m,
+                ).report
             for link, report in per_link.items():
                 if not np.isfinite([report.gamma, report.se]).all():
                     raise ValueError(f"{scheme} {link}: non-finite SINR or SE")
             reports[scheme] = per_link
-            del v  # before the next scheme's combiners are built
 
         meta["placement"] = topology.placement
         return DropResult(
@@ -319,6 +313,15 @@ def _cdf_grid(samples: np.ndarray) -> dict:
     return {"x": xs.tolist(), "p": ps.tolist()}
 
 
+def _median(samples: np.ndarray) -> float:
+    """The median as ``np.median`` computes it, the mean of the two middle
+    values for an even count, without the ``numpy.ma`` import that
+    ``np.median`` makes on its first call."""
+    xs = np.sort(samples)
+    n = xs.size
+    return float(xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2)
+
+
 def summarize(
     config: ScenarioConfig, drops: list[DropResult], failures
 ) -> dict:
@@ -341,10 +344,10 @@ def summarize(
             )
             if sums.size == 0:
                 continue
-            medians[(scheme, link)] = float(np.median(sums))
+            medians[(scheme, link)] = _median(sums)
             out["schemes"][scheme][link] = {
                 "sum_se_per_drop": sums.tolist(),
-                "median_sum_se": float(np.median(sums)),
+                "median_sum_se": medians[(scheme, link)],
                 "mean_sum_se": float(np.mean(sums)),
                 "p5_sum_se": float(np.percentile(sums, 5)),
                 "p95_sum_se": float(np.percentile(sums, 95)),
@@ -402,6 +405,8 @@ def run_campaign(
     tasks = [(config, i, genome, options) for i in range(config.mc_drops)]
     workers = min(workers, len(tasks))  # the pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_drop_task, tasks))
     else:

@@ -3,14 +3,17 @@
 Every scheme produces stacked (K, L, N) combiners/precoders per realization;
 detection units (the blocks) are the full array, the EDUs, or single O-RUs
 depending on the scheme. Each realization's combiners come from that
-realization's channel estimates only, but they are built in one batched
-kernel for the whole realization batch (``CombinerWorkspace.combiners``),
-once per drop and scheme, and the same array serves as uplink combiners and
-downlink precoders. SINR expectations are sample means over the batch.
+realization's channel estimates only, and one batched kernel builds them for
+a block of realizations (``CombinerWorkspace.combiners``). SINR expectations
+are sample means over the realization batch.
 
-Both links reduce the batch in one kernel (``_link_moments``), in realization
-blocks, to K x K moments of the link products s[t, k, i] = v_k^H h_i and the
-per-(UE, O-RU) combiner energies; no other realization-sized array is made.
+Both links reduce the batch in one pass per scheme (``_link_moments``): each
+realization block builds its combiners, forms the link products
+s[t, k, i] = v_k^H h_i of every moment set the links need (plain, quantized
+uplink, drifted downlink) and the per-(UE, O-RU) combiner energies, and is
+dropped. So at its peak a drop holds its channel statistics, the channels h
+and estimates hhat, one block's combiners and products, and per realization
+only s_kk, |s_ki|^2 and the energies; no batch-sized combiner array is made.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
@@ -283,11 +286,11 @@ class CombinerWorkspace:
         K, L = self.delta.shape
         N = C.shape[-1]
         self.p = np.asarray(p_mw, dtype=float)
+        self.units = np.asarray(unit_labels(spec.granularity, genome, L), dtype=np.intp)
         if spec.rule != "mmse":
             return
-        units = np.asarray(unit_labels(spec.granularity, genome, L), dtype=np.intp)
         (self.local, self.wide, self.sets, self.cols, self.read, self.groups,
-         self.item_bytes) = _combiner_plan(units.tobytes(), self.delta.tobytes(), K, N)
+         self.item_bytes) = _combiner_plan(self.units.tobytes(), self.delta.tobytes(), K, N)
         D = np.einsum("i,ilnm->lnm", self.p, C) + float(noise_mw) * np.eye(N)
         self.D_local = D[self.local]
         if self.wide.size:
@@ -331,38 +334,100 @@ class CombinerWorkspace:
                 v[:, :, self.wide[orus]] = Va.reshape(T, -1, N, K).transpose(0, 3, 1, 2)
 
 
+@dataclass(frozen=True)
+class LinkMoments:
+    """Moments of one link over a realization batch (see ``_link_moments``)
+    and the link they belong to."""
+
+    num: np.ndarray  # (K,) E[s_kk]
+    isq: np.ndarray  # (K, K) E|s_ki|^2
+    energy: np.ndarray  # (K, L) E||v_kl||^2
+    bits: int | str  # quantizer of the per-unit coefficients
+    drifted: bool  # channels rotated by per-O-RU phase drift
+
+
+def _check_moments(moments: LinkMoments, bits: int | str, drifted: bool) -> None:
+    """Raise ``ValueError`` unless given ``moments`` belong to a link that
+    quantizes to ``bits`` and is ``drifted`` or not."""
+
+    def kind(bits, drifted):
+        quant = "unquantized" if bits == "infinite" else f"quantized to {bits} bits"
+        return f"{quant}, {'drifted' if drifted else 'undrifted'}"
+
+    if (moments.bits, moments.drifted) != (bits, drifted):
+        raise ValueError(
+            f"given link moments are {kind(moments.bits, moments.drifted)}, "
+            f"not {kind(bits, drifted)}"
+        )
+
+
 def _link_moments(
-    v: np.ndarray, h: np.ndarray, rot=None, bits: int | str = "infinite", E=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2 (K, L) over the
-    realizations of (T, K, L, N) combiners v and channels h, where
-    s[t, k, i] = v_k^H h_i. Optional (T, L) phasors ``rot`` rotate each
-    O-RU's channels. With the (L, U) one-hot ``E`` of the O-RUs' units, the
-    per-unit coefficients are quantized to ``bits`` per realization, then
-    summed. Each realization block makes the whole batch's products exactly.
+    workspace: CombinerWorkspace,
+    hhat: np.ndarray,
+    h: np.ndarray,
+    plain: bool = True,
+    bits: int | str = "infinite",
+    rot: np.ndarray | None = None,
+) -> tuple[LinkMoments | None, LinkMoments | None, LinkMoments | None]:
+    """The (plain, quantized, drifted) moment sets of one scheme's links, in
+    one pass over (T, K, L, N) estimates ``hhat`` and channels ``h``; a set
+    not asked for is None.
+
+    Each set holds E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2 (K, L)
+    over the realizations, where s[t, k, i] = v_k^H h_i:
+
+    - plain (``plain``): the channels as they are;
+    - quantized (``bits`` other than "infinite"): the per-unit coefficients
+      of the workspace's units, quantized to ``bits`` per realization, then
+      summed;
+    - drifted (given (T, L) phasors ``rot``): each O-RU's channels rotated.
+
+    Each realization block builds its combiners from its estimates
+    (``workspace.combiners``) and reduces them at once, so no batch-sized
+    combiner array is made. A block makes the whole batch's combiners and
+    products exactly.
     """
     T, K, L, N = h.shape
     if T < 2:
         raise ValueError("need at least 2 realizations")
-    s = np.empty((T, K, K), dtype=complex)
+    quantized = bits != "infinite"
+    sets = []  # (slot, rotation, one-hot of the units, bits) of each set asked for
+    if plain:
+        sets.append((0, None, None, "infinite"))
+    if quantized:
+        units = workspace.units
+        sets.append((1, None, _one_hot(units, units.max() + 1), bits))
+    if rot is not None:
+        sets.append((2, rot, None, "infinite"))
+    # per set and realization: s_kk and |s_ki|^2, whose means are the moments
+    diag = np.empty((len(sets), T, K), dtype=complex)
+    sq = np.empty((len(sets), T, K, K))
     energy = np.empty((T, K, L))
-    # bytes per realization of a block's largest array: hb or g
-    for b in _blocks(T, 16 * K * L * (N if E is None else max(K, N))):
-        hb = h[b] if rot is None else h[b] * rot[b, None, :, None]
-        if E is None:
-            vb, hb = v[b].reshape(-1, K, L * N), hb.reshape(-1, K, L * N)
-            s[b] = np.conj(vb) @ hb.swapaxes(1, 2)
-        else:
-            g = np.einsum("tkln,tiln->tkil", np.conj(v[b]), hb) @ E
-            s[b] = quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
+    # bytes per realization of a block's largest array: v, h or g
+    for b in _blocks(T, 16 * K * L * (max(K, N) if quantized else N)):
+        v = workspace.combiners(hhat[b])
+        for j, (_, phasors, E, set_bits) in enumerate(sets):
+            hb = h[b] if phasors is None else h[b] * phasors[b, None, :, None]
+            if E is None:
+                vb, hb = v.reshape(-1, K, L * N), hb.reshape(-1, K, L * N)
+                s = np.conj(vb) @ hb.swapaxes(1, 2)
+            else:
+                g = np.einsum("tkln,tiln->tkil", np.conj(v), hb) @ E
+                s = quantize(g, set_bits, axis=(1, 2, 3)).sum(axis=-1)
+            diag[j, b] = np.diagonal(s, axis1=1, axis2=2)
+            sq[j, b] = np.abs(s) ** 2
         # the antennas added in order: for N < 8 the bits of .sum(axis=-1),
         # which costs several times more on so short an axis
-        e = np.abs(v[b]) ** 2
+        e = np.abs(v) ** 2
         energy[b] = e[..., 0]
         for n in range(1, N):
             energy[b] += e[..., n]
-    num = np.diagonal(s, axis1=1, axis2=2).mean(axis=0)
-    return num, (np.abs(s) ** 2).mean(axis=0), energy.mean(axis=0)
+    energy = energy.mean(axis=0)
+    out = [None, None, None]
+    for j, (slot, _, _, set_bits) in enumerate(sets):
+        num, isq = diag[j].mean(axis=0), sq[j].mean(axis=0)
+        out[slot] = LinkMoments(num, isq, energy, set_bits, slot == 2)
+    return tuple(out)
 
 
 def uplink_sinr(
@@ -375,8 +440,7 @@ def uplink_sinr(
     p_mw: np.ndarray,
     noise_mw: float,
     quantizer_bits: int | str = "infinite",
-    combiners: np.ndarray | None = None,
-    moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    moments: LinkMoments | None = None,
 ) -> SinrReport:
     """Uplink SINR/SE per UE, Monte Carlo over realizations.
 
@@ -386,28 +450,24 @@ def uplink_sinr(
     term p_k Var(v_k^H h_k), so it is at least the UatF bound and not a
     lower bound on capacity. A UE that is unserved or has p_k = 0 gets 0.
 
-    The combiners (built here unless given) come from each realization's
-    own estimates. The per-unit detected-symbol coefficients are optionally
-    quantized, each realization on its own statistics, summed over units,
-    and the coherent/interference/noise moments averaged over the batch.
-    An unquantized uplink may be given its ``moments``,
-    ``_link_moments(combiners, h)``, in place of the combiners.
+    The combiners come from each realization's own estimates. The per-unit
+    detected-symbol coefficients are optionally quantized, each realization
+    on its own statistics, summed over units, and the coherent/interference/
+    noise moments averaged over the batch (``_link_moments``). The uplink may
+    be given its ``moments``, unquantized or quantized to ``quantizer_bits``
+    and undrifted, in place of that pass.
     """
     spec = SCHEMES[scheme]
-    _, K, L, _ = h.shape
+    K = h.shape[1]
     p = np.asarray(p_mw, dtype=float)
     if moments is None:
-        v = combiners
-        if v is None:
-            v = CombinerWorkspace(spec, association, genome, C, p, noise_mw).combiners(hhat)
-        E = None
-        if quantizer_bits != "infinite":
-            units = unit_labels(spec.granularity, genome, L)
-            E = _one_hot(units, units.max() + 1)
-        moments = _link_moments(v, h, bits=quantizer_bits, E=E)
-    elif quantizer_bits != "infinite":
-        raise ValueError("given link moments are unquantized")
-    num, isq, energy = moments
+        ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
+        plain = quantizer_bits == "infinite"
+        sets = _link_moments(ws, hhat, h, plain=plain, bits=quantizer_bits)
+        moments = sets[0] if plain else sets[1]
+    else:
+        _check_moments(moments, quantizer_bits, False)
+    num, isq, energy = moments.num, moments.isq, moments.energy
 
     signal = p * np.abs(num) ** 2
     interference = (isq * p[None, :]).sum(axis=1) - p * np.diagonal(isq)
@@ -480,40 +540,38 @@ def downlink_sinr(
     p_max_mw: float,
     phase_drift_deg: float = 0.0,
     drift_rng: np.random.Generator | None = None,
-    combiners: np.ndarray | None = None,
-    moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    moments: LinkMoments | None = None,
 ) -> DownlinkResult:
     """Downlink use-and-then-forget SINR/SE with heuristic power allocation.
 
-    Raw precoders are the uplink combiners (built here unless given; by
-    duality, with the uplink noise level as printed in the design), are
-    normalized to unit average energy per UE, and carry the per-UE downlink
-    powers allocated from large-scale gains and the per-O-RU cap; both enter
-    as the per-UE amplitude a_k that scales the moments of the raw products
-    w'_i^H h_k (see the module docstring). Optional per-O-RU phase drift
-    rotates the true channels used for reception while the precoders stay
-    matched to the undrifted estimates. An undrifted downlink may be given
-    its ``moments``, ``_link_moments(combiners, h)``, in place of the
-    combiners: the same moments as the unquantized uplink's.
+    Raw precoders are the uplink combiners (by duality, with the uplink
+    noise level as printed in the design), are normalized to unit average
+    energy per UE, and carry the per-UE downlink powers allocated from
+    large-scale gains and the per-O-RU cap; both enter as the per-UE
+    amplitude a_k that scales the moments of the raw products w'_i^H h_k
+    (see the module docstring). Optional per-O-RU phase drift rotates the
+    true channels used for reception while the precoders stay matched to
+    the undrifted estimates. The downlink may be given its ``moments``,
+    unquantized and drifted exactly when ``phase_drift_deg`` > 0, in place
+    of that pass; they are the unquantized uplink's when undrifted.
     """
     spec = SCHEMES[scheme]
     T, K, L, _ = h.shape
-    rot = None
-    if phase_drift_deg > 0:
-        if moments is not None:
-            raise ValueError("given link moments are undrifted")
-        if drift_rng is None:
-            raise ValueError("phase drift requires an rng")
-        rot = phase_drift(T, L, phase_drift_deg, drift_rng)
+    drifted = phase_drift_deg > 0
     if moments is None:
-        w_prime = combiners
-        if w_prime is None:
-            p_ul = np.asarray(p_ul_mw, dtype=float)
-            ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
-            w_prime = ws.combiners(hhat)
+        rot = None
+        if drifted:
+            if drift_rng is None:
+                raise ValueError("phase drift requires an rng")
+            rot = phase_drift(T, L, phase_drift_deg, drift_rng)
+        p_ul = np.asarray(p_ul_mw, dtype=float)
+        ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
         # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
-        moments = _link_moments(w_prime, h, rot)
-    num, isq, slice_energy = moments
+        plain, _, moments_drifted = _link_moments(ws, hhat, h, plain=not drifted, rot=rot)
+        moments = moments_drifted if drifted else plain
+    else:
+        _check_moments(moments, "infinite", drifted)
+    num, isq, slice_energy = moments.num, moments.isq, moments.energy
 
     amp, omega, excluded = normalize_precoders(slice_energy, association)
     p_dl, _ = downlink_power(

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from cfmimo import ScenarioConfig
 from cfmimo import channel as ch
+from cfmimo.scenario import build_topology
 from conftest import spatial_correlation
+import reference_sampling
 from reference_correlation import axis_nodes, reference_spatial_correlation_batch
 
 
@@ -531,7 +534,23 @@ def test_per_link_products_bit_identical_for_any_link_chunks(monkeypatch, N):
         for links in (K * L, 4, 1):
             monkeypatch.setattr(ch, "_BLOCK_BYTES", links * chunk_bytes)
             assert len(ch._blocks(K * L, chunk_bytes)) == -(-K * L // links)
-            np.testing.assert_array_equal(ch._per_link(matrices, x), ref)
+            np.testing.assert_array_equal(ch._per_link(matrices, x.copy()), ref)
+
+
+@pytest.mark.parametrize("budget", [None, 12288, 5000])
+def test_drop_channels_bit_identical_to_frozen_sampling(monkeypatch, desk_config, budget):
+    # h and hhat of a drop, drawn and filtered in place, against the frozen
+    # whole-batch draws and second output array. The budgets split the draws
+    # and the link chunks into blocks with ragged last blocks: 3328 draws
+    # per part by 1536 and by 625, 128 links by 14 and by 6.
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_realizations": 13})
+    stats = ch.build_statistics(cfg, build_topology(cfg, 1), 1)
+    h_ref, hhat_ref = reference_sampling.sample_drop_channels(stats, 13, cfg, 1)
+    if budget is not None:
+        monkeypatch.setattr(ch, "_BLOCK_BYTES", budget)
+    h, hhat = ch.sample_drop_channels(stats, 13, cfg, 1)
+    np.testing.assert_array_equal(h, h_ref)
+    np.testing.assert_array_equal(hhat, hhat_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,53 @@ def test_association_file_mode_without_a_file_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--param", "num_edu", "--values", "4"]],
+)
+def test_association_file_without_file_mode_exits_2(
+    tmp_path, cfg_file, argv, monkeypatch, capsys
+):
+    assoc = tmp_path / "does-not-exist.csv"
+    out = tmp_path / "out"
+    record = _rejected(
+        argv + ["--config", cfg_file, "--out", str(out), "--links", "ul",
+                "--deployment", "clustered", "--association", "all",
+                "--association-file", str(assoc)],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "usage"
+    assert "--association-file" in record["detail"]
+    assert "--association file" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--values", "1,2"],
+        ["--deployment", "file"],
+        ["--deployment", "ga"],
+        ["--partition-file", "does-not-exist.csv"],
+    ],
+)
+def test_sweep_over_deployment_rejects_the_flags_it_would_ignore(
+    tmp_path, cfg_file, flag, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    record = _rejected(
+        ["sweep", "--config", cfg_file, "--out", str(out), "--links", "ul",
+         "--param", "deployment"] + flag,
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "usage"
+    assert flag[0] in record["detail"]
+    assert "--param deployment" in record["detail"]
+    assert not out.exists()
+
+
 def _partition_rows(num_oru, num_edu):
     return "".join(f"{i},{i % num_edu}\n" for i in range(num_oru))
 

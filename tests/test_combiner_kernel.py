@@ -90,11 +90,15 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
     p_zero = p_all.copy()
     p_zero[1] = 0.0  # a UE that transmits nothing
     for p in (p_all, p_zero):
-        v = CombinerWorkspace(spec, assoc, genome, C, p, noise).combiners(hhat)
+        ws = CombinerWorkspace(spec, assoc, genome, C, p, noise)
+        v = ws.combiners(hhat)
         ref_ws = ReferenceWorkspace(spec, assoc, genome, C, p, noise)
         v_ref = np.stack([ref_ws.combiners(x) for x in hhat])
         assert _rel(v, v_ref) <= RTOL
         assert np.all(v[:, ~assoc.delta] == 0)
+        # every moment set of the links below from one pass, as run_drop forms them
+        rot = channel.phase_drift(h.shape[0], h.shape[2], 10.0, np.random.default_rng(7))
+        plain, quantized, drifted = transceiver._link_moments(ws, hhat, h, bits=4, rot=rot)
 
         for bits in ("infinite", 4):
             args = (scheme, h, hhat, C, assoc, genome, p, noise)
@@ -109,7 +113,8 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
                 assert np.all(g_ref[p == 0] == 0)
             gamma = uplink_sinr(*args, quantizer_bits=bits).gamma
             np.testing.assert_allclose(gamma, g_ref, rtol=RTOL, atol=0)
-            shared = uplink_sinr(*args, quantizer_bits=bits, combiners=v).gamma
+            given = plain if bits == "infinite" else quantized
+            shared = uplink_sinr(*args, quantizer_bits=bits, moments=given).gamma
             np.testing.assert_array_equal(shared, gamma)
 
         dl_args = (scheme, h, hhat, C, assoc, genome, beta, p, noise, 0.7, 4.0)
@@ -121,7 +126,7 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
                 )
                 dl = downlink_sinr(*dl_args, drift, np.random.default_rng(7))
                 shared = downlink_sinr(
-                    *dl_args, drift, np.random.default_rng(7), combiners=v
+                    *dl_args, drift, moments=drifted if drift else plain
                 )
             np.testing.assert_allclose(dl.report.gamma, g_ref, rtol=RTOL, atol=0)
             np.testing.assert_allclose(dl.dl_power_mw, p_ref, rtol=RTOL, atol=0)
@@ -153,22 +158,21 @@ def test_realization_blocks_bit_identical_to_one_block(monkeypatch, name, mask, 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_link_products_bit_identical_for_any_block_size(monkeypatch, name, mask, scheme):
     # UL (plain and quantized) and drifted DL reports must not change a bit
-    # with the realization blocks of their link products
+    # with the realization blocks of their combiners and link products
     h, hhat, C, beta, assoc, genome = _instance(name, mask)
     T, K, L, N = h.shape
     p = np.linspace(0.5, 2.0, K)
-    v = CombinerWorkspace(SCHEMES[scheme], assoc, genome, C, p, 0.4).combiners(hhat)
 
     def reports():
         args = (scheme, h, hhat, C, assoc, genome)
         out = [
-            uplink_sinr(*args, p, 0.4, quantizer_bits=bits, combiners=v)
+            uplink_sinr(*args, p, 0.4, quantizer_bits=bits)
             for bits in ("infinite", 4)
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
             dl = downlink_sinr(
-                *args, beta, p, 0.4, 0.7, 4.0, 10.0, np.random.default_rng(5), v
+                *args, beta, p, 0.4, 0.7, 4.0, 10.0, np.random.default_rng(5)
             )
         return out + [dl.report, dl.per_oru_radiated_mw]
 
@@ -216,7 +220,7 @@ def test_uplink_noise_agrees_with_one_sum_over_all_antennas(name, mask, scheme):
         active = assoc.delta.any(axis=1)
         gamma = np.where(active, signal / np.where(active, interference + noise, 1.0), 0.0)
 
-        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits, v)
+        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits)
         np.testing.assert_array_equal(rep.signal, signal)
         np.testing.assert_array_equal(rep.interference, interference)
         np.testing.assert_array_equal(
@@ -242,7 +246,7 @@ def test_uncertainty_matches_per_realization_loop(mask, scheme):
         return (np.abs(x) ** 2).mean(axis=0) - np.abs(x.mean(axis=0)) ** 2
 
     for bits in ("infinite", 4):
-        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits, v)
+        rep = uplink_sinr(scheme, h, hhat, C, assoc, genome, p, 0.4, bits)
         d = np.empty((T, K), dtype=complex)
         for t in range(T):
             g = quantize(_unit_coefficients(v[t], h[t], Emat), bits)
@@ -251,8 +255,7 @@ def test_uncertainty_matches_per_realization_loop(mask, scheme):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
-        dl = downlink_sinr(scheme, h, hhat, C, assoc, genome, beta, p, 0.4, 0.7, 4.0,
-                           combiners=v)
+        dl = downlink_sinr(scheme, h, hhat, C, assoc, genome, beta, p, 0.4, 0.7, 4.0)
         w_bar, _, _ = normalize_precoders(v, assoc)
     w = w_bar * np.sqrt(dl.dl_power_mw)[:, None, None]
     d = np.stack([np.einsum("kln,kln->k", np.conj(h[t]), w[t]) for t in range(T)])

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +16,7 @@ from cfmimo.harness import (
     SCHEMES,
     DropOptions,
     _cdf_grid,
+    _median,
     resolve_partition,
     run_campaign,
     run_drop,
@@ -340,6 +344,8 @@ def test_a_write_that_raises_leaves_the_file_as_it_was(tmp_path, desk_config, mo
 def test_campaign_starts_no_more_workers_than_drops(
     desk_config, monkeypatch, drops, workers, started
 ):
+    import concurrent.futures
+
     import cfmimo.harness as hz
 
     created = []
@@ -359,7 +365,8 @@ def test_campaign_starts_no_more_workers_than_drops(
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(hz, "ProcessPoolExecutor", RecordingPool)
+    # run_campaign imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": drops})
     cfg.schemes = ("edu-mmse",)
     campaign = hz.run_campaign(
@@ -541,3 +548,72 @@ def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
             got = res.reports[scheme][link]
             for name in ("signal", "interference", "noise", "gamma", "se", "uncertainty"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_quantized_drifted_drop_makes_one_moment_pass_per_scheme(desk_config, monkeypatch):
+    # the quantized uplink and the drifted downlink take their moment sets
+    # from the pass that builds the scheme's combiners once
+    import cfmimo.harness as hz
+    import cfmimo.transceiver as tr
+
+    passes, built = [], []
+    original, combiners = tr._link_moments, tr.CombinerWorkspace.combiners
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return original(*args, **kwargs)
+
+    def counted_combiners(self, hhat):
+        built.append(hhat.shape[0])
+        return combiners(self, hhat)
+
+    monkeypatch.setattr(tr, "_link_moments", counted)
+    monkeypatch.setattr(hz, "_link_moments", counted)
+    monkeypatch.setattr(tr.CombinerWorkspace, "combiners", counted_combiners)
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "quantizer_bits": 3})
+    genome = resolve_partition(cfg, "clustered")[0]
+    run_drop(cfg, 0, genome, DropOptions(phase_drift_deg=10.0))
+    assert len(passes) == len(cfg.schemes)
+    assert sum(built) == len(cfg.schemes) * cfg.mc_realizations
+
+
+@pytest.mark.parametrize("bits, drift", [("infinite", 0.0), (3, 10.0)])
+def test_a_drop_holds_its_channels_and_one_realization_block(desk_config, bits, drift):
+    # At its peak a drop holds its statistics, h, hhat, one realization
+    # block's combiners and products, and per-realization moment terms far
+    # smaller than h. A combiner array for the whole batch, or a third
+    # channel-sized array while sampling, would be another h.nbytes.
+    cfg = ScenarioConfig(
+        **{**desk_config.to_dict(), "antennas_per_oru": 4, "mc_realizations": 2000,
+           "quantizer_bits": bits, "schemes": ("joint-mmse", "l-mmse")}
+    )
+    genome = resolve_partition(cfg, "clustered")[0]
+    stats = build_statistics(cfg, build_topology(cfg, 0), 0)
+    stats_bytes = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
+    h_bytes = 16 * cfg.mc_realizations * cfg.num_ue * cfg.num_oru * cfg.antennas_per_oru
+    tracemalloc.start()
+    try:
+        run_drop(cfg, 0, genome, DropOptions(phase_drift_deg=drift))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stats_bytes + 2 * h_bytes + h_bytes / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 41, 200])
+def test_median_equals_numpy_median(n):
+    rng = np.random.default_rng(n)
+    for xs in (rng.lognormal(3.0, 0.5, n), rng.integers(0, 3, n) * 0.1):
+        assert _median(xs) == float(np.median(xs))
+    assert _median(np.array([0.2, 0.1])) == np.median([0.1, 0.2]) == 0.15000000000000002
+
+
+def test_import_loads_no_process_pool_or_masked_arrays():
+    # a serial run needs neither; the pool is imported when workers > 1
+    code = (
+        "import sys, cfmimo\n"
+        "print(sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

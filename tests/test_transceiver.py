@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import block_diag
 
+from cfmimo import ScenarioConfig
 from cfmimo import channel as ch
-from cfmimo.power import downlink_power
+from cfmimo.deployment import _one_hot, unit_labels
+from cfmimo.power import downlink_power, uplink_power
+from cfmimo.scenario import build_topology, rng_stream
 from cfmimo.transceiver import (
     SCHEMES,
     Association,
@@ -23,6 +26,7 @@ from cfmimo.transceiver import (
     uplink_sinr,
 )
 
+import reference_moments
 from conftest import (
     edu_consistent,
     random_channels,
@@ -326,35 +330,97 @@ def test_downlink_requires_two_realizations():
 
 
 def test_given_moments_must_be_those_of_the_plain_links():
-    # the shared moments are unquantized and undrifted; a link that
-    # quantizes or drifts must form its own
+    # a link given moments must be given its own: the plain ones serve an
+    # unquantized uplink and an undrifted downlink; a link that quantizes or
+    # drifts takes its own set of the same pass
     rng = np.random.default_rng(11)
     h, hhat, C, p = _setup(rng, T=4)
     assoc, genome = Association.all_serve(3, 4), np.zeros(4, dtype=int)
-    moments = _link_moments(hhat, h)
+    ws = CombinerWorkspace(SCHEMES["joint-mrc"], assoc, genome, C, p, 0.5)
+    rot = ch.phase_drift(4, 4, 10.0, np.random.default_rng(0))
+    plain, quantized, drifted = _link_moments(ws, hhat, h, bits=4, rot=rot)
     ul = ("joint-mrc", h, hhat, C, assoc, genome, p, 0.5)
     np.testing.assert_array_equal(
-        uplink_sinr(*ul, moments=moments).gamma, uplink_sinr(*ul, combiners=hhat).gamma
+        uplink_sinr(*ul, moments=plain).gamma, uplink_sinr(*ul).gamma
+    )
+    np.testing.assert_array_equal(
+        uplink_sinr(*ul, 4, moments=quantized).gamma, uplink_sinr(*ul, 4).gamma
     )
     with pytest.raises(ValueError, match="unquantized"):
-        uplink_sinr(*ul, quantizer_bits=4, moments=moments)
+        uplink_sinr(*ul, quantizer_bits=4, moments=plain)
+    for wrong in (quantized, drifted):
+        with pytest.raises(ValueError, match="given link moments"):
+            uplink_sinr(*ul, moments=wrong)
     dl = ("joint-mrc", h, hhat, C, assoc, genome, np.ones((3, 4)), p, 0.5, 0.5, 4.0)
     np.testing.assert_array_equal(
-        downlink_sinr(*dl, moments=moments).report.gamma,
-        downlink_sinr(*dl, combiners=hhat).report.gamma,
+        downlink_sinr(*dl, moments=plain).report.gamma,
+        downlink_sinr(*dl).report.gamma,
+    )
+    np.testing.assert_array_equal(
+        downlink_sinr(*dl, 10.0, moments=drifted).report.gamma,
+        downlink_sinr(*dl, 10.0, np.random.default_rng(0)).report.gamma,
     )
     with pytest.raises(ValueError, match="undrifted"):
-        downlink_sinr(*dl, 10.0, np.random.default_rng(0), moments=moments)
+        downlink_sinr(*dl, 10.0, np.random.default_rng(0), moments=plain)
+    for wrong in (quantized, drifted):
+        with pytest.raises(ValueError, match="given link moments"):
+            downlink_sinr(*dl, moments=wrong)
 
 
 @pytest.mark.parametrize("N", range(1, 8))
 def test_link_energies_keep_the_bits_of_one_antenna_sum(N):
     # the per-(UE, O-RU) energies add the antennas in order, which for fewer
-    # than 8 antennas is what (|v|^2).sum(axis=-1) computed before
+    # than 8 antennas is what (|v|^2).sum(axis=-1) computed before; all-serve
+    # MRC combiners are the estimates themselves
     rng = np.random.default_rng(N)
     v = random_channels(rng, (6, 3, 5, N))
-    energy = _link_moments(v, random_channels(rng, v.shape))[2]
+    ws = CombinerWorkspace(
+        SCHEMES["joint-mrc"], Association.all_serve(3, 5), np.zeros(5, dtype=int),
+        np.zeros((3, 5, N, N)), np.ones(3), 1.0,
+    )
+    energy = _link_moments(ws, v, random_channels(rng, v.shape))[0].energy
     np.testing.assert_array_equal(energy, (np.abs(v) ** 2).sum(axis=-1).mean(axis=0))
+
+
+@pytest.mark.parametrize("K", [1, 8])
+@pytest.mark.parametrize("per_block", [13, 3, 1])
+@pytest.mark.parametrize("scheme", ["joint-mmse", "joint-mrc", "l-mmse", "edu-mmse", "p-mmse"])
+def test_one_pass_moments_bit_identical_to_frozen_whole_batch(
+    monkeypatch, desk_config, scheme, per_block, K
+):
+    # the plain, 3-bit and 10-degree drift moment sets of one pass, built
+    # block by block, against the frozen whole-batch combiners and one pass
+    # per set; T = 13 realizations in one block, in blocks of 3 with a
+    # ragged last block, and one per block
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "num_ue": K, "mc_realizations": 13})
+    T, L = cfg.mc_realizations, cfg.num_oru
+    stats = ch.build_statistics(cfg, build_topology(cfg, 1), 1)
+    h, hhat = ch.sample_drop_channels(stats, T, cfg, 1)
+    genome = np.arange(L) % cfg.num_edu
+    spec = SCHEMES[scheme]
+    mask = np.random.default_rng(K).random((K, L)) < 0.5
+    assoc = Association(mask) if spec.dcc else Association.all_serve(K, L)
+    ws = CombinerWorkspace(
+        spec, assoc, genome, stats.C, uplink_power(K, cfg.ul_power_mw), stats.noise_mw
+    )
+    units = unit_labels(spec.granularity, genome, L)
+    rot = ch.phase_drift(T, L, 10.0, rng_stream(cfg.master_seed, 1, "phase-drift"))
+    v = reference_moments.whole_batch_combiners(ws, hhat)
+    ref = [
+        reference_moments.link_moments(v, h),
+        reference_moments.link_moments(v, h, bits=3, E=_one_hot(units, units.max() + 1)),
+        reference_moments.link_moments(v, h, rot=rot),
+    ]
+    N = cfg.antennas_per_oru
+    monkeypatch.setattr(ch, "_BLOCK_BYTES", per_block * 16 * K * L * max(K, N))
+    got = _link_moments(ws, hhat, h, bits=3, rot=rot)
+    for moments, (num, isq, energy), bits, drifted in zip(
+        got, ref, ("infinite", 3, "infinite"), (False, False, True)
+    ):
+        np.testing.assert_array_equal(moments.num, num)
+        np.testing.assert_array_equal(moments.isq, isq)
+        np.testing.assert_array_equal(moments.energy, energy)
+        assert (moments.bits, moments.drifted) == (bits, drifted)
 
 
 def test_uplink_report_invariants(desk_config):
