@@ -60,6 +60,8 @@ class DropOptions:
             raise ValueError(msg)
         if not 0.0 <= self.phase_drift_deg < np.inf:
             raise ValueError("phase_drift_deg must be a finite angle >= 0")
+        if self.phase_drift_deg > 0 and "dl" not in links:
+            raise ValueError("phase_drift_deg rotates only the downlink; links need dl")
 
 
 @dataclass
@@ -81,12 +83,19 @@ def ql_association(
 
     Learns on the drop's statistical EDU SINR table at the configured uplink
     power, with ``ql_config`` (default: ``QlConfig`` capped at
-    ``config.fronthaul_ue_cap``) and the drop's ``"ql"`` RNG stream.
+    ``config.fronthaul_ue_cap``) and the drop's ``"ql"`` RNG stream. A
+    ``ql_config`` with another cap than the config's raises ``ValueError``.
     """
+    cap = config.fronthaul_ue_cap
+    qcfg = ql_config or QlConfig(fronthaul_ue_cap=cap)
+    if qcfg.fronthaul_ue_cap != cap:
+        raise ValueError(
+            f"ql_config has fronthaul_ue_cap {qcfg.fronthaul_ue_cap} but the config "
+            f"has fronthaul_ue_cap {cap}"
+        )
     table = EduSinrTable.from_statistics(
         stats, genome, uplink_power(config.num_ue, config.ul_power_mw), stats.noise_mw
     )
-    qcfg = ql_config or QlConfig(fronthaul_ue_cap=config.fronthaul_ue_cap)
     return ql_associate(
         table,
         config.num_ue,
@@ -134,11 +143,10 @@ def run_drop(
     channel statistics, resolves the dynamic-cluster association under the
     genome (Q-learning runs only when an enabled scheme uses it), draws the
     realization batch, and evaluates uplink and/or downlink SINR per scheme
-    from one pass of link moments (``_link_moments``). That pass builds the
-    scheme's combiners block by block and forms every moment set the links
-    need: plain (an unquantized uplink, an undrifted downlink), the quantized
-    uplink and the drifted downlink. A report with a non-finite SINR or SE
-    fails the drop.
+    from one pass of link moments (``_link_moments``), which builds the
+    scheme's combiners block by block and answers each link by name: the
+    uplink with its quantizer bits, the downlink with its drift phasors, if
+    any. A report with a non-finite SINR or SE fails the drop.
     Deterministic in (master_seed, drop_index, genome).
     """
     options = options or DropOptions()
@@ -157,24 +165,20 @@ def run_drop(
         )
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
 
-        ul, dl = "ul" in options.links, "dl" in options.links
-        bits = config.quantizer_bits if ul else "infinite"
         rot = None
-        if dl and options.phase_drift_deg > 0:
+        if options.phase_drift_deg > 0:  # only with the downlink
             rng = rng_stream(config.master_seed, drop_index, "phase-drift")
             rot = phase_drift(h.shape[0], config.num_oru, options.phase_drift_deg, rng)
-        # the unquantized uplink and the undrifted downlink share one set
-        plain = (ul and bits == "infinite") or (dl and rot is None)
+        links = {"ul": config.quantizer_bits, "dl": rot}
+        links = {link: links[link] for link in LINKS if link in options.links}
         reports: dict[str, dict[str, SinrReport]] = {}
         for scheme in config.schemes:
             spec = SCHEMES[scheme]
             assoc = dcc if spec.dcc else all_serve
             ws = CombinerWorkspace(spec, assoc, genome, stats.C, p_ul, stats.noise_mw)
-            plain_m, quantized_m, drifted_m = _link_moments(
-                ws, hhat, h, plain=plain, bits=bits, rot=rot
-            )
+            moments = _link_moments(ws, hhat, h, links)
             per_link: dict[str, SinrReport] = {}
-            if ul:
+            if "ul" in moments:
                 per_link["ul"] = uplink_sinr(
                     scheme,
                     h,
@@ -184,10 +188,10 @@ def run_drop(
                     genome,
                     p_ul,
                     stats.noise_mw,
-                    quantizer_bits=bits,
-                    moments=plain_m if quantized_m is None else quantized_m,
+                    quantizer_bits=config.quantizer_bits,
+                    moments=moments["ul"],
                 )
-            if dl:
+            if "dl" in moments:
                 per_link["dl"] = downlink_sinr(
                     scheme,
                     h,
@@ -201,7 +205,7 @@ def run_drop(
                     stats.noise_mw,
                     config.dl_pmax_mw,
                     phase_drift_deg=options.phase_drift_deg,
-                    moments=plain_m if drifted_m is None else drifted_m,
+                    moments=moments["dl"],
                 ).report
             for link, report in per_link.items():
                 if not np.isfinite([report.gamma, report.se]).all():
@@ -231,8 +235,14 @@ def resolve_partition(
     the genome it returns. The O-RU layout does not depend on the drop index,
     so one partition serves every drop. Every genome is a balanced
     :class:`Partition` over ``config.num_edu`` EDUs; a partition file that
-    is not raises ``ValueError``.
+    is not, or one given with another mode than ``"file"``, raises
+    ``ValueError``.
     """
+    if genome_file is not None and deployment_mode != "file":
+        raise ValueError(
+            f"partition file {genome_file} needs deployment 'file', "
+            f"not {deployment_mode!r}"
+        )
     topology = build_topology(config, 0)
     if deployment_mode == "clustered":
         part = clustered_baseline(
@@ -307,19 +317,16 @@ class CampaignResult:
     summary: dict
 
 
-def _cdf_grid(samples: np.ndarray) -> dict:
-    xs = np.sort(samples)
-    ps = np.arange(1, xs.size + 1) / xs.size
-    return {"x": xs.tolist(), "p": ps.tolist()}
-
-
-def _median(samples: np.ndarray) -> float:
-    """The median as ``np.median`` computes it, the mean of the two middle
-    values for an even count, without the ``numpy.ma`` import that
-    ``np.median`` makes on its first call."""
-    xs = np.sort(samples)
-    n = xs.size
-    return float(xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2)
+def _percentile(xs: np.ndarray, q: float) -> float:
+    """``np.percentile`` of sorted ``xs`` by its linear rule, without the
+    ``numpy.ma`` import that ``np.percentile`` makes on its first call: with
+    v = q/100 (n - 1), t its fractional part and a, b the values at floor(v)
+    and the next index, a + (b - a) t, or b - (b - a)(1 - t) for t >= 0.5."""
+    v = (xs.size - 1) * (q / 100)
+    i = int(v)
+    t = v - i
+    a, b = xs[i], xs[min(i + 1, xs.size - 1)]
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 def summarize(
@@ -344,14 +351,17 @@ def summarize(
             )
             if sums.size == 0:
                 continue
-            medians[(scheme, link)] = _median(sums)
+            xs, n = np.sort(sums), sums.size
+            # np.median's rule: the mean of the two middle values for even n
+            mid = xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2
+            medians[(scheme, link)] = float(mid)
             out["schemes"][scheme][link] = {
                 "sum_se_per_drop": sums.tolist(),
                 "median_sum_se": medians[(scheme, link)],
                 "mean_sum_se": float(np.mean(sums)),
-                "p5_sum_se": float(np.percentile(sums, 5)),
-                "p95_sum_se": float(np.percentile(sums, 95)),
-                "cdf": _cdf_grid(sums),
+                "p5_sum_se": _percentile(xs, 5),
+                "p95_sum_se": _percentile(xs, 95),
+                "cdf": {"x": xs.tolist(), "p": (np.arange(1, n + 1) / n).tolist()},
             }
     for (scheme, link), med in medians.items():
         ref = medians.get(("joint-mmse", link))

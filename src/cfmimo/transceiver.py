@@ -7,13 +7,14 @@ realization's channel estimates only, and one batched kernel builds them for
 a block of realizations (``CombinerWorkspace.combiners``). SINR expectations
 are sample means over the realization batch.
 
-Both links reduce the batch in one pass per scheme (``_link_moments``): each
-realization block builds its combiners, forms the link products
-s[t, k, i] = v_k^H h_i of every moment set the links need (plain, quantized
-uplink, drifted downlink) and the per-(UE, O-RU) combiner energies, and is
-dropped. So at its peak a drop holds its channel statistics, the channels h
-and estimates hhat, one block's combiners and products, and per realization
-only s_kk, |s_ki|^2 and the energies; no batch-sized combiner array is made.
+Both links reduce the batch in one pass per scheme (``_link_moments``),
+which answers each link by name: each realization block builds its
+combiners, forms the link products s[t, k, i] = v_k^H h_i of the moment sets
+the links read (one shared by an unquantized uplink and an undrifted
+downlink, a quantized uplink's, a drifted downlink's), adds s_kk, |s_ki|^2
+and the per-(UE, O-RU) combiner energies to running sums, and is dropped. So
+at its peak a drop holds its channel statistics, the channels h and
+estimates hhat, and one block's combiners and products.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
@@ -365,69 +366,69 @@ def _link_moments(
     workspace: CombinerWorkspace,
     hhat: np.ndarray,
     h: np.ndarray,
-    plain: bool = True,
-    bits: int | str = "infinite",
-    rot: np.ndarray | None = None,
-) -> tuple[LinkMoments | None, LinkMoments | None, LinkMoments | None]:
-    """The (plain, quantized, drifted) moment sets of one scheme's links, in
-    one pass over (T, K, L, N) estimates ``hhat`` and channels ``h``; a set
-    not asked for is None.
+    links: dict,
+) -> dict[str, LinkMoments]:
+    """One scheme's moments of the ``links`` asked for, by name, in one pass
+    over (T, K, L, N) estimates ``hhat`` and channels ``h``: ``links`` maps
+    "ul" to its quantizer bits and "dl" to its (T, L) drift phasors or None.
 
-    Each set holds E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2 (K, L)
-    over the realizations, where s[t, k, i] = v_k^H h_i:
+    Each link's moments are E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2
+    (K, L) over the realizations, where s[t, k, i] = v_k^H h_i. A quantized
+    uplink quantizes the per-unit coefficients of the workspace's units per
+    realization, then sums them; a drifted downlink rotates each O-RU's
+    channels. An unquantized uplink and an undrifted downlink share one set.
 
-    - plain (``plain``): the channels as they are;
-    - quantized (``bits`` other than "infinite"): the per-unit coefficients
-      of the workspace's units, quantized to ``bits`` per realization, then
-      summed;
-    - drifted (given (T, L) phasors ``rot``): each O-RU's channels rotated.
-
-    Each realization block builds its combiners from its estimates
-    (``workspace.combiners``) and reduces them at once, so no batch-sized
-    combiner array is made. A block makes the whole batch's combiners and
-    products exactly.
+    Each realization block builds its combiners (``workspace.combiners``),
+    adds its terms to running sums (``_add_rows``) and is dropped.
     """
     T, K, L, N = h.shape
     if T < 2:
         raise ValueError("need at least 2 realizations")
+    bits = links.get("ul", "infinite")
+    rot = links.get("dl")
     quantized = bits != "infinite"
-    sets = []  # (slot, rotation, one-hot of the units, bits) of each set asked for
-    if plain:
-        sets.append((0, None, None, "infinite"))
-    if quantized:
-        units = workspace.units
-        sets.append((1, None, _one_hot(units, units.max() + 1), bits))
-    if rot is not None:
-        sets.append((2, rot, None, "infinite"))
-    # per set and realization: s_kk and |s_ki|^2, whose means are the moments
-    diag = np.empty((len(sets), T, K), dtype=complex)
-    sq = np.empty((len(sets), T, K, K))
-    energy = np.empty((T, K, L))
+    # the set each link reads: its own, or the plain one the two share
+    own = {"ul": quantized, "dl": rot is not None}
+    reads = {link: link if own[link] else "plain" for link in links}
+    E = _one_hot(workspace.units, workspace.units.max() + 1) if quantized else None
+    sums = {name: [None, None] for name in reads.values()}  # s_kk, |s_ki|^2
+    energy = None
     # bytes per realization of a block's largest array: v, h or g
     for b in _blocks(T, 16 * K * L * (max(K, N) if quantized else N)):
         v = workspace.combiners(hhat[b])
-        for j, (_, phasors, E, set_bits) in enumerate(sets):
-            hb = h[b] if phasors is None else h[b] * phasors[b, None, :, None]
-            if E is None:
+        for name, total in sums.items():
+            hb = h[b] * rot[b, None, :, None] if name == "dl" else h[b]
+            if name == "ul":
+                g = np.einsum("tkln,tiln->tkil", np.conj(v), hb) @ E
+                s = quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
+            else:
                 vb, hb = v.reshape(-1, K, L * N), hb.reshape(-1, K, L * N)
                 s = np.conj(vb) @ hb.swapaxes(1, 2)
-            else:
-                g = np.einsum("tkln,tiln->tkil", np.conj(v), hb) @ E
-                s = quantize(g, set_bits, axis=(1, 2, 3)).sum(axis=-1)
-            diag[j, b] = np.diagonal(s, axis1=1, axis2=2)
-            sq[j, b] = np.abs(s) ** 2
+            total[0] = _add_rows(total[0], np.diagonal(s, axis1=1, axis2=2))
+            total[1] = _add_rows(total[1], np.abs(s) ** 2)
         # the antennas added in order: for N < 8 the bits of .sum(axis=-1),
         # which costs several times more on so short an axis
         e = np.abs(v) ** 2
-        energy[b] = e[..., 0]
         for n in range(1, N):
-            energy[b] += e[..., n]
-    energy = energy.mean(axis=0)
-    out = [None, None, None]
-    for j, (slot, _, _, set_bits) in enumerate(sets):
-        num, isq = diag[j].mean(axis=0), sq[j].mean(axis=0)
-        out[slot] = LinkMoments(num, isq, energy, set_bits, slot == 2)
-    return tuple(out)
+            e[..., 0] += e[..., n]
+        energy = _add_rows(energy, e[..., 0])
+    energy = energy.sum(axis=0) / T
+    out = {}
+    for name, (num, isq) in sums.items():
+        kind = (bits, False) if name == "ul" else ("infinite", name == "dl")
+        out[name] = LinkMoments(num.sum(axis=0) / T, isq.sum(axis=0) / T, energy, *kind)
+    return {link: out[name] for link, name in reads.items()}
+
+
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``total``, the (1, ...) sum of the blocks so far (None at first), with
+    the (b, ...) ``rows`` added one after another, as ``.mean(axis=0)`` adds
+    them. numpy adds a column of single terms pairwise, so such terms stay one
+    per realization until the final ``.sum(axis=0)``."""
+    stack = rows if total is None else np.concatenate([total, rows])
+    if rows[0].size == 1:
+        return stack
+    return np.add.reduce(stack, axis=0, keepdims=True)
 
 
 def uplink_sinr(
@@ -462,9 +463,7 @@ def uplink_sinr(
     p = np.asarray(p_mw, dtype=float)
     if moments is None:
         ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
-        plain = quantizer_bits == "infinite"
-        sets = _link_moments(ws, hhat, h, plain=plain, bits=quantizer_bits)
-        moments = sets[0] if plain else sets[1]
+        moments = _link_moments(ws, hhat, h, {"ul": quantizer_bits})["ul"]
     else:
         _check_moments(moments, quantizer_bits, False)
     num, isq, energy = moments.num, moments.isq, moments.energy
@@ -567,8 +566,7 @@ def downlink_sinr(
         p_ul = np.asarray(p_ul_mw, dtype=float)
         ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
         # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
-        plain, _, moments_drifted = _link_moments(ws, hhat, h, plain=not drifted, rot=rot)
-        moments = moments_drifted if drifted else plain
+        moments = _link_moments(ws, hhat, h, {"dl": rot})["dl"]
     else:
         _check_moments(moments, "infinite", drifted)
     num, isq, slice_energy = moments.num, moments.isq, moments.energy

@@ -924,3 +924,46 @@ def test_one_edu_ga_campaign_writes_strict_json(tmp_path, desk_config):
     deployment = _strict_json(out / "summary.json")["deployment"]
     assert deployment["fitness"] is None
     assert set(deployment["history"]) == {None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--links", "ul"],
+        ["sweep", "--links", "ul", "--param", "num_edu", "--values", "2,4"],
+        ["associate-ql", "--episodes", "2"],
+    ],
+)
+def test_partition_file_without_file_deployment_exits_2(
+    tmp_path, cfg_file, argv, monkeypatch, capsys
+):
+    # a partition file is read only by --deployment file; another mode ran
+    # without it and named no file
+    part = tmp_path / "does-not-exist.csv"
+    out = tmp_path / "out"
+    record = _rejected(
+        argv + ["--config", cfg_file, "--out", str(out), "--deployment", "clustered",
+                "--partition-file", str(part)],
+        monkeypatch,
+        capsys,
+    )
+    assert str(part) in record["detail"]
+    assert "'clustered'" in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_phase_drift_without_the_downlink_exits_2(
+    tmp_path, cfg_file, command, monkeypatch, capsys
+):
+    # the drift rotates only the downlink, so an uplink-only run drifted nothing
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "clustered", "--phase-drift-deg", "10"]
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "2"]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert record["error"] == "usage"
+    assert "phase_drift_deg" in record["detail"]
+    assert "dl" in record["detail"]
+    assert not out.exists()

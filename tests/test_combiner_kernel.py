@@ -96,9 +96,11 @@ def test_kernel_matches_per_realization_loop(name, mask, scheme):
         v_ref = np.stack([ref_ws.combiners(x) for x in hhat])
         assert _rel(v, v_ref) <= RTOL
         assert np.all(v[:, ~assoc.delta] == 0)
-        # every moment set of the links below from one pass, as run_drop forms them
+        # every moment set of the links below, as run_drop requests them
         rot = channel.phase_drift(h.shape[0], h.shape[2], 10.0, np.random.default_rng(7))
-        plain, quantized, drifted = transceiver._link_moments(ws, hhat, h, bits=4, rot=rot)
+        plain = transceiver._link_moments(ws, hhat, h, {"ul": "infinite"})["ul"]
+        links = transceiver._link_moments(ws, hhat, h, {"ul": 4, "dl": rot})
+        quantized, drifted = links["ul"], links["dl"]
 
         for bits in ("infinite", 4):
             args = (scheme, h, hhat, C, assoc, genome, p, noise)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from cfmimo.harness import (
     LINKS,
     SCHEMES,
     DropOptions,
-    _cdf_grid,
-    _median,
+    DropResult,
     resolve_partition,
     run_campaign,
     run_drop,
+    summarize,
     write_csv,
     write_json,
     write_partition,
@@ -126,6 +127,35 @@ def test_drop_options_reject_a_bad_field_when_made(fields, match):
         DropOptions(**fields)
 
 
+@pytest.mark.parametrize("links", [("ul",), ["ul"]])
+def test_drop_options_reject_a_drift_without_the_downlink(links):
+    # the drift rotates only the downlink: an uplink-only drop drifted nothing
+    with pytest.raises(ValueError, match="phase_drift_deg .* dl"):
+        DropOptions(links=links, phase_drift_deg=10.0)
+    assert DropOptions(links=links).phase_drift_deg == 0.0
+
+
+def test_ql_config_with_another_fronthaul_cap_fails_the_drop(tiny_config):
+    # the drop learned under the QlConfig cap while summary.json echoes the
+    # config's; the two must agree
+    cfg = ScenarioConfig(**{**tiny_config.to_dict(), "schemes": ("edu-pmmse",)})
+    genome = resolve_partition(cfg, "clustered")[0]
+    opts = DropOptions(
+        links=("ul",), association_mode="ql",
+        ql_config=QlConfig(episodes=5, fronthaul_ue_cap=1),
+    )
+    with pytest.raises(RuntimeError, match="fronthaul_ue_cap 1 .* fronthaul_ue_cap 2"):
+        run_drop(cfg, 0, genome, opts)
+    campaign = run_campaign(cfg, deployment_mode="clustered", options=opts)
+    assert campaign.drops == []
+    assert [i for i, _ in campaign.failures] == [0]
+    same = DropOptions(
+        links=("ul",), association_mode="ql",
+        ql_config=QlConfig(episodes=5, fronthaul_ue_cap=2),
+    )
+    assert "ql_best_r_sum" in run_drop(cfg, 0, genome, same).metadata
+
+
 def test_drop_options_are_frozen_and_hold_links_as_a_tuple():
     opts = DropOptions(links=["dl"])
     assert opts.links == ("dl",)
@@ -161,8 +191,18 @@ def test_raw_csv_row_counts(tmp_path):
     assert any("config:" in h for h in header)
 
 
+def _summary_of(sums):
+    """The summary entry of one scheme's uplink whose drops had sum SEs ``sums``."""
+    drops = [
+        DropResult(i, {"joint-mmse": {"ul": SimpleNamespace(sum_se=float(x))}}, None)
+        for i, x in enumerate(sums)
+    ]
+    summary = summarize(ScenarioConfig(schemes=("joint-mmse",)), drops, [])
+    return summary["schemes"]["joint-mmse"]["ul"]
+
+
 def test_cdf_constant_samples_step_function():
-    grid = _cdf_grid(np.full(5, 3.0))
+    grid = _summary_of(np.full(5, 3.0))["cdf"]
     assert grid["x"] == [3.0] * 5
     assert grid["p"][-1] == 1.0
     assert all(a <= b for a, b in zip(grid["p"], grid["p"][1:]))
@@ -604,8 +644,23 @@ def test_a_drop_holds_its_channels_and_one_realization_block(desk_config, bits, 
 def test_median_equals_numpy_median(n):
     rng = np.random.default_rng(n)
     for xs in (rng.lognormal(3.0, 0.5, n), rng.integers(0, 3, n) * 0.1):
-        assert _median(xs) == float(np.median(xs))
-    assert _median(np.array([0.2, 0.1])) == np.median([0.1, 0.2]) == 0.15000000000000002
+        assert _summary_of(xs)["median_sum_se"] == float(np.median(xs))
+    median = _summary_of([0.2, 0.1])["median_sum_se"]
+    assert median == np.median([0.1, 0.2]) == 0.15000000000000002
+
+
+def test_summary_order_statistics_equal_numpy():
+    # median, p5 and p95 of one sorted array, bit for bit np.median's and
+    # np.percentile's, for odd and even counts, distinct values and ties
+    rng = np.random.default_rng(23)
+    for n in range(1, 61):
+        for xs in (rng.lognormal(3.0, 0.5, n), rng.integers(0, 4, n) * 0.1 + 1.7):
+            got = _summary_of(xs)
+            assert got["median_sum_se"] == float(np.median(xs))
+            assert got["p5_sum_se"] == float(np.percentile(xs, 5))
+            assert got["p95_sum_se"] == float(np.percentile(xs, 95))
+            assert got["cdf"]["x"] == np.sort(xs).tolist()
+            assert got["sum_se_per_drop"] == xs.tolist()
 
 
 def test_import_loads_no_process_pool_or_masked_arrays():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,7 +339,9 @@ def test_given_moments_must_be_those_of_the_plain_links():
     assoc, genome = Association.all_serve(3, 4), np.zeros(4, dtype=int)
     ws = CombinerWorkspace(SCHEMES["joint-mrc"], assoc, genome, C, p, 0.5)
     rot = ch.phase_drift(4, 4, 10.0, np.random.default_rng(0))
-    plain, quantized, drifted = _link_moments(ws, hhat, h, bits=4, rot=rot)
+    plain = _link_moments(ws, hhat, h, {"ul": "infinite", "dl": None})["dl"]
+    links = _link_moments(ws, hhat, h, {"ul": 4, "dl": rot})
+    quantized, drifted = links["ul"], links["dl"]
     ul = ("joint-mrc", h, hhat, C, assoc, genome, p, 0.5)
     np.testing.assert_array_equal(
         uplink_sinr(*ul, moments=plain).gamma, uplink_sinr(*ul).gamma
@@ -378,7 +381,8 @@ def test_link_energies_keep_the_bits_of_one_antenna_sum(N):
         SCHEMES["joint-mrc"], Association.all_serve(3, 5), np.zeros(5, dtype=int),
         np.zeros((3, 5, N, N)), np.ones(3), 1.0,
     )
-    energy = _link_moments(ws, v, random_channels(rng, v.shape))[0].energy
+    h = random_channels(rng, v.shape)
+    energy = _link_moments(ws, v, h, {"ul": "infinite"})["ul"].energy
     np.testing.assert_array_equal(energy, (np.abs(v) ** 2).sum(axis=-1).mean(axis=0))
 
 
@@ -413,7 +417,8 @@ def test_one_pass_moments_bit_identical_to_frozen_whole_batch(
     ]
     N = cfg.antennas_per_oru
     monkeypatch.setattr(ch, "_BLOCK_BYTES", per_block * 16 * K * L * max(K, N))
-    got = _link_moments(ws, hhat, h, bits=3, rot=rot)
+    got = _link_moments(ws, hhat, h, {"ul": 3, "dl": rot})
+    got = [_link_moments(ws, hhat, h, {"ul": "infinite"})["ul"], got["ul"], got["dl"]]
     for moments, (num, isq, energy), bits, drifted in zip(
         got, ref, ("infinite", 3, "infinite"), (False, False, True)
     ):
@@ -421,6 +426,61 @@ def test_one_pass_moments_bit_identical_to_frozen_whole_batch(
         np.testing.assert_array_equal(moments.isq, isq)
         np.testing.assert_array_equal(moments.energy, energy)
         assert (moments.bits, moments.drifted) == (bits, drifted)
+
+
+def _moment_pass_case(T, scheme="edu-mmse"):
+    rng = np.random.default_rng(T)
+    K, L, N = 8, 16, 2
+    h, hhat = (random_channels(rng, (T, K, L, N)) for _ in range(2))
+    ws = CombinerWorkspace(
+        SCHEMES[scheme], Association.all_serve(K, L), np.arange(L) % 4,
+        random_error_covs(rng, K, L, N), np.linspace(0.5, 2.0, K), 0.4,
+    )
+    return ws, hhat, h
+
+
+def test_plain_links_share_one_moment_set_and_one_combiner_build(monkeypatch):
+    # an unquantized uplink and an undrifted downlink read the same moments,
+    # so one request for both answers both with one object and builds each
+    # realization's combiners once
+    ws, hhat, h = _moment_pass_case(13)
+    built = []
+    combiners = CombinerWorkspace.combiners
+
+    def counted(self, hhat):
+        built.append(hhat.shape[0])
+        return combiners(self, hhat)
+
+    monkeypatch.setattr(CombinerWorkspace, "combiners", counted)
+    monkeypatch.setattr(ch, "_BLOCK_BYTES", 3 * 16 * 8 * 16 * 2)  # blocks of 3
+    both = _link_moments(ws, hhat, h, {"ul": "infinite", "dl": None})
+    assert both["ul"] is both["dl"]
+    assert (both["ul"].bits, both["ul"].drifted) == ("infinite", False)
+    assert built == [3, 3, 3, 3, 1]
+    alone = _link_moments(ws, hhat, h, {"dl": None})
+    assert list(alone) == ["dl"]
+    for name in ("num", "isq", "energy"):
+        np.testing.assert_array_equal(getattr(alone["dl"], name), getattr(both["ul"], name))
+
+
+def _moment_pass_peak(T):
+    """Peak bytes one quantized and drifted moment pass allocates, its
+    inputs excluded."""
+    ws, hhat, h = _moment_pass_case(T)
+    rot = ch.phase_drift(T, h.shape[2], 10.0, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _link_moments(ws, hhat, h, {"ul": 3, "dl": rot})
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_pass_memory_does_not_grow_with_the_realizations():
+    # running sums: the pass holds one block's combiners, products and terms,
+    # so four times the realizations (8 blocks -> 32) leave its peak as it was
+    assert _moment_pass_peak(2000) <= 1.1 * _moment_pass_peak(500)
 
 
 def test_uplink_report_invariants(desk_config):
