@@ -119,20 +119,14 @@ def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
         ({"association_mode": "bogus"}, "unknown association mode 'bogus'"),
         ({"association_mode": "file"}, "association_delta"),
         ({"association_delta": np.ones((8, 4), dtype=bool)}, "association_delta"),
+        ({"links": ("ul",), "phase_drift_deg": 10.0}, "phase_drift_deg .* dl"),
     ],
 )
 def test_drop_options_reject_a_bad_field_when_made(fields, match):
-    # unchecked, each would run: with no report, with drift 0, or failing every drop
+    # unchecked, each would run: with no report, with drift 0 (or an uplink-only
+    # drift, which rotates nothing), or failing every drop
     with pytest.raises(ValueError, match=match):
         DropOptions(**fields)
-
-
-@pytest.mark.parametrize("links", [("ul",), ["ul"]])
-def test_drop_options_reject_a_drift_without_the_downlink(links):
-    # the drift rotates only the downlink: an uplink-only drop drifted nothing
-    with pytest.raises(ValueError, match="phase_drift_deg .* dl"):
-        DropOptions(links=links, phase_drift_deg=10.0)
-    assert DropOptions(links=links).phase_drift_deg == 0.0
 
 
 def test_ql_config_with_another_fronthaul_cap_fails_the_drop(tiny_config):
