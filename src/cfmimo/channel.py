@@ -264,43 +264,92 @@ def _per_link(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     it does not depend on the chunk it falls in.
     """
     T, N = x.shape[0], x.shape[-1]
-    A = np.ascontiguousarray(A).reshape(-1, N, N)  # W is stored transposed
+    A = np.ascontiguousarray(A).reshape(-1, N, N)
     x_links = x.reshape(T, -1, N).transpose(1, 2, 0)  # (links, N, T) views
     for b in _blocks(A.shape[0], 32 * N * T):  # a chunk of x and its product
         x_links[b] = np.einsum("pnm,pmt->pnt", A[b], x_links[b])
     return x
 
 
-def _draw_into(z: np.ndarray, rng: np.random.Generator, sigma=None) -> None:
-    """Standard normal draws from ``rng`` for the real parts of the complex
-    array ``z``, all of them in C order, then for its imaginary parts: each
-    part is set to them, or with ``sigma`` gets ``sigma`` times them added.
+def _draws(rng: np.random.Generator, n: int):
+    """``n`` standard normal draws from ``rng`` in consecutive blocks, each
+    drawn into one reused buffer of ``_BLOCK_BYTES``; consecutive draws into
+    it give the same stream as one draw of all ``n``."""
+    step = max(1, _BLOCK_BYTES // 8)
+    buf = np.empty(min(n, step))
+    for i in range(0, n, step):
+        yield rng.standard_normal(out=buf[: n - i])
 
-    The draws go through one buffer of ``_BLOCK_BYTES``; consecutive draws
-    into it give the same stream as one draw of the whole part.
+
+def _fill(part: np.ndarray, rng: np.random.Generator, sigma=None) -> None:
+    """Set the 1-D float view ``part`` to standard normal draws from ``rng``
+    in order, or with ``sigma`` add ``sigma`` times them."""
+    i = 0
+    for draws in _draws(rng, part.size):
+        seg = part[i : i + draws.size]
+        i += draws.size
+        if sigma is None:
+            seg[...] = draws
+        else:
+            draws *= sigma
+            seg += draws
+
+
+class Cursors:
+    """One named stream's draws for a batch of ``size`` complex normals, taken
+    block by block: the stream holds the real parts of the whole batch, in C
+    order, then its imaginary parts.
+
+    The real-part cursor is the stream's own generator. The imaginary-part
+    cursor starts where the batch's last real draw ends: once the first block
+    has its real parts, it is the same generator if that block is the whole
+    batch, and otherwise a copy of its state (made without OS entropy) that
+    draws and discards the remaining real parts.
     """
-    flat = z.reshape(-1)  # a view: z is C-contiguous
-    buf = np.empty(min(flat.size, max(1, _BLOCK_BYTES // 8)))
-    for part in (flat.real, flat.imag):
-        for b in _blocks(flat.size, 8):
-            seg = part[b]
-            draws = rng.standard_normal(out=buf[: seg.size])
-            if sigma is None:
-                seg[...] = draws
-            else:
-                draws *= sigma
-                seg += draws
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.real = rng
+        self.imag: np.random.Generator | None = None
+        self.left = size  # real parts not drawn yet
+
+    def draw_into(self, z: np.ndarray, sigma=None) -> None:
+        """Draws for the next block, the C-contiguous complex array ``z``:
+        each part is set to them, or with ``sigma`` gets ``sigma`` times them
+        added."""
+        flat = z.reshape(-1)  # a view: z is C-contiguous
+        if flat.size > self.left:
+            raise ValueError(f"{flat.size} draws asked for, {self.left} left in the batch")
+        _fill(flat.real, self.real, sigma)
+        self.left -= flat.size
+        if self.imag is None:
+            self.imag = self.real
+            if self.left:
+                bits = type(self.real.bit_generator)(0)
+                bits.state = self.real.bit_generator.state
+                self.imag = np.random.Generator(bits)
+                for _ in _draws(self.imag, self.left):
+                    pass
+        _fill(flat.imag, self.imag, sigma)
 
 
-def sample_channel(sqrt_R: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+def _cursors(rng: np.random.Generator | Cursors, size: int) -> Cursors:
+    """``rng`` as the cursors of a batch of ``size`` draws, if it is not
+    cursors already."""
+    return rng if isinstance(rng, Cursors) else Cursors(rng, size)
+
+
+def sample_channel(
+    sqrt_R: np.ndarray, rng: np.random.Generator | Cursors, size: int
+) -> np.ndarray:
     """``size`` correlated circular-Gaussian channel draws h = R^(1/2) g.
 
-    ``sqrt_R`` has shape (..., N, N); returns (size, ..., N). The real
-    parts of all draws come from ``rng`` before the imaginary ones. The
-    draws, their scaling and the products all fill the returned array.
+    ``sqrt_R`` has shape (..., N, N); returns (size, ..., N). A generator
+    ``rng`` gives the real parts of all draws before the imaginary ones;
+    ``Cursors`` give the next block of a larger batch. The draws, their
+    scaling and the products all fill the returned array.
     """
     g = np.empty((size,) + sqrt_R.shape[:-1], dtype=complex)
-    _draw_into(g, rng)
+    _cursors(rng, g.size).draw_into(g)
     g /= np.sqrt(2.0)
     return _per_link(sqrt_R, g)
 
@@ -320,7 +369,8 @@ def mmse_filters(
     N = R.shape[-1]
     A = ptau * R + noise_mw * np.eye(N)
     Ainv_R = np.linalg.solve(A, R)  # (p*tau*R + s2 I)^{-1} R, batched
-    W = np.sqrt(ptau) * np.swapaxes(np.conj(Ainv_R), -1, -2)
+    # contiguous: a drop's sampling blocks each read it without a copy
+    W = np.ascontiguousarray(np.sqrt(ptau) * np.swapaxes(np.conj(Ainv_R), -1, -2))
     # R Hermitian makes R A^{-1} R = (A^{-1} R)^H R
     Phi = ptau * np.swapaxes(np.conj(Ainv_R), -1, -2) @ R
     Phi = 0.5 * (Phi + np.conj(np.swapaxes(Phi, -1, -2)))
@@ -335,18 +385,18 @@ def estimate_channels(
     pilot_power_mw: float,
     pilot_len: int,
     noise_mw: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Cursors,
 ) -> np.ndarray:
     """MMSE channel estimates from noisy pilot observations.
 
     ``h`` has shape (T, K, L, N) and ``W`` (K, L, N, N); the pilot noise is
-    drawn fresh per realization, all real parts before the imaginary ones.
-    The observations, their noise and the filtered estimates share one
-    array, the one returned.
+    drawn fresh per realization, from ``rng`` as in ``sample_channel``. The
+    observations, their noise and the filtered estimates share one array,
+    the one returned.
     """
     ptau = pilot_power_mw * pilot_len
     y = np.sqrt(ptau) * h  # becomes the estimates
-    _draw_into(y, rng, np.sqrt(noise_mw / 2.0))
+    _cursors(rng, y.size).draw_into(y, np.sqrt(noise_mw / 2.0))
     return _per_link(W, y)
 
 
@@ -434,16 +484,36 @@ def build_statistics(
     )
 
 
+def drop_streams(
+    config: ScenarioConfig, drop_index: int, num_realizations: int
+) -> dict[str, Cursors]:
+    """The cursors of a drop's "small-scale" and "estimation-noise" streams
+    over a batch of ``num_realizations``, for ``sample_drop_channels`` to
+    draw it block by block."""
+    size = num_realizations * config.num_ue * config.num_oru * config.antennas_per_oru
+    return {
+        tag: Cursors(rng_stream(config.master_seed, drop_index, tag), size)
+        for tag in ("small-scale", "estimation-noise")
+    }
+
+
 def sample_drop_channels(
     stats: ChannelStatistics,
     num_realizations: int,
     config: ScenarioConfig,
     drop_index: int,
+    streams: dict[str, Cursors] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Channel realizations and their MMSE estimates, (T, K, L, N) each."""
-    rng_h = rng_stream(config.master_seed, drop_index, "small-scale")
-    h = sample_channel(stats.sqrt_R, rng_h, size=num_realizations)
-    rng_e = rng_stream(config.master_seed, drop_index, "estimation-noise")
+    """Channel realizations and their MMSE estimates, (T, K, L, N) each.
+
+    Without ``streams`` they are the drop's whole batch of
+    ``num_realizations``; with the cursors of ``drop_streams`` they are the
+    next block of that batch, and consecutive blocks concatenate to the
+    same bits as the whole batch.
+    """
+    streams = streams or drop_streams(config, drop_index, num_realizations)
+    h = sample_channel(stats.sqrt_R, streams["small-scale"], size=num_realizations)
+    rng_e = streams["estimation-noise"]
     hhat = estimate_channels(
         h, stats.W, config.ul_power_mw, config.pilot_count, stats.noise_mw, rng_e
     )

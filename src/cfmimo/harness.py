@@ -19,7 +19,13 @@ import numpy as np
 
 from . import __version__
 from .association import EduSinrTable, QlConfig, QlResult, ql_associate
-from .channel import build_statistics, phase_drift, sample_drop_channels
+from .channel import (
+    _blocks,
+    build_statistics,
+    drop_streams,
+    phase_drift,
+    sample_drop_channels,
+)
 from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
 from .scenario import ScenarioConfig, build_topology, rng_stream
@@ -27,9 +33,10 @@ from .transceiver import (
     SCHEMES,
     Association,
     CombinerWorkspace,
+    MomentSums,
     SinrReport,
-    _link_moments,
     downlink_sinr,
+    moment_block_bytes,
     uplink_sinr,
 )
 
@@ -141,13 +148,21 @@ def run_drop(
     Checks the campaign's O-RU to EDU ``genome`` (from
     :func:`resolve_partition`) against the config once, builds topology and
     channel statistics, resolves the dynamic-cluster association under the
-    genome (Q-learning runs only when an enabled scheme uses it), draws the
-    realization batch, and evaluates uplink and/or downlink SINR per scheme
-    from one pass of link moments (``_link_moments``), which builds the
-    scheme's combiners block by block and answers each link by name: the
-    uplink with its quantizer bits, the downlink with its drift phasors, if
-    any. A report with a non-finite SINR or SE fails the drop.
-    Deterministic in (master_seed, drop_index, genome).
+    genome (Q-learning runs only when an enabled scheme uses it), and
+    evaluates uplink and/or downlink SINR per scheme from link moments.
+
+    The realizations stream block by block, each block sized by the moment
+    pass's budget (``moment_block_bytes``): the block's channels and
+    estimates are drawn (``sample_drop_channels`` with the drop's stream
+    cursors), every scheme adds them to its running moment sums
+    (``MomentSums``: the scheme's combiners for the block, answering each
+    link by name, the uplink with its quantizer bits, the downlink with its
+    drift phasors, if any), and the block is dropped. So at its peak a drop
+    holds its channel statistics, one block's channels, estimates,
+    combiners and products, and each scheme's sums; no channel-sized array.
+    A report with a non-finite SINR or SE fails the drop. Deterministic in
+    (master_seed, drop_index, genome), and the same bits as one pass over
+    the whole batch.
     """
     options = options or DropOptions()
     try:
@@ -160,29 +175,41 @@ def run_drop(
         all_serve = Association.all_serve(config.num_ue, config.num_oru)
         dcc, meta = _dcc_association(config, genome, stats, options, drop_index)
 
-        h, hhat = sample_drop_channels(
-            stats, config.mc_realizations, config, drop_index
-        )
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
-
+        T = config.mc_realizations
         rot = None
         if options.phase_drift_deg > 0:  # only with the downlink
             rng = rng_stream(config.master_seed, drop_index, "phase-drift")
-            rot = phase_drift(h.shape[0], config.num_oru, options.phase_drift_deg, rng)
+            rot = phase_drift(T, config.num_oru, options.phase_drift_deg, rng)
         links = {"ul": config.quantizer_bits, "dl": rot}
         links = {link: links[link] for link in LINKS if link in options.links}
-        reports: dict[str, dict[str, SinrReport]] = {}
+        sums = {}  # scheme -> its association and moment sums
         for scheme in config.schemes:
-            spec = SCHEMES[scheme]
-            assoc = dcc if spec.dcc else all_serve
-            ws = CombinerWorkspace(spec, assoc, genome, stats.C, p_ul, stats.noise_mw)
-            moments = _link_moments(ws, hhat, h, links)
+            assoc = dcc if SCHEMES[scheme].dcc else all_serve
+            ws = CombinerWorkspace(
+                SCHEMES[scheme], assoc, genome, stats.C, p_ul, stats.noise_mw
+            )
+            sums[scheme] = assoc, MomentSums(ws, links)
+        streams = drop_streams(config, drop_index, T)
+        block_bytes = moment_block_bytes(
+            config.num_ue, config.num_oru, config.antennas_per_oru, links
+        )
+        for b in _blocks(T, block_bytes):
+            h, hhat = sample_drop_channels(
+                stats, min(b.stop, T) - b.start, config, drop_index, streams
+            )
+            for _, scheme_sums in sums.values():
+                scheme_sums.add(hhat, h)
+
+        reports: dict[str, dict[str, SinrReport]] = {}
+        for scheme, (assoc, scheme_sums) in sums.items():
+            moments = scheme_sums.finish()
             per_link: dict[str, SinrReport] = {}
             if "ul" in moments:
                 per_link["ul"] = uplink_sinr(
                     scheme,
-                    h,
-                    hhat,
+                    None,
+                    None,
                     stats.C,
                     assoc,
                     genome,
@@ -194,8 +221,8 @@ def run_drop(
             if "dl" in moments:
                 per_link["dl"] = downlink_sinr(
                     scheme,
-                    h,
-                    hhat,
+                    None,
+                    None,
                     stats.C,
                     assoc,
                     genome,
@@ -288,23 +315,29 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
             mapping = json.load(fh)
         if not isinstance(mapping, dict):
             raise ValueError(f"{path}: partition JSON must map O-RU to EDU index")
+        pairs = []
         for oru, edu in mapping.items():
             if type(edu) is not int:  # not a float, bool, null or string
                 raise ValueError(
                     f"{path}: O-RU {oru} maps to {json.dumps(edu)}, "
                     "not to an integer EDU index"
                 )
-        pairs = list(mapping.items())
+            try:
+                pairs.append((int(oru), edu))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: key {json.dumps(oru)} is not an integer O-RU index"
+                ) from None
     else:
         pairs = list(read_csv_rows(path, ["oru_index", "edu_index"]).values())
-    orus = [int(oru) for oru, _ in pairs]
+    orus = [oru for oru, _ in pairs]
     if sorted(orus) != list(range(num_oru)):
         raise ValueError(
             f"{path}: partition must list every O-RU index 0..{num_oru - 1} "
             f"exactly once, got {len(orus)} rows"
         )
     genome = np.empty(num_oru, dtype=int)
-    genome[orus] = [int(edu) for _, edu in pairs]
+    genome[orus] = [edu for _, edu in pairs]
     return genome
 
 

@@ -7,14 +7,17 @@ realization's channel estimates only, and one batched kernel builds them for
 a block of realizations (``CombinerWorkspace.combiners``). SINR expectations
 are sample means over the realization batch.
 
-Both links reduce the batch in one pass per scheme (``_link_moments``),
-which answers each link by name: each realization block builds its
-combiners, forms the link products s[t, k, i] = v_k^H h_i of the moment sets
-the links read (one shared by an unquantized uplink and an undrifted
-downlink, a quantized uplink's, a drifted downlink's), adds s_kk, |s_ki|^2
-and the per-(UE, O-RU) combiner energies to running sums, and is dropped. So
-at its peak a drop holds its channel statistics, the channels h and
-estimates hhat, and one block's combiners and products.
+Both links reduce the batch in one pass per scheme (``MomentSums``), which
+answers each link by name: each realization block builds its combiners,
+forms the link products s[t, k, i] = v_k^H h_i of the moment sets the links
+read (one shared by an unquantized uplink and an undrifted downlink, a
+quantized uplink's, a drifted downlink's), adds s_kk, |s_ki|^2 and the
+per-(UE, O-RU) combiner energies to running sums, and is dropped. A drop
+feeds the pass one freshly drawn block of channels h and estimates hhat at
+a time, so at its peak it holds its channel statistics, one block's
+channels, estimates, combiners and products, and the sums; the standalone
+SINR calls run the same pass over given whole-batch arrays
+(``_link_moments``).
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
@@ -337,7 +340,7 @@ class CombinerWorkspace:
 
 @dataclass(frozen=True)
 class LinkMoments:
-    """Moments of one link over a realization batch (see ``_link_moments``)
+    """Moments of one link over a realization batch (see ``MomentSums``)
     and the link they belong to."""
 
     num: np.ndarray  # (K,) E[s_kk]
@@ -362,15 +365,18 @@ def _check_moments(moments: LinkMoments, bits: int | str, drifted: bool) -> None
         )
 
 
-def _link_moments(
-    workspace: CombinerWorkspace,
-    hhat: np.ndarray,
-    h: np.ndarray,
-    links: dict,
-) -> dict[str, LinkMoments]:
-    """One scheme's moments of the ``links`` asked for, by name, in one pass
-    over (T, K, L, N) estimates ``hhat`` and channels ``h``: ``links`` maps
-    "ul" to its quantizer bits and "dl" to its (T, L) drift phasors or None.
+def moment_block_bytes(K: int, L: int, N: int, links: dict) -> int:
+    """Bytes per realization of a moment pass block over the ``links`` (as
+    in ``MomentSums``): its largest array, v, h or g, is that size."""
+    quantized = links.get("ul", "infinite") != "infinite"
+    return 16 * K * L * (max(K, N) if quantized else N)
+
+
+class MomentSums:
+    """One scheme's running moment sums of the ``links`` asked for, by name,
+    over a realization batch that arrives block by block: ``links`` maps
+    "ul" to its quantizer bits and "dl" to the batch's (T, L) drift phasors
+    or None.
 
     Each link's moments are E[s_kk] (K,), E|s_ki|^2 (K, K) and E||v_kl||^2
     (K, L) over the realizations, where s[t, k, i] = v_k^H h_i. A quantized
@@ -378,29 +384,35 @@ def _link_moments(
     realization, then sums them; a drifted downlink rotates each O-RU's
     channels. An unquantized uplink and an undrifted downlink share one set.
 
-    Each realization block builds its combiners (``workspace.combiners``),
-    adds its terms to running sums (``_add_rows``) and is dropped.
+    ``add`` builds a block's combiners (``workspace.combiners``), adds its
+    terms to the sums (``_add_rows``) and keeps nothing of the block;
+    ``finish`` averages the sums over the realizations added.
     """
-    T, K, L, N = h.shape
-    if T < 2:
-        raise ValueError("need at least 2 realizations")
-    bits = links.get("ul", "infinite")
-    rot = links.get("dl")
-    quantized = bits != "infinite"
-    # the set each link reads: its own, or the plain one the two share
-    own = {"ul": quantized, "dl": rot is not None}
-    reads = {link: link if own[link] else "plain" for link in links}
-    E = _one_hot(workspace.units, workspace.units.max() + 1) if quantized else None
-    sums = {name: [None, None] for name in reads.values()}  # s_kk, |s_ki|^2
-    energy = None
-    # bytes per realization of a block's largest array: v, h or g
-    for b in _blocks(T, 16 * K * L * (max(K, N) if quantized else N)):
-        v = workspace.combiners(hhat[b])
-        for name, total in sums.items():
-            hb = h[b] * rot[b, None, :, None] if name == "dl" else h[b]
+
+    def __init__(self, workspace: CombinerWorkspace, links: dict):
+        self.workspace = workspace
+        self.bits = links.get("ul", "infinite")
+        self.rot = links.get("dl")
+        # the set each link reads: its own, or the plain one the two share
+        own = {"ul": self.bits != "infinite", "dl": self.rot is not None}
+        self.reads = {link: link if own[link] else "plain" for link in links}
+        units = workspace.units
+        self.E = _one_hot(units, units.max() + 1) if own["ul"] else None
+        self.sums = {name: [None, None] for name in self.reads.values()}  # s_kk, |s_ki|^2
+        self.energy = None
+        self.t = 0  # realizations added
+
+    def add(self, hhat: np.ndarray, h: np.ndarray) -> None:
+        """Add the next block of (b, K, L, N) estimates and channels."""
+        _, K, L, N = h.shape
+        b = slice(self.t, self.t + h.shape[0])  # its drift phasors
+        self.t = b.stop
+        v = self.workspace.combiners(hhat)
+        for name, total in self.sums.items():
+            hb = h * self.rot[b, None, :, None] if name == "dl" else h
             if name == "ul":
-                g = np.einsum("tkln,tiln->tkil", np.conj(v), hb) @ E
-                s = quantize(g, bits, axis=(1, 2, 3)).sum(axis=-1)
+                g = np.einsum("tkln,tiln->tkil", np.conj(v), hb) @ self.E
+                s = quantize(g, self.bits, axis=(1, 2, 3)).sum(axis=-1)
             else:
                 vb, hb = v.reshape(-1, K, L * N), hb.reshape(-1, K, L * N)
                 s = np.conj(vb) @ hb.swapaxes(1, 2)
@@ -411,13 +423,35 @@ def _link_moments(
         e = np.abs(v) ** 2
         for n in range(1, N):
             e[..., 0] += e[..., n]
-        energy = _add_rows(energy, e[..., 0])
-    energy = energy.sum(axis=0) / T
-    out = {}
-    for name, (num, isq) in sums.items():
-        kind = (bits, False) if name == "ul" else ("infinite", name == "dl")
-        out[name] = LinkMoments(num.sum(axis=0) / T, isq.sum(axis=0) / T, energy, *kind)
-    return {link: out[name] for link, name in reads.items()}
+        self.energy = _add_rows(self.energy, e[..., 0])
+
+    def finish(self) -> dict[str, LinkMoments]:
+        """Each link's moments, by name."""
+        T = self.t
+        if T < 2:
+            raise ValueError("need at least 2 realizations")
+        energy = self.energy.sum(axis=0) / T
+        out = {}
+        for name, (num, isq) in self.sums.items():
+            kind = (self.bits, False) if name == "ul" else ("infinite", name == "dl")
+            out[name] = LinkMoments(num.sum(axis=0) / T, isq.sum(axis=0) / T, energy, *kind)
+        return {link: out[name] for link, name in self.reads.items()}
+
+
+def _link_moments(
+    workspace: CombinerWorkspace,
+    hhat: np.ndarray,
+    h: np.ndarray,
+    links: dict,
+) -> dict[str, LinkMoments]:
+    """One scheme's moments of the ``links`` (see ``MomentSums``) in one pass
+    over (T, K, L, N) estimates ``hhat`` and channels ``h``, in realization
+    blocks of ``moment_block_bytes``."""
+    T, K, L, N = h.shape
+    sums = MomentSums(workspace, links)
+    for b in _blocks(T, moment_block_bytes(K, L, N, links)):
+        sums.add(hhat[b], h[b])
+    return sums.finish()
 
 
 def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
@@ -433,8 +467,8 @@ def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
 
 def uplink_sinr(
     scheme: str,
-    h: np.ndarray,
-    hhat: np.ndarray,
+    h: np.ndarray | None,
+    hhat: np.ndarray | None,
     C: np.ndarray,
     association: Association,
     genome: np.ndarray,
@@ -456,10 +490,11 @@ def uplink_sinr(
     on its own statistics, summed over units, and the coherent/interference/
     noise moments averaged over the batch (``_link_moments``). The uplink may
     be given its ``moments``, unquantized or quantized to ``quantizer_bits``
-    and undrifted, in place of that pass.
+    and undrifted, in place of that pass; then it reads neither ``h`` nor
+    ``hhat``, and K comes from the association.
     """
     spec = SCHEMES[scheme]
-    K = h.shape[1]
+    K = association.delta.shape[0]
     p = np.asarray(p_mw, dtype=float)
     if moments is None:
         ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
@@ -527,8 +562,8 @@ class DownlinkResult:
 
 def downlink_sinr(
     scheme: str,
-    h: np.ndarray,
-    hhat: np.ndarray,
+    h: np.ndarray | None,
+    hhat: np.ndarray | None,
     C: np.ndarray,
     association: Association,
     genome: np.ndarray,
@@ -552,17 +587,18 @@ def downlink_sinr(
     true channels used for reception while the precoders stay matched to
     the undrifted estimates. The downlink may be given its ``moments``,
     unquantized and drifted exactly when ``phase_drift_deg`` > 0, in place
-    of that pass; they are the unquantized uplink's when undrifted.
+    of that pass; they are the unquantized uplink's when undrifted, and
+    ``h`` and ``hhat`` are not read.
     """
     spec = SCHEMES[scheme]
-    T, K, L, _ = h.shape
+    K, L = association.delta.shape
     drifted = phase_drift_deg > 0
     if moments is None:
         rot = None
         if drifted:
             if drift_rng is None:
                 raise ValueError("phase drift requires an rng")
-            rot = phase_drift(T, L, phase_drift_deg, drift_rng)
+            rot = phase_drift(h.shape[0], L, phase_drift_deg, drift_rng)
         p_ul = np.asarray(p_ul_mw, dtype=float)
         ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
         # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2

@@ -523,7 +523,7 @@ def test_in_place_sampling_matches_frozen_expressions():
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 8])
 def test_per_link_products_bit_identical_for_any_link_chunks(monkeypatch, N):
     # whole, in chunks of 4 links with a ragged last chunk of 1, and one link
-    # per chunk; with the matrices stored transposed as mmse_filters makes W
+    # per chunk; with contiguous matrices and with matrices stored transposed
     rng = np.random.default_rng(N)
     K, L, T = 3, 3, 5
     A = rng.standard_normal((K, L, N, N)) + 1j * rng.standard_normal((K, L, N, N))
@@ -537,18 +537,42 @@ def test_per_link_products_bit_identical_for_any_link_chunks(monkeypatch, N):
             np.testing.assert_array_equal(ch._per_link(matrices, x.copy()), ref)
 
 
-@pytest.mark.parametrize("budget", [None, 12288, 5000])
-def test_drop_channels_bit_identical_to_frozen_sampling(monkeypatch, desk_config, budget):
+@pytest.mark.parametrize(
+    "budget, block",
+    [
+        pytest.param(budget, block, id=f"{budget}" + (f"-block{block}" if block else ""))
+        for budget in (None, 12288, 5000)
+        for block in (None, 1, 3, 5, 13)
+    ],
+)
+def test_drop_channels_bit_identical_to_frozen_sampling(
+    monkeypatch, desk_config, budget, block
+):
     # h and hhat of a drop, drawn and filtered in place, against the frozen
     # whole-batch draws and second output array. The budgets split the draws
     # and the link chunks into blocks with ragged last blocks: 3328 draws
-    # per part by 1536 and by 625, 128 links by 14 and by 6.
+    # per part by 1536 and by 625, 128 links by 14 and by 6. A block size
+    # draws the 13 realizations through the drop's stream cursors in
+    # realization blocks (5 leaves a ragged last block of 3); None is the
+    # whole batch without cursors.
     cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_realizations": 13})
     stats = ch.build_statistics(cfg, build_topology(cfg, 1), 1)
     h_ref, hhat_ref = reference_sampling.sample_drop_channels(stats, 13, cfg, 1)
     if budget is not None:
         monkeypatch.setattr(ch, "_BLOCK_BYTES", budget)
-    h, hhat = ch.sample_drop_channels(stats, 13, cfg, 1)
+    if block is None:
+        h, hhat = ch.sample_drop_channels(stats, 13, cfg, 1)
+    else:
+        streams = ch.drop_streams(cfg, 1, 13)
+        sizes = [min(block, 13 - t) for t in range(0, 13, block)]
+        h, hhat = (
+            np.concatenate(parts)
+            for parts in zip(
+                *(ch.sample_drop_channels(stats, n, cfg, 1, streams) for n in sizes)
+            )
+        )
+        with pytest.raises(ValueError, match="256 draws asked for, 0 left"):
+            ch.sample_drop_channels(stats, 1, cfg, 1, streams)  # past the batch
     np.testing.assert_array_equal(h, h_ref)
     np.testing.assert_array_equal(hhat, hhat_ref)
 

@@ -625,6 +625,29 @@ def test_partition_json_with_a_non_integer_edu_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["x", "5.0"])
+def test_partition_json_with_a_non_integer_oru_key_exits_2(
+    tmp_path, cfg_file, key, monkeypatch, capsys
+):
+    mapping = {str(i): i % 4 for i in range(16)}
+    mapping[key] = mapping.pop("5")
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps(mapping))
+    out = tmp_path / "sim"
+    record = _rejected(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ],
+        monkeypatch,
+        capsys,
+    )
+    assert record["error"] == "config"
+    assert str(part) in record["detail"]
+    assert json.dumps(key) in record["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "associate-ql"])
 def test_missing_partition_file_exits_2(tmp_path, cfg_file, command, monkeypatch, capsys):
     part = tmp_path / "nope.csv"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -538,32 +539,42 @@ def test_partition_files_round_trip(tmp_path_factory, num_edu, num_oru, seed):
 
 
 def test_plain_links_share_one_moment_pass_per_scheme(desk_config, monkeypatch):
-    import cfmimo.harness as hz
+    # each realization's combiners are built once per scheme; a pass per
+    # link, or a repeated pass, would build them twice
     import cfmimo.transceiver as tr
 
-    original = tr._link_moments
-    calls = []
+    built = []
+    combiners = tr.CombinerWorkspace.combiners
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_combiners(self, hhat):
+        built.append(hhat.shape[0])
+        return combiners(self, hhat)
 
-    monkeypatch.setattr(tr, "_link_moments", counted)
-    monkeypatch.setattr(hz, "_link_moments", counted)
+    monkeypatch.setattr(tr.CombinerWorkspace, "combiners", counted_combiners)
     genome = resolve_partition(desk_config, "clustered")[0]
     run_drop(desk_config, 0, genome)
-    assert len(calls) == len(desk_config.schemes)  # one per scheme, not per link
+    assert sum(built) == len(desk_config.schemes) * desk_config.mc_realizations
 
 
 @pytest.mark.parametrize("drift", [0.0, 10.0])
 @pytest.mark.parametrize("bits", ["infinite", 3])
-def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
+def test_run_drop_reports_equal_standalone_sinr_calls(
+    desk_config, drift, bits, monkeypatch
+):
+    # run_drop streams its 20 realizations in one block, and under a 12 KiB
+    # budget in blocks of 3 (unquantized) or 1 (quantized); the standalone
+    # calls draw and reduce the whole batch
+    import cfmimo.channel as ch
+
     cfg = ScenarioConfig(
         **{**desk_config.to_dict(), "quantizer_bits": bits,
            "schemes": ("joint-mmse", "joint-mrc", "l-mmse", "edu-mmse")}
     )
     genome = resolve_partition(cfg, "clustered")[0]
-    res = run_drop(cfg, 1, genome, DropOptions(phase_drift_deg=drift))
+    runs = [run_drop(cfg, 1, genome, DropOptions(phase_drift_deg=drift))]
+    with monkeypatch.context() as m:
+        m.setattr(ch, "_BLOCK_BYTES", 12288)
+        runs.append(run_drop(cfg, 1, genome, DropOptions(phase_drift_deg=drift)))
     stats = build_statistics(cfg, build_topology(cfg, 1), 1)
     h, hhat = sample_drop_channels(stats, cfg.mc_realizations, cfg, 1)
     p = uplink_power(cfg.num_ue, cfg.ul_power_mw)
@@ -578,7 +589,7 @@ def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
             stats.noise_mw, cfg.dl_pmax_mw, phase_drift_deg=drift,
             drift_rng=rng_stream(cfg.master_seed, 1, "phase-drift"),
         ).report
-        for link, ref in (("ul", ul), ("dl", dl)):
+        for (link, ref), res in itertools.product((("ul", ul), ("dl", dl)), runs):
             got = res.reports[scheme][link]
             for name in ("signal", "interference", "noise", "gamma", "se", "uncertainty"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
@@ -587,36 +598,28 @@ def test_run_drop_reports_equal_standalone_sinr_calls(desk_config, drift, bits):
 def test_quantized_drifted_drop_makes_one_moment_pass_per_scheme(desk_config, monkeypatch):
     # the quantized uplink and the drifted downlink take their moment sets
     # from the pass that builds the scheme's combiners once
-    import cfmimo.harness as hz
     import cfmimo.transceiver as tr
 
-    passes, built = [], []
-    original, combiners = tr._link_moments, tr.CombinerWorkspace.combiners
-
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return original(*args, **kwargs)
+    built = []
+    combiners = tr.CombinerWorkspace.combiners
 
     def counted_combiners(self, hhat):
         built.append(hhat.shape[0])
         return combiners(self, hhat)
 
-    monkeypatch.setattr(tr, "_link_moments", counted)
-    monkeypatch.setattr(hz, "_link_moments", counted)
     monkeypatch.setattr(tr.CombinerWorkspace, "combiners", counted_combiners)
     cfg = ScenarioConfig(**{**desk_config.to_dict(), "quantizer_bits": 3})
     genome = resolve_partition(cfg, "clustered")[0]
     run_drop(cfg, 0, genome, DropOptions(phase_drift_deg=10.0))
-    assert len(passes) == len(cfg.schemes)
     assert sum(built) == len(cfg.schemes) * cfg.mc_realizations
 
 
 @pytest.mark.parametrize("bits, drift", [("infinite", 0.0), (3, 10.0)])
-def test_a_drop_holds_its_channels_and_one_realization_block(desk_config, bits, drift):
-    # At its peak a drop holds its statistics, h, hhat, one realization
-    # block's combiners and products, and per-realization moment terms far
-    # smaller than h. A combiner array for the whole batch, or a third
-    # channel-sized array while sampling, would be another h.nbytes.
+def test_a_drop_holds_one_realization_block(desk_config, bits, drift):
+    # At its peak a drop holds its statistics, one realization block's
+    # channels, estimates, combiners and products, and per-realization moment
+    # terms far smaller than h, the channels of the whole batch. Holding h,
+    # hhat or a whole-batch combiner array would each add h.nbytes.
     cfg = ScenarioConfig(
         **{**desk_config.to_dict(), "antennas_per_oru": 4, "mc_realizations": 2000,
            "quantizer_bits": bits, "schemes": ("joint-mmse", "l-mmse")}
@@ -631,7 +634,7 @@ def test_a_drop_holds_its_channels_and_one_realization_block(desk_config, bits, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < stats_bytes + 2 * h_bytes + h_bytes / 2
+    assert peak < stats_bytes + h_bytes / 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 41, 200])
