@@ -136,8 +136,9 @@ def _checked(make, *args, **fields):
 def _load(args, **overrides) -> ScenarioConfig:
     """The config file with the config-field flags and then ``overrides`` in
     place of its fields, built and validated once."""
-    if not os.path.exists(args.config):
-        _fail(f"config file not found: {args.config}")
+    if not os.path.isfile(args.config):
+        problem = "is a directory" if os.path.isdir(args.config) else "not found"
+        _fail(f"config file {problem}: {args.config}")
     flags = vars(args)
     return _checked(
         load_config,
@@ -319,9 +320,20 @@ def cmd_sweep(args) -> int:
     return _failed_drops_exit(failures)
 
 
+def _check_out(out: str) -> None:
+    """Exit 2 unless ``out``, or else its nearest existing ancestor, is a
+    directory, so that the outputs can be written there; makes nothing."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        _fail(f"--out {out}: {path} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_out(args.out)
     try:
         return args.run(args)
     except ValueError as exc:  # a ConfigError among them

@@ -56,7 +56,10 @@ class Partition:
     fitness: float = math.nan
 
     def __post_init__(self):
-        self.genome = np.asarray(self.genome, dtype=int)
+        labels = np.asarray(self.genome)
+        self.genome = labels.astype(int)
+        if not np.array_equal(self.genome, labels):
+            raise ValueError(f"partition labels must be integers: {labels.tolist()}")
         if not is_balanced(self.genome, self.num_edu):
             raise ValueError("partition must use every EDU with sizes within 1")
 

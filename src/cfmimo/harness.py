@@ -19,13 +19,7 @@ import numpy as np
 
 from . import __version__
 from .association import EduSinrTable, QlConfig, QlResult, ql_associate
-from .channel import (
-    _blocks,
-    build_statistics,
-    drop_streams,
-    phase_drift,
-    sample_drop_channels,
-)
+from .channel import build_statistics, drop_streams, phase_drift, sample_drop_channels
 from .deployment import GaConfig, Partition, clustered_baseline, ga_optimize
 from .power import uplink_power
 from .scenario import ScenarioConfig, build_topology, rng_stream
@@ -33,10 +27,9 @@ from .transceiver import (
     SCHEMES,
     Association,
     CombinerWorkspace,
-    MomentSums,
     SinrReport,
     downlink_sinr,
-    moment_block_bytes,
+    moment_pass,
     uplink_sinr,
 )
 
@@ -65,6 +58,9 @@ class DropOptions:
         if (self.association_mode == "file") != (self.association_delta is not None):
             msg = "'file' association needs association_delta; only 'file' takes one"
             raise ValueError(msg)
+        delta = self.association_delta
+        if delta is not None and not np.isin(delta, (0, 1)).all():
+            raise ValueError("association_delta entries must be 0 or 1")
         if not 0.0 <= self.phase_drift_deg < np.inf:
             raise ValueError("phase_drift_deg must be a finite angle >= 0")
         if self.phase_drift_deg > 0 and "dl" not in links:
@@ -151,25 +147,24 @@ def run_drop(
     genome (Q-learning runs only when an enabled scheme uses it), and
     evaluates uplink and/or downlink SINR per scheme from link moments.
 
-    The realizations stream block by block, each block sized by the moment
-    pass's budget (``moment_block_bytes``): the block's channels and
-    estimates are drawn (``sample_drop_channels`` with the drop's stream
-    cursors), every scheme adds them to its running moment sums
-    (``MomentSums``: the scheme's combiners for the block, answering each
-    link by name, the uplink with its quantizer bits, the downlink with its
-    drift phasors, if any), and the block is dropped. So at its peak a drop
-    holds its channel statistics, one block's channels, estimates,
-    combiners and products, and each scheme's sums; no channel-sized array.
+    Every scheme's moments come from one ``transceiver.moment_pass`` over
+    the drop's realizations, which streams them block by block: each block's
+    channels and estimates are drawn once (``sample_drop_channels`` with the
+    drop's stream cursors), every scheme adds them to its running moment
+    sums (its combiners for the block, answering each link by name, the
+    uplink with its quantizer bits, the downlink with its drift phasors, if
+    any), and the block is dropped. So at its peak a drop holds its channel
+    statistics, one block's channels, estimates, combiners and products,
+    and each scheme's sums; no channel-sized array.
     A report with a non-finite SINR or SE fails the drop. Deterministic in
     (master_seed, drop_index, genome), and the same bits as one pass over
     the whole batch.
     """
     options = options or DropOptions()
     try:
-        genome = np.array(genome, dtype=int)
-        if genome.shape != (config.num_oru,):
+        if np.shape(genome) != (config.num_oru,):
             raise ValueError("partition genome length must equal the number of O-RUs")
-        Partition(genome, config.num_edu)  # EDU range and balance
+        genome = Partition(genome, config.num_edu).genome  # integer, in range, balanced
         topology = build_topology(config, drop_index)
         stats = build_statistics(config, topology, drop_index)
         all_serve = Association.all_serve(config.num_ue, config.num_oru)
@@ -183,27 +178,20 @@ def run_drop(
             rot = phase_drift(T, config.num_oru, options.phase_drift_deg, rng)
         links = {"ul": config.quantizer_bits, "dl": rot}
         links = {link: links[link] for link in LINKS if link in options.links}
-        sums = {}  # scheme -> its association and moment sums
-        for scheme in config.schemes:
-            assoc = dcc if SCHEMES[scheme].dcc else all_serve
-            ws = CombinerWorkspace(
-                SCHEMES[scheme], assoc, genome, stats.C, p_ul, stats.noise_mw
-            )
-            sums[scheme] = assoc, MomentSums(ws, links)
+        assocs = {s: dcc if SCHEMES[s].dcc else all_serve for s in config.schemes}
+        workspaces = [
+            CombinerWorkspace(SCHEMES[s], assoc, genome, stats.C, p_ul, stats.noise_mw)
+            for s, assoc in assocs.items()
+        ]
         streams = drop_streams(config, drop_index, T)
-        block_bytes = moment_block_bytes(
-            config.num_ue, config.num_oru, config.antennas_per_oru, links
-        )
-        for b in _blocks(T, block_bytes):
-            h, hhat = sample_drop_channels(
-                stats, min(b.stop, T) - b.start, config, drop_index, streams
-            )
-            for _, scheme_sums in sums.values():
-                scheme_sums.add(hhat, h)
+        # sample_drop_channels is looked up per block, so a wrapper set on
+        # this module's name (perfbench's tracer) sees every block
+        passes = moment_pass(workspaces, links, T, lambda b: sample_drop_channels(
+            stats, b.stop - b.start, config, drop_index, streams
+        ))
 
         reports: dict[str, dict[str, SinrReport]] = {}
-        for scheme, (assoc, scheme_sums) in sums.items():
-            moments = scheme_sums.finish()
+        for (scheme, assoc), moments in zip(assocs.items(), passes):
             per_link: dict[str, SinrReport] = {}
             if "ul" in moments:
                 per_link["ul"] = uplink_sinr(

@@ -7,17 +7,16 @@ realization's channel estimates only, and one batched kernel builds them for
 a block of realizations (``CombinerWorkspace.combiners``). SINR expectations
 are sample means over the realization batch.
 
-Both links reduce the batch in one pass per scheme (``MomentSums``), which
-answers each link by name: each realization block builds its combiners,
-forms the link products s[t, k, i] = v_k^H h_i of the moment sets the links
-read (one shared by an unquantized uplink and an undrifted downlink, a
-quantized uplink's, a drifted downlink's), adds s_kk, |s_ki|^2 and the
-per-(UE, O-RU) combiner energies to running sums, and is dropped. A drop
-feeds the pass one freshly drawn block of channels h and estimates hhat at
-a time, so at its peak it holds its channel statistics, one block's
-channels, estimates, combiners and products, and the sums; the standalone
-SINR calls run the same pass over given whole-batch arrays
-(``_link_moments``).
+One loop over realization blocks reduces the batch for every scheme and
+link (``moment_pass``). It draws each block's channels h and estimates hhat
+once (a drop samples them fresh, the standalone SINR calls slice given
+whole-batch arrays), and each scheme builds the block's combiners, forms
+the link products s[t, k, i] = v_k^H h_i of the moment sets its links read
+(one shared by an unquantized uplink and an undrifted downlink, a quantized
+uplink's, a drifted downlink's), and adds s_kk, |s_ki|^2 and the
+per-(UE, O-RU) combiner energies to running sums (``_MomentSums``) before
+the block is dropped. So at its peak a drop holds its channel statistics,
+one block's channels, estimates, combiners and products, and the sums.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
@@ -37,6 +36,7 @@ precoders are never built.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -288,7 +288,7 @@ class CombinerWorkspace:
         self.spec = spec
         self.delta = association.delta
         K, L = self.delta.shape
-        N = C.shape[-1]
+        self.N = N = C.shape[-1]
         self.p = np.asarray(p_mw, dtype=float)
         self.units = np.asarray(unit_labels(spec.granularity, genome, L), dtype=np.intp)
         if spec.rule != "mmse":
@@ -340,7 +340,7 @@ class CombinerWorkspace:
 
 @dataclass(frozen=True)
 class LinkMoments:
-    """Moments of one link over a realization batch (see ``MomentSums``)
+    """Moments of one link over a realization batch (see ``_MomentSums``)
     and the link they belong to."""
 
     num: np.ndarray  # (K,) E[s_kk]
@@ -365,14 +365,7 @@ def _check_moments(moments: LinkMoments, bits: int | str, drifted: bool) -> None
         )
 
 
-def moment_block_bytes(K: int, L: int, N: int, links: dict) -> int:
-    """Bytes per realization of a moment pass block over the ``links`` (as
-    in ``MomentSums``): its largest array, v, h or g, is that size."""
-    quantized = links.get("ul", "infinite") != "infinite"
-    return 16 * K * L * (max(K, N) if quantized else N)
-
-
-class MomentSums:
+class _MomentSums:
     """One scheme's running moment sums of the ``links`` asked for, by name,
     over a realization batch that arrives block by block: ``links`` maps
     "ul" to its quantizer bits and "dl" to the batch's (T, L) drift phasors
@@ -386,7 +379,7 @@ class MomentSums:
 
     ``add`` builds a block's combiners (``workspace.combiners``), adds its
     terms to the sums (``_add_rows``) and keeps nothing of the block;
-    ``finish`` averages the sums over the realizations added.
+    ``finish`` averages the sums over the T realizations.
     """
 
     def __init__(self, workspace: CombinerWorkspace, links: dict):
@@ -400,13 +393,10 @@ class MomentSums:
         self.E = _one_hot(units, units.max() + 1) if own["ul"] else None
         self.sums = {name: [None, None] for name in self.reads.values()}  # s_kk, |s_ki|^2
         self.energy = None
-        self.t = 0  # realizations added
 
-    def add(self, hhat: np.ndarray, h: np.ndarray) -> None:
-        """Add the next block of (b, K, L, N) estimates and channels."""
+    def add(self, b: slice, hhat: np.ndarray, h: np.ndarray) -> None:
+        """Add the (len(b), K, L, N) estimates and channels of realizations b."""
         _, K, L, N = h.shape
-        b = slice(self.t, self.t + h.shape[0])  # its drift phasors
-        self.t = b.stop
         v = self.workspace.combiners(hhat)
         for name, total in self.sums.items():
             hb = h * self.rot[b, None, :, None] if name == "dl" else h
@@ -425,11 +415,8 @@ class MomentSums:
             e[..., 0] += e[..., n]
         self.energy = _add_rows(self.energy, e[..., 0])
 
-    def finish(self) -> dict[str, LinkMoments]:
+    def finish(self, T: int) -> dict[str, LinkMoments]:
         """Each link's moments, by name."""
-        T = self.t
-        if T < 2:
-            raise ValueError("need at least 2 realizations")
         energy = self.energy.sum(axis=0) / T
         out = {}
         for name, (num, isq) in self.sums.items():
@@ -438,20 +425,40 @@ class MomentSums:
         return {link: out[name] for link, name in self.reads.items()}
 
 
-def _link_moments(
-    workspace: CombinerWorkspace,
-    hhat: np.ndarray,
-    h: np.ndarray,
+def moment_pass(
+    workspaces: list[CombinerWorkspace],
     links: dict,
+    T: int,
+    draw: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+) -> list[dict[str, LinkMoments]]:
+    """Each workspace's moments of the ``links`` (see ``_MomentSums``) over
+    a batch of T realizations, in one pass.
+
+    The realizations run in blocks whose largest array, v, h or g, takes
+    16 K L N bytes per realization (16 K L max(K, N) with a quantized
+    uplink), as many as ``channel._BLOCK_BYTES`` allows. ``draw(b)`` gives
+    the (h, hhat) channels and estimates, (len(b), K, L, N) each, of the
+    realization slice b, once per block, and every workspace adds that
+    block to its sums.
+    """
+    if T < 2:
+        raise ValueError("need at least 2 realizations")
+    sums = [_MomentSums(ws, links) for ws in workspaces]
+    (K, L), N = workspaces[0].delta.shape, workspaces[0].N
+    for b in _blocks(T, 16 * K * L * (N if sums[0].E is None else max(K, N))):
+        b = slice(b.start, min(b.stop, T))
+        h, hhat = draw(b)
+        for scheme_sums in sums:
+            scheme_sums.add(b, hhat, h)
+    return [scheme_sums.finish(T) for scheme_sums in sums]
+
+
+def _link_moments(
+    workspace: CombinerWorkspace, hhat: np.ndarray, h: np.ndarray, links: dict
 ) -> dict[str, LinkMoments]:
-    """One scheme's moments of the ``links`` (see ``MomentSums``) in one pass
-    over (T, K, L, N) estimates ``hhat`` and channels ``h``, in realization
-    blocks of ``moment_block_bytes``."""
-    T, K, L, N = h.shape
-    sums = MomentSums(workspace, links)
-    for b in _blocks(T, moment_block_bytes(K, L, N, links)):
-        sums.add(hhat[b], h[b])
-    return sums.finish()
+    """One scheme's ``moment_pass`` over given whole-batch (T, K, L, N)
+    estimates ``hhat`` and channels ``h``."""
+    return moment_pass([workspace], links, len(h), lambda b: (h[b], hhat[b]))[0]
 
 
 def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:

@@ -1,31 +1,29 @@
-"""Frozen whole-batch combiners and link moments, kept as a test reference.
+"""Frozen whole-batch link moments, kept as a test reference.
 
-This is the link code that ``transceiver._link_moments`` replaced, copied
-without change of arithmetic: one scheme's combiners for the whole
-realization batch in one (T, K, L, N) array, then one pass of link products
-per moment set (plain, quantized uplink or drifted downlink) over that
-array. ``test_transceiver`` holds the one-pass kernel, which builds and
-reduces the combiners block by block, to it bit for bit. Do not optimize
-this file.
+This is the link code that ``transceiver.moment_pass`` replaced, copied
+without change of arithmetic: given one scheme's combiners for the whole
+realization batch in one (T, K, L, N) array (``workspace.combiners`` over
+the whole batch), one pass of link products per moment set (plain,
+quantized uplink or drifted downlink) over that array. It slices the batch
+with its own copy of the block budget, so a change to the kernels' blocks
+does not move it. ``test_transceiver`` holds the one-pass kernel, which
+builds and reduces the combiners block by block, to it bit for bit. Do not
+optimize this file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cfmimo.channel import _blocks
 from cfmimo.transceiver import quantize
 
+# The kernels' block budget when this file was frozen, and their slicer.
+_BLOCK_BYTES = 1 << 18
 
-def whole_batch_combiners(workspace, hhat):
-    """``CombinerWorkspace.combiners`` over the whole batch at once."""
-    if workspace.spec.rule == "mrc":
-        return np.where(workspace.delta[:, :, None], hhat, 0.0)
-    v = np.zeros_like(hhat)
-    for b in _blocks(hhat.shape[0], workspace.item_bytes):
-        workspace._fill(hhat[b], v[b])
-    v[:, ~workspace.delta] = 0.0
-    return v
+
+def _blocks(n, item_bytes):
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def link_moments(v, h, rot=None, bits="infinite", E=None):

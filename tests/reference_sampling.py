@@ -3,16 +3,24 @@
 This is the sampling code that the in-place kernels of ``cfmimo.channel``
 replaced, copied without change of arithmetic: each part of the normal
 draws comes from one ``standard_normal`` call over the whole batch, and the
-per-link products write into a second channel-sized array. ``test_channel``
-holds the kernels to it bit for bit. Do not optimize this file.
+per-link products write into a second channel-sized array, in link chunks
+sliced with its own copy of the block budget. ``test_channel`` holds the
+kernels to it bit for bit. Do not optimize this file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cfmimo.channel import _blocks
 from cfmimo.scenario import rng_stream
+
+# The kernels' block budget when this file was frozen, and their slicer.
+_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(n, item_bytes):
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def per_link(A, x):

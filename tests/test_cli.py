@@ -990,3 +990,37 @@ def test_phase_drift_without_the_downlink_exits_2(
     assert "phase_drift_deg" in record["detail"]
     assert "dl" in record["detail"]
     assert not out.exists()
+
+
+def test_config_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(tmp_path), "--out", str(out)]
+    record = _rejected(argv, monkeypatch, capsys)
+    assert record["error"] == "usage"
+    assert "is a directory" in record["detail"] and str(tmp_path) in record["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "deploy-ga", "associate-ql"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+    tmp_path, cfg_file, command, below, monkeypatch, capsys
+):
+    # a path at or below an existing file cannot hold the outputs; found only
+    # when they are written, after every drop, it would lose the campaign
+    import cfmimo.harness as hz
+
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" if below else afile
+    argv = [command, "--config", cfg_file, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "num_edu", "--values", "2", "--deployment", "clustered"]
+    if command == "deploy-ga":
+        argv += ["--generations", "1"]
+    monkeypatch.setattr(hz, "ga_optimize", lambda *a, **k: pytest.fail("GA ran"))
+    record = _rejected(argv, monkeypatch, capsys)
+    assert record["error"] == "usage"
+    assert str(out) in record["detail"] and "not a directory" in record["detail"]
+    assert afile.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]

@@ -281,3 +281,5 @@ def test_partition_constructor_enforces_constraints():
         Partition(np.array([0, 0, 0, 0]), 2)
     with pytest.raises(ValueError):
         Partition(np.array([0, 0, 0, 1]), 2)
+    with pytest.raises(ValueError, match="integers"):  # not cast to [0, 1, 0, 1]
+        Partition([0.9, 1.9, 0.2, 1.1], 2)

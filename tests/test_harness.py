@@ -96,11 +96,20 @@ def test_run_drop_skips_ql_when_no_scheme_uses_dcc(desk_config, monkeypatch):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-@pytest.mark.parametrize("mode", ["all", "ql"])
-def test_run_drop_rejects_genome_beyond_num_edu(tiny_config, mode):
+@pytest.mark.parametrize(
+    "mode, genome, match",
+    [
+        ("all", [0, 1, 2, 3], "every EDU"),
+        ("ql", [0, 1, 2, 3], "every EDU"),
+        # cast to [0, 1, 0, 1], it would run as that genome
+        pytest.param("all", [0.7, 1.7, 0.7, 1.7], "integers", id="all-fractional"),
+    ],
+    ids=["all", "ql", None],
+)
+def test_run_drop_rejects_genome_beyond_num_edu(tiny_config, mode, genome, match):
     # four labels for num_edu=2 would run edu-mmse as four EDUs
-    with pytest.raises(RuntimeError, match="every EDU"):
-        run_drop(tiny_config, 0, [0, 1, 2, 3], DropOptions(association_mode=mode))
+    with pytest.raises(RuntimeError, match=match):
+        run_drop(tiny_config, 0, genome, DropOptions(association_mode=mode))
 
 
 def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
@@ -121,6 +130,11 @@ def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
         ({"association_mode": "file"}, "association_delta"),
         ({"association_delta": np.ones((8, 4), dtype=bool)}, "association_delta"),
         ({"links": ("ul",), "phase_drift_deg": 10.0}, "phase_drift_deg .* dl"),
+        # Association.from_edu would count both entries as served
+        (
+            {"association_mode": "file", "association_delta": np.array([[0.5, 2.0]])},
+            "association_delta entries must be 0 or 1",
+        ),
     ],
 )
 def test_drop_options_reject_a_bad_field_when_made(fields, match):

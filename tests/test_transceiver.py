@@ -409,7 +409,7 @@ def test_one_pass_moments_bit_identical_to_frozen_whole_batch(
     )
     units = unit_labels(spec.granularity, genome, L)
     rot = ch.phase_drift(T, L, 10.0, rng_stream(cfg.master_seed, 1, "phase-drift"))
-    v = reference_moments.whole_batch_combiners(ws, hhat)
+    v = ws.combiners(hhat)  # the whole batch's combiners in one array
     ref = [
         reference_moments.link_moments(v, h),
         reference_moments.link_moments(v, h, bits=3, E=_one_hot(units, units.max() + 1)),
