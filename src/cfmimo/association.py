@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .deployment import _one_hot, unit_labels
+from .scenario import require_integers
 
 REWARD_CAP = 1e6  # sentinel where the reward ratio diverges
 LEARNING_RATE = 0.1  # alpha of the temporal-difference update
@@ -32,6 +33,9 @@ class QlConfig:
     steps_per_episode: int | None = None  # default 4 * K * M
 
     def validate(self) -> None:
+        require_integers(episodes=self.episodes, fronthaul_ue_cap=self.fronthaul_ue_cap)
+        if self.steps_per_episode is not None:
+            require_integers(steps_per_episode=self.steps_per_episode)
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.fronthaul_ue_cap < 0:
@@ -138,6 +142,14 @@ class EduSinrTable:
         return rates[k]
 
 
+def _row_max(q: dict[int, float], base: int, n: int) -> tuple[float, int]:
+    """The largest of the n Q values ``q[base + action]``, 0.0 where not
+    written, and its first action, the one ``ndarray.argmax`` picks."""
+    values = [q.get(key, 0.0) for key in range(base, base + n)]
+    best = max(values)
+    return best, values.index(best)
+
+
 @dataclass
 class QlResult:
     best_delta: np.ndarray  # (K, M) best feasible association observed
@@ -169,11 +181,12 @@ def ql_associate(
     keep.
 
     Each EDU's state is its K-bit serving set held as an int, and each
-    visited (EDU, state) owns one row of 2K+1 Q values in one growing
-    array, together with its largest value and that value's first action,
-    both kept current as the row is written, and an int bitmask of the
-    actions written so far; a state without a row has all Q values 0. An
-    EDU's Q-table size counts its first writes as they happen.
+    visited (EDU, state) gets a row number, together with the largest of
+    its 2K+1 Q values and that value's first action, both kept current as
+    the row is written. The Q values themselves are one dict of the
+    written entries, keyed by row * (2K+1) + action; an entry not in it,
+    and every entry of a state without a row, is 0. An EDU's Q-table size
+    counts its first writes, the keys added to the dict.
     """
     K, M = num_ue, num_edu
     n_actions = 2 * K + 1
@@ -181,11 +194,10 @@ def ql_associate(
     cap = config.fronthaul_ue_cap
     r_sum_all = float(table.r_sum(np.ones((K, M), dtype=bool)))
 
-    q = np.zeros((256, n_actions))
+    q: dict[int, float] = {}  # row * n_actions + action -> written Q value
     row_of: list[dict[int, int]] = [dict() for _ in range(M)]  # state -> row
     row_max: list[float] = []  # the largest Q value of each row
     row_arg: list[int] = []  # its first action, which argmax would pick
-    written: list[int] = []
     q_table_sizes = [0] * M
     rates = np.zeros(K)  # log2(1 + SINR) of each UE
 
@@ -232,24 +244,19 @@ def ql_associate(
 
             max_next = 0.0 if i_next is None else row_max[i_next]
             if i is None:
-                i = rows[s] = len(written)
-                if i == len(q):  # untouched zero pages cost no memory
-                    grown = np.zeros((2 * i, n_actions))
-                    grown[:i] = q
-                    q = grown
+                i = rows[s] = len(row_max)
                 row_max.append(0.0)
                 row_arg.append(0)
-                written.append(0)
-            value = q_update(q.item(i, a), r, max_next, LEARNING_RATE, DISCOUNT)
-            q[i, a] = value
+            key = i * n_actions + a
+            prev = q.get(key)
+            if prev is None:  # a first write
+                prev = 0.0
+                q_table_sizes[m] += 1
+            value = q[key] = q_update(prev, r, max_next, LEARNING_RATE, DISCOUNT)
             if value > row_max[i] or (value == row_max[i] and a < row_arg[i]):
                 row_max[i], row_arg[i] = value, a
             elif a == row_arg[i] and value < row_max[i]:  # the max entry fell
-                row_arg[i] = int(q[i].argmax())
-                row_max[i] = q.item(i, row_arg[i])
-            if not written[i] >> a & 1:
-                written[i] |= 1 << a
-                q_table_sizes[m] += 1
+                row_max[i], row_arg[i] = _row_max(q, i * n_actions, n_actions)
 
             if chi and r_sum > best_r:
                 best_r = r_sum

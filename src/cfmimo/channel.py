@@ -24,13 +24,17 @@ _BLOCK_BYTES = 1 << 18  # largest temporary array of one kernel block
 # antennas, 1.3 MB. A longer array recomputes its larger offsets on every
 # call, outside the cache, so that they do not push out offsets 1-32.
 _EXPANSION_CACHE = 32
+# N x N complex temporaries per link that a link block of the factorization
+# and the MMSE filters holds at once, which sizes its blocks
+_STATISTICS_TEMPS = 4
 
 
 def _blocks(n: int, item_bytes: int) -> list[slice]:
     """Consecutive slices over n independent items, each holding as many
-    items of ``item_bytes`` as ``_BLOCK_BYTES`` allows, but at least one."""
+    items of ``item_bytes`` as ``_BLOCK_BYTES`` allows, but at least one; the
+    last slice ends at n."""
     step = max(1, _BLOCK_BYTES // item_bytes)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def pathloss_db(d, exponent: float = 3.67, intercept_db: float = -30.5):
@@ -158,8 +162,9 @@ def _chebyshev(s: np.ndarray, order: int) -> np.ndarray:
     t[0] = 1.0
     if order > 1:
         t[1] = s
+    two_s = 2.0 * s
     for m in range(1, order - 1):
-        np.multiply(t[m], 2.0 * s, out=t[m + 1])
+        np.multiply(t[m], two_s, out=t[m + 1])
         t[m + 1] -= t[m - 1]
     return t
 
@@ -201,6 +206,12 @@ def spatial_correlation_batch(
     is one bilinear form of the scaled Chebyshev values g_m T_m, and no
     node-pair exponential is evaluated.
 
+    The quadrature rule, the expansion coefficients and g are made once per
+    call; the Chebyshev values and the bilinear forms then run in link
+    blocks sized by ``_blocks``, writing each link's expectations r into one
+    (P, N) array, from which R is assembled. Links are the batch axis of
+    every product, so a link's R does not depend on the block it falls in.
+
     Returns an array of shape (P, N, N), Hermitian PSD.
     """
     az = np.atleast_1d(np.asarray(nominal_azimuth, dtype=float))
@@ -227,29 +238,44 @@ def spatial_correlation_batch(
         m = np.arange(order)[:, None]
         g_az = np.cos(m * ((ANGLE_TRUNC_SIGMAS * asd_azimuth) * x)) @ w
         g_el = np.cos(m * ((ANGLE_TRUNC_SIGMAS * asd_elevation) * x)) @ w
-        t = _chebyshev(np.stack([np.sin(az), np.cos(el)]), order)
-        a = g_az[:, None] * t[:, 0]  # (order, P)
-        b = g_el[:, None] * t[:, 1]
-        a_even, a_odd = np.ascontiguousarray(a[0::2].T), np.ascontiguousarray(a[1::2].T)
-        b_even, b_odd = np.ascontiguousarray(b[0::2].T), np.ascontiguousarray(b[1::2].T)
-        for d, (even, odd) in enumerate(coefs, 1):
-            r[:, d].real = _bilinear(a_even, even, b_even)
-            r[:, d].imag = _bilinear(a_odd, odd, b_odd)
+        # a block's largest temporary is its Chebyshev rows, 16 * order bytes
+        # per link
+        for p in _blocks(P, 16 * order):
+            t = _chebyshev(np.stack([np.sin(az[p]), np.cos(el[p])]), order)
+            a = g_az[:, None] * t[:, 0]  # (order, links)
+            b = g_el[:, None] * t[:, 1]
+            a_even, a_odd = np.ascontiguousarray(a[0::2].T), np.ascontiguousarray(a[1::2].T)
+            b_even, b_odd = np.ascontiguousarray(b[0::2].T), np.ascontiguousarray(b[1::2].T)
+            for d, (even, odd) in enumerate(coefs, 1):
+                r[p, d].real = _bilinear(a_even, even, b_even)
+                r[p, d].imag = _bilinear(a_odd, odd, b_odd)
 
+    # The assembly runs over the whole call. Its (P, N, N) temporaries are
+    # freed before build_statistics makes its other outputs, so they add
+    # nothing to its peak, and freeing them raises glibc's dynamic mmap and
+    # trim thresholds; assembled per block, a full-scale drop's realization
+    # blocks refaulted their memory on every block (CHANGES.md).
     offsets = np.arange(N)
     idx = offsets[:, None] - offsets[None, :]  # (N, N) of m-n
-    R = np.where(idx >= 0, r[:, np.abs(idx)], np.conj(r[:, np.abs(idx)]))
-    return R * beta[:, None, None]
+    R = np.empty((P, N, N), dtype=complex)  # C-contiguous for the link blocks
+    np.multiply(
+        np.where(idx >= 0, r[:, np.abs(idx)], np.conj(r[:, np.abs(idx)])),
+        beta[:, None, None],
+        out=R,
+    )
+    return R
 
 
-def correlation_factor(R: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of R (batched over leading axes)."""
+def correlation_factor(R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hermitian PSD square root of R (batched over leading axes), written
+    into ``out`` when given."""
     vals, vecs = np.linalg.eigh(R)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals).all(axis=-1))
         raise ValueError(f"correlation factorization failed for block {bad[0]}")
     vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)[..., None, :] @ np.conj(np.swapaxes(vecs, -1, -2))
+    scaled = vecs * np.sqrt(vals)[..., None, :]
+    return np.matmul(scaled, np.conj(np.swapaxes(vecs, -1, -2)), out=out)
 
 
 def _per_link(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -355,27 +381,36 @@ def sample_channel(
 
 
 def mmse_filters(
-    R: np.ndarray, pilot_power_mw: float, pilot_len: int, noise_mw: float
+    R: np.ndarray,
+    pilot_power_mw: float,
+    pilot_len: int,
+    noise_mw: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-link MMSE estimation filter and second-order statistics.
 
     With pilot observation y = sqrt(p*tau)h + n, n ~ CN(0, noise*I):
     returns (W, Phi, C) where hhat = W @ y, Phi = Cov(hhat) and
-    C = R - Phi is the error covariance.
+    C = R - Phi is the error covariance, written into the three arrays
+    ``out`` when given and otherwise into new C-contiguous ones.
     """
     if noise_mw <= 0:
         raise ValueError("noise power must be > 0")
     ptau = pilot_power_mw * pilot_len
     N = R.shape[-1]
-    A = ptau * R + noise_mw * np.eye(N)
-    Ainv_R = np.linalg.solve(A, R)  # (p*tau*R + s2 I)^{-1} R, batched
-    # contiguous: a drop's sampling blocks each read it without a copy
-    W = np.ascontiguousarray(np.sqrt(ptau) * np.swapaxes(np.conj(Ainv_R), -1, -2))
+    # (A^{-1} R)^H with A = p*tau*R + s2 I, batched
+    Ainv_R_H = np.swapaxes(
+        np.conj(np.linalg.solve(ptau * R + noise_mw * np.eye(N), R)), -1, -2
+    )
+    W, Phi, C = out or (np.empty(R.shape, Ainv_R_H.dtype) for _ in range(3))
+    np.multiply(np.sqrt(ptau), Ainv_R_H, out=W)
     # R Hermitian makes R A^{-1} R = (A^{-1} R)^H R
-    Phi = ptau * np.swapaxes(np.conj(Ainv_R), -1, -2) @ R
-    Phi = 0.5 * (Phi + np.conj(np.swapaxes(Phi, -1, -2)))
-    C = R - Phi
-    C = 0.5 * (C + np.conj(np.swapaxes(C, -1, -2)))
+    work = ptau * Ainv_R_H @ R
+    work += np.conj(np.swapaxes(work, -1, -2))
+    np.multiply(0.5, work, out=Phi)
+    np.subtract(R, Phi, out=work)
+    work += np.conj(np.swapaxes(work, -1, -2))
+    np.multiply(0.5, work, out=C)
     return W, Phi, C
 
 
@@ -442,6 +477,12 @@ def build_statistics(
     seen from the O-RU, elevation the (negative) depression angle set by the
     antenna height. Pilot power equals the uplink data power and the pilot
     length equals the number of orthogonal pilots.
+
+    R^(1/2), W, Phi and C are made once, C-contiguous, and filled in link
+    blocks sized by ``_blocks``: each block's factorization and filters
+    write into them, so the temporaries held at once are a block's, not
+    the drop's. Each link's matrices are computed on their own, so the
+    bits do not depend on the block size.
     """
     K, L, N = config.num_ue, config.num_oru, config.antennas_per_oru
     rng_sh = rng_stream(config.master_seed, drop_index, "shadowing")
@@ -467,19 +508,25 @@ def build_statistics(
         np.deg2rad(config.asd_elevation_deg),
         N,
         beta.ravel(),
-    ).reshape(K, L, N, N)
+    )
 
-    sqrt_R = correlation_factor(R)
     noise = config.noise_power_mw()
-    W, Phi, C = mmse_filters(R, config.ul_power_mw, config.pilot_count, noise)
+    # C-contiguous, so a drop's sampling blocks read W without a copy
+    sqrt_R, W, Phi, C = (np.empty_like(R) for _ in range(4))
+    for p in _blocks(K * L, 16 * N * N * _STATISTICS_TEMPS):
+        correlation_factor(R[p], out=sqrt_R[p])
+        mmse_filters(
+            R[p], config.ul_power_mw, config.pilot_count, noise, out=(W[p], Phi[p], C[p])
+        )
+    shape = (K, L, N, N)
     return ChannelStatistics(
         beta=beta,
         shadow_db=shadow,
-        R=R,
-        sqrt_R=sqrt_R,
-        W=W,
-        Phi=Phi,
-        C=C,
+        R=R.reshape(shape),
+        sqrt_R=sqrt_R.reshape(shape),
+        W=W.reshape(shape),
+        Phi=Phi.reshape(shape),
+        C=C.reshape(shape),
         noise_mw=noise,
     )
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scenario import require_integers
+
 MAX_EXACT_TUPLES = 10_000_000
 CLUSTER_RESTARTS = 8  # seeded restarts of the clustered baseline
 CLUSTER_ITERATIONS = 30  # most Lloyd iterations per restart
@@ -37,6 +39,7 @@ class GaConfig:
     fitness_mode: str = "pairwise-surrogate"  # or "exact"
 
     def validate(self) -> None:
+        require_integers(population_size=self.population_size, generations=self.generations)
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be an even number >= 2")
         if self.generations < 1:

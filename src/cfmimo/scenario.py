@@ -156,6 +156,14 @@ _FIELD_TYPES = {
 }
 
 
+def require_integers(**counts) -> None:
+    """Raise ``ValueError`` naming the first of ``counts`` that is not an
+    integer; a bool is an int to Python but not a count here."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def validate_config(config: ScenarioConfig) -> list[str]:
     """Return every violated invariant as a message; empty list means ok.
 

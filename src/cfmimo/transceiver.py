@@ -446,7 +446,6 @@ def moment_pass(
     sums = [_MomentSums(ws, links) for ws in workspaces]
     (K, L), N = workspaces[0].delta.shape, workspaces[0].N
     for b in _blocks(T, 16 * K * L * (N if sums[0].E is None else max(K, N))):
-        b = slice(b.start, min(b.stop, T))
         h, hhat = draw(b)
         for scheme_sums in sums:
             scheme_sums.add(b, hhat, h)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfmimo import association
 from cfmimo.association import (
     EduSinrTable,
     QlConfig,
@@ -126,6 +129,23 @@ def test_qlconfig_is_checked_when_made_and_frozen():
         QlConfig(episodes=0)
     with pytest.raises(AttributeError):
         QlConfig().episodes = 0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"episodes": 2.5},
+        {"episodes": True},
+        {"steps_per_episode": 1.5},
+        {"fronthaul_ue_cap": 3.7},
+    ],
+)
+def test_qlconfig_rejects_a_count_that_is_not_an_integer_when_made(fields):
+    # each would fail inside the drop with a TypeError, or compare loads
+    # against a fractional cap
+    name, value = next(iter(fields.items()))
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        QlConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +398,60 @@ def _gate_instances(tiny_config):
     }
 
 
+# the instances on which some row's largest Q value falls, so that the row's
+# largest value and first best action are recomputed from its written entries
+_ROW_MAX_FALLS = {"toy", "toy-rescaled", "k24-m8-binding-cap", "steps-per-episode"}
+
+
 @pytest.mark.parametrize(
     "name", ["toy", "toy-rescaled", "k24-m8-binding-cap", "steps-per-episode", "m1"]
 )
-def test_ql_matches_frozen_reference(tiny_config, name):
+def test_ql_matches_frozen_reference(monkeypatch, tiny_config, name):
     table, K, M, qcfg, seed = _gate_instances(tiny_config)[name]
+    recomputed = []
+
+    def row_max(*args):
+        recomputed.append(args)
+        return real_row_max(*args)
+
+    real_row_max = association._row_max
+    monkeypatch.setattr(association, "_row_max", row_max)
     res = ql_associate(table, K, M, qcfg, np.random.default_rng(seed))
     ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
     _assert_same_result(res, ref)
+    assert bool(recomputed) == (name in _ROW_MAX_FALLS)
+
+
+def test_row_max_is_the_first_largest_entry_of_the_row():
+    # row 2 of 5 actions, as ndarray.argmax picks it: an unwritten entry
+    # reads 0.0, ties go to the first action, and the neighbouring rows'
+    # keys (9 and 15) are not read
+    base = 2 * 5
+    for q, expect in [
+        ({base + 1: 0.5, base + 3: 0.5, base + 4: 0.25}, (0.5, 1)),
+        ({base + 0: -1.0, base + 2: -0.5}, (0.0, 1)),
+        ({base + 2: 0.0}, (0.0, 0)),
+    ]:
+        q = {base - 1: 9.0, base + 5: 9.0, **q}
+        row = np.array([q.get(base + a, 0.0) for a in range(5)])
+        assert (row.max(), int(row.argmax())) == expect
+        assert association._row_max(q, base, 5) == expect
+
+
+def test_ql_memory_grows_with_the_written_q_values_only():
+    # a 24 x 8 table at 40 episodes writes about 27,000 of the 2K+1 = 49 Q
+    # values of some 11,600 visited rows; a dense row array held every
+    # unwritten zero, and copied itself when it grew (about 400 B per
+    # written value)
+    table = _random_table(24, 8, 11)
+    qcfg = QlConfig(episodes=40, fronthaul_ue_cap=12)
+    tracemalloc.start()
+    try:
+        res = ql_associate(table, 24, 8, qcfg, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * sum(res.q_table_sizes)
 
 
 @settings(max_examples=40, deadline=None)

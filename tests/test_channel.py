@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,9 +216,10 @@ def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
 
 def test_blocks_cover_every_item_once(monkeypatch):
     monkeypatch.setattr(ch, "_BLOCK_BYTES", 100)
-    assert ch._blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    # the last slice ends at n, so a block's length is its slice's
+    assert ch._blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     assert ch._blocks(2, 101) == [slice(0, 1), slice(1, 2)]  # at least one item
-    assert ch._blocks(5, 1) == [slice(0, 100)]
+    assert ch._blocks(5, 1) == [slice(0, 5)]
     assert ch._blocks(0, 30) == []
 
 
@@ -238,6 +240,74 @@ def test_correlation_blocks_bit_identical_to_one_block(N):
             for b in (slice(i, i + links) for i in range(0, P, links))
         ]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def _same_bits(a, b):
+    return (
+        a.shape == b.shape and a.dtype == b.dtype
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def _frozen_factor_and_filters(R, pilot_power_mw, pilot_len, noise_mw):
+    """sqrt_R, W, Phi and C by the whole-batch expressions that
+    ``build_statistics`` ran before it filled its arrays in link blocks."""
+    vals, vecs = np.linalg.eigh(R)
+    vals = np.clip(vals, 0.0, None)
+    sqrt_R = vecs * np.sqrt(vals)[..., None, :] @ np.conj(np.swapaxes(vecs, -1, -2))
+    ptau = pilot_power_mw * pilot_len
+    A = ptau * R + noise_mw * np.eye(R.shape[-1])
+    Ainv_R = np.linalg.solve(A, R)
+    W = np.sqrt(ptau) * np.swapaxes(np.conj(Ainv_R), -1, -2)
+    Phi = ptau * np.swapaxes(np.conj(Ainv_R), -1, -2) @ R
+    Phi = 0.5 * (Phi + np.conj(np.swapaxes(Phi, -1, -2)))
+    C = R - Phi
+    C = 0.5 * (C + np.conj(np.swapaxes(C, -1, -2)))
+    return sqrt_R, W, Phi, C
+
+
+@pytest.mark.parametrize("scale", ["full", "desk"])
+def test_statistics_bit_identical_for_any_link_blocks(monkeypatch, desk_config, scale):
+    # A drop's statistics in one link block, held to the frozen whole-batch
+    # factor and filters; then in one-link blocks, and under a budget that
+    # leaves a ragged last block in both loops: blocks of 19 links in the
+    # correlation and 11 in the factor and filters at full scale (2400
+    # links), 30 and 44 at desk scale (128 links).
+    cfg = ScenarioConfig(master_seed=4) if scale == "full" else desk_config
+    topo = build_topology(cfg, 0)
+    monkeypatch.setattr(ch, "_BLOCK_BYTES", 1 << 40)
+    whole = ch.build_statistics(cfg, topo, 0)
+    frozen = _frozen_factor_and_filters(
+        whole.R, cfg.ul_power_mw, cfg.pilot_count, whole.noise_mw
+    )
+    for name, ref in zip(("sqrt_R", "W", "Phi", "C"), frozen):
+        assert _same_bits(getattr(whole, name), ref), name
+    for budget in (1, 11312):
+        monkeypatch.setattr(ch, "_BLOCK_BYTES", budget)
+        stats = ch.build_statistics(cfg, topo, 0)
+        for name in ("beta", "shadow_db", "R", "sqrt_R", "W", "Phi", "C"):
+            assert _same_bits(getattr(stats, name), getattr(whole, name)), (budget, name)
+        assert stats.noise_mw == whole.noise_mw
+        # a drop's sampling blocks read the filters without a copy
+        assert stats.W.flags.c_contiguous
+
+
+def test_statistics_hold_little_beside_what_they_return():
+    # the correlation, factor and filters run in link blocks into the
+    # returned arrays, so a full-scale drop's statistics add at most a
+    # quarter of their own size at their peak; whole-batch temporaries
+    # doubled it
+    cfg = ScenarioConfig(master_seed=4)
+    topo = build_topology(cfg, 0)
+    ch.build_statistics(cfg, topo, 0)  # fill the expansion cache
+    tracemalloc.start()
+    try:
+        stats = ch.build_statistics(cfg, topo, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in vars(stats).values() if isinstance(a, np.ndarray))
+    assert peak <= 1.25 * held
 
 
 def _random_links(seed, P=1000):

@@ -253,6 +253,17 @@ def test_ga_config_is_checked_when_made_and_frozen():
         GaConfig().generations = 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"generations": 2.5}, {"generations": True}, {"population_size": 8.0}],
+)
+def test_ga_config_rejects_a_count_that_is_not_an_integer_when_made(fields):
+    # each would fail inside the GA with a TypeError
+    name, value = next(iter(fields.items()))
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        GaConfig(**fields)
+
+
 # ---------------------------------------------------------------------------
 # clustered baseline
 # ---------------------------------------------------------------------------
