@@ -9,6 +9,7 @@ current sum rate against the all-associated reference. A statistical
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,12 +143,22 @@ class EduSinrTable:
         return rates[k]
 
 
-def _row_max(q: dict[int, float], base: int, n: int) -> tuple[float, int]:
-    """The largest of the n Q values ``q[base + action]``, 0.0 where not
-    written, and its first action, the one ``ndarray.argmax`` picks."""
-    values = [q.get(key, 0.0) for key in range(base, base + n)]
-    best = max(values)
-    return best, values.index(best)
+def _row_max(
+    actions: Sequence[int], values: Sequence[float], prevs: Sequence[int], j: int, n: int
+) -> tuple[float, int]:
+    """The largest of a row's n Q values, 0.0 where not written, and its
+    first action, the one ``ndarray.argmax`` picks.
+
+    The row's written values are the chain of entries that starts at its
+    latest entry ``j`` and follows ``prevs`` back to -1; entry ``j`` holds
+    action ``actions[j]`` and value ``values[j]``. No other entry is read.
+    """
+    row = [0.0] * n
+    while j >= 0:
+        row[actions[j]] = values[j]
+        j = prevs[j]
+    best = max(row)
+    return best, row.index(best)
 
 
 @dataclass
@@ -183,21 +194,39 @@ def ql_associate(
     Each EDU's state is its K-bit serving set held as an int, and each
     visited (EDU, state) gets a row number, together with the largest of
     its 2K+1 Q values and that value's first action, both kept current as
-    the row is written. The Q values themselves are one dict of the
-    written entries, keyed by row * (2K+1) + action; an entry not in it,
-    and every entry of a state without a row, is 0. An EDU's Q-table size
-    counts its first writes, the keys added to the dict.
+    the row is written. The written Q values sit in flat typed arrays, one
+    entry per first write, holding its action, its value and the index of
+    its row's previous entry; each row keeps the index of its latest entry,
+    so a row's written values are a short chain (two or three entries on
+    average), walked to read one value and, when the row's largest value
+    falls, to recount it (:func:`_row_max`). An action with no entry in its
+    row's chain, and every action of a state without a row, has Q value 0.
+    Each EDU's current row is cached, so a step looks up only the row of a
+    state it moves to, and a count of the EDUs over the cap stands in for
+    the largest load. An EDU's Q-table size counts its first writes.
+
+    Raises ``ValueError`` when ``table`` is not (num_ue, num_edu).
     """
+    from array import array  # a shared library, loaded only by runs that learn
+
     K, M = num_ue, num_edu
+    if table.gamma.shape != (K, M):
+        raise ValueError(
+            f"SINR table has shape {table.gamma.shape} but the association "
+            f"has shape {(K, M)} (num_ue, num_edu)"
+        )
     n_actions = 2 * K + 1
     steps = config.steps_per_episode or 4 * K * M
-    cap = config.fronthaul_ue_cap
+    over_cap = config.fronthaul_ue_cap + 1  # the least load over the cap
     r_sum_all = float(table.r_sum(np.ones((K, M), dtype=bool)))
 
-    q: dict[int, float] = {}  # row * n_actions + action -> written Q value
     row_of: list[dict[int, int]] = [dict() for _ in range(M)]  # state -> row
-    row_max: list[float] = []  # the largest Q value of each row
-    row_arg: list[int] = []  # its first action, which argmax would pick
+    row_head = array("i")  # each row's latest entry
+    row_max = array("d")  # the largest Q value of each row
+    row_arg = array("i")  # its first action, which argmax would pick
+    entry_action = array("i")
+    entry_value = array("d")  # the written Q values
+    entry_prev = array("i")  # the previous entry of the same row, or -1
     q_table_sizes = [0] * M
     rates = np.zeros(K)  # log2(1 + SINR) of each UE
 
@@ -207,10 +236,13 @@ def ql_associate(
     ep_rewards = np.zeros(config.episodes)
     ep_best = np.zeros(config.episodes)
 
+    random, integers, ue_rate = rng.random, rng.integers, table.ue_rate
     for e in range(config.episodes):
         states = [0] * M
+        cur = [rows.get(0, -1) for rows in row_of]  # each EDU's current row, or -1
         edus = [0] * K  # served-EDU bitmask of each UE
         load = [0] * M
+        over = 0  # the EDUs serving more than cap UEs
         rates[:] = 0.0
         chi = 1  # no EDU serves anyone
         r_sum = float(table.r_sum(np.zeros((K, M), dtype=bool)))
@@ -219,13 +251,12 @@ def ql_associate(
         acc_reward = 0.0
         for t in range(steps):
             m = t % M
-            rows = row_of[m]
             s = states[m]
-            i = rows.get(s)
-            if rng.random() < eps:
-                a = int(rng.integers(n_actions))
+            i = cur[m]
+            if random() < eps:
+                a = int(integers(n_actions))
             else:
-                a = 0 if i is None else row_arg[i]
+                a = 0 if i < 0 else row_arg[i]
 
             i_next = i
             if a:
@@ -233,30 +264,49 @@ def ql_associate(
                 k = a - 1 if on else a - K - 1
                 if bool(s >> k & 1) != on:
                     states[m] = s ^ (1 << k)
-                    i_next = rows.get(states[m])
+                    i_next = cur[m] = row_of[m].get(states[m], -1)
                     edus[k] ^= 1 << m
-                    load[m] += 1 if on else -1
-                    chi = int(max(load) <= cap)
-                    rates[k] = table.ue_rate(k, edus[k])
+                    if on:
+                        load[m] += 1
+                        over += load[m] == over_cap
+                    else:
+                        over -= load[m] == over_cap
+                        load[m] -= 1
+                    chi = int(not over)
+                    rates[k] = ue_rate(k, edus[k])
                     r_sum = float(rates.sum())
                     r = reward(chi, r_sum, r_sum_all)
             acc_reward += r
 
-            max_next = 0.0 if i_next is None else row_max[i_next]
-            if i is None:
-                i = rows[s] = len(row_max)
+            max_next = 0.0 if i_next < 0 else row_max[i_next]
+            if i < 0:  # the first visit of state s: a new row
+                i = row_of[m][s] = len(row_head)
+                if states[m] == s:  # the step stayed in s
+                    cur[m] = i
+                row_head.append(-1)
                 row_max.append(0.0)
                 row_arg.append(0)
-            key = i * n_actions + a
-            prev = q.get(key)
-            if prev is None:  # a first write
-                prev = 0.0
+            j = row_head[i]  # the row's entry for action a, or -1
+            while j >= 0 and entry_action[j] != a:
+                j = entry_prev[j]
+            if j < 0:  # a first write
+                value = q_update(0.0, r, max_next, LEARNING_RATE, DISCOUNT)
+                entry_prev.append(row_head[i])
+                row_head[i] = len(entry_value)
+                entry_action.append(a)
+                entry_value.append(value)
                 q_table_sizes[m] += 1
-            value = q[key] = q_update(prev, r, max_next, LEARNING_RATE, DISCOUNT)
-            if value > row_max[i] or (value == row_max[i] and a < row_arg[i]):
+            else:
+                value = entry_value[j] = q_update(
+                    entry_value[j], r, max_next, LEARNING_RATE, DISCOUNT
+                )
+            best, arg = row_max[i], row_arg[i]
+            if value > best or (value == best and a < arg):
                 row_max[i], row_arg[i] = value, a
-            elif a == row_arg[i] and value < row_max[i]:  # the max entry fell
-                row_max[i], row_arg[i] = _row_max(q, i * n_actions, n_actions)
+            elif a == arg and value < best:  # the max entry fell
+                row_max[i], row_arg[i] = _row_max(
+                    entry_action, entry_value, entry_prev, row_head[i], n_actions
+                )
 
             if chi and r_sum > best_r:
                 best_r = r_sum

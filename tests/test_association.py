@@ -1,4 +1,5 @@
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -424,25 +425,36 @@ def test_ql_matches_frozen_reference(monkeypatch, tiny_config, name):
 
 def test_row_max_is_the_first_largest_entry_of_the_row():
     # row 2 of 5 actions, as ndarray.argmax picks it: an unwritten entry
-    # reads 0.0, ties go to the first action, and the neighbouring rows'
-    # keys (9 and 15) are not read
-    base = 2 * 5
-    for q, expect in [
-        ({base + 1: 0.5, base + 3: 0.5, base + 4: 0.25}, (0.5, 1)),
-        ({base + 0: -1.0, base + 2: -0.5}, (0.0, 1)),
-        ({base + 2: 0.0}, (0.0, 0)),
+    # reads 0.0, ties go to the first action, and the entries of the
+    # neighbouring rows 1 and 3 (9.0 each), written between row 2's in the
+    # same arrays, are not read
+    for written, expect in [
+        ({1: 0.5, 3: 0.5, 4: 0.25}, (0.5, 1)),
+        ({0: -1.0, 2: -0.5}, (0.0, 1)),
+        ({2: 0.0}, (0.0, 0)),
     ]:
-        q = {base - 1: 9.0, base + 5: 9.0, **q}
-        row = np.array([q.get(base + a, 0.0) for a in range(5)])
+        log = [(1, 0, 9.0)]
+        for a, v in written.items():
+            log += [(2, a, v), (3, a, 9.0)]
+        actions, values, prevs = array("i"), array("d"), array("i")
+        head = {}
+        for row, a, v in log:
+            prevs.append(head.get(row, -1))
+            head[row] = len(values)
+            actions.append(a)
+            values.append(v)
+        row = np.array([written.get(a, 0.0) for a in range(5)])
         assert (row.max(), int(row.argmax())) == expect
-        assert association._row_max(q, base, 5) == expect
+        assert association._row_max(actions, values, prevs, head[2], 5) == expect
 
 
 def test_ql_memory_grows_with_the_written_q_values_only():
     # a 24 x 8 table at 40 episodes writes about 27,000 of the 2K+1 = 49 Q
     # values of some 11,600 visited rows; a dense row array held every
     # unwritten zero, and copied itself when it grew (about 400 B per
-    # written value)
+    # written value); a dict of the written values, an int key and a float
+    # object each, took about 160 B, and typed entry chains take about 80 B
+    # (the per-bitmask rate memo included)
     table = _random_table(24, 8, 11)
     qcfg = QlConfig(episodes=40, fronthaul_ue_cap=12)
     tracemalloc.start()
@@ -451,7 +463,18 @@ def test_ql_memory_grows_with_the_written_q_values_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250 * sum(res.q_table_sizes)
+    assert peak < 100 * sum(res.q_table_sizes)
+
+
+def _assert_same_as_reference_on_a_drawn_table(K, M, qcfg, seed, data):
+    # small integer SINRs and zero entries make rate ties common
+    gamma = data.draw(
+        st.lists(st.integers(0, 3), min_size=K * M, max_size=K * M), label="gamma"
+    )
+    table = EduSinrTable(np.array(gamma, dtype=float).reshape(K, M))
+    res = ql_associate(table, K, M, qcfg, np.random.default_rng(seed))
+    ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
+    _assert_same_result(res, ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,15 +487,41 @@ def test_ql_memory_grows_with_the_written_q_values_only():
     data=st.data(),
 )
 def test_ql_matches_frozen_reference_on_random_tables(K, M, cap, episodes, seed, data):
-    # small integer SINRs and zero entries make rate ties common
-    gamma = data.draw(
-        st.lists(st.integers(0, 3), min_size=K * M, max_size=K * M), label="gamma"
-    )
-    table = EduSinrTable(np.array(gamma, dtype=float).reshape(K, M))
     qcfg = QlConfig(episodes=episodes, fronthaul_ue_cap=cap)
-    res = ql_associate(table, K, M, qcfg, np.random.default_rng(seed))
-    ref = reference_ql_associate(table.r_sum, K, M, qcfg, np.random.default_rng(seed))
-    _assert_same_result(res, ref)
+    _assert_same_as_reference_on_a_drawn_table(K, M, qcfg, seed, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 5),
+    M=st.integers(1, 3),
+    cap=st.integers(0, 5),
+    episodes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ql_matches_frozen_reference_when_episodes_end_mid_round(
+    K, M, cap, episodes, seed, data
+):
+    # 1 to 2M + 1 steps per episode: an episode ends before every EDU has
+    # acted, or part-way through a second round, and the next one restarts
+    # every EDU's cached row at state 0
+    steps = data.draw(st.integers(1, 2 * M + 1), label="steps_per_episode")
+    qcfg = QlConfig(episodes=episodes, fronthaul_ue_cap=cap, steps_per_episode=steps)
+    _assert_same_as_reference_on_a_drawn_table(K, M, qcfg, seed, data)
+
+
+def test_ql_rejects_a_table_of_another_shape(tiny_config):
+    qcfg = QlConfig(episodes=1, fronthaul_ue_cap=2)
+    with pytest.raises(ValueError, match=r"SINR table has shape \(2, 4\) .* \(4, 2\)"):
+        ql_associate(EduSinrTable(np.ones((2, 4))), 4, 2, qcfg, np.random.default_rng(0))
+    # a genome that skips EDU label 1 makes a column per label up to 2
+    stats = build_statistics(tiny_config, build_topology(tiny_config, 0), 0)
+    p = uplink_power(tiny_config.num_ue, tiny_config.ul_power_mw)
+    table = EduSinrTable.from_statistics(stats, np.array([0, 2, 0, 2]), p, stats.noise_mw)
+    assert table.gamma.shape == (4, 3)
+    with pytest.raises(ValueError, match=r"SINR table has shape \(4, 3\) .* \(4, 2\)"):
+        ql_associate(table, 4, 2, qcfg, np.random.default_rng(0))
 
 
 def test_ql_evaluates_once_per_association_change(tiny_config):
