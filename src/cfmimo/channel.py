@@ -511,8 +511,13 @@ def build_statistics(
     )
 
     noise = config.noise_power_mw()
-    # C-contiguous, so a drop's sampling blocks read W without a copy
-    sqrt_R, W, Phi, C = (np.empty_like(R) for _ in range(4))
+    # C-contiguous, so a drop's sampling blocks read W without a copy. Phi
+    # and C are made before R^(1/2) and W: a drop lets them go before its
+    # moment pass, which still reads R^(1/2) and W, so the heap space they
+    # free lies below live arrays, where the pass's block temporaries reuse
+    # it, not at the heap's top, where glibc would trim it and the pass
+    # refault it block after block
+    Phi, C, sqrt_R, W = (np.empty_like(R) for _ in range(4))
     for p in _blocks(K * L, 16 * N * N * _STATISTICS_TEMPS):
         correlation_factor(R[p], out=sqrt_R[p])
         mmse_filters(
@@ -553,10 +558,11 @@ def sample_drop_channels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Channel realizations and their MMSE estimates, (T, K, L, N) each.
 
-    Without ``streams`` they are the drop's whole batch of
-    ``num_realizations``; with the cursors of ``drop_streams`` they are the
-    next block of that batch, and consecutive blocks concatenate to the
-    same bits as the whole batch.
+    Of ``stats`` it reads ``sqrt_R``, ``W`` and ``noise_mw`` only, so a
+    record with just those three fields will do. Without ``streams`` they
+    are the drop's whole batch of ``num_realizations``; with the cursors of
+    ``drop_streams`` they are the next block of that batch, and consecutive
+    blocks concatenate to the same bits as the whole batch.
     """
     streams = streams or drop_streams(config, drop_index, num_realizations)
     h = sample_channel(stats.sqrt_R, streams["small-scale"], size=num_realizations)

@@ -23,6 +23,7 @@ from .channel import build_statistics
 from .deployment import GaConfig
 from .harness import (
     DropOptions,
+    edu_sinr_table,
     ql_association,
     read_csv_rows,
     resolve_partition,
@@ -244,7 +245,9 @@ def cmd_associate_ql(args) -> int:
         cfg, args.deployment, genome_file=args.partition_file
     )
     stats = build_statistics(cfg, build_topology(cfg, args.drop), args.drop)
-    result = ql_association(cfg, stats, genome, args.drop, qcfg)
+    table = edu_sinr_table(cfg, stats, genome)
+    del stats  # QL learns on the table alone
+    result = ql_association(cfg, table, args.drop, qcfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "association.csv"),

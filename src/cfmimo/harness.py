@@ -14,6 +14,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,19 +76,30 @@ class DropResult:
     metadata: dict = field(default_factory=dict)
 
 
+def edu_sinr_table(
+    config: ScenarioConfig, stats, genome: np.ndarray
+) -> EduSinrTable:
+    """The drop's statistical EDU SINR table under ``genome`` at the
+    configured uplink power, for :func:`ql_association`. It is the last
+    reader of the statistics' R and Phi."""
+    p_ul = uplink_power(config.num_ue, config.ul_power_mw)
+    return EduSinrTable.from_statistics(stats, genome, p_ul, stats.noise_mw)
+
+
 def ql_association(
     config: ScenarioConfig,
-    stats,
-    genome: np.ndarray,
+    table: EduSinrTable,
     drop_index: int,
     ql_config: QlConfig | None = None,
 ) -> QlResult:
     """Q-learning EDU association of one drop.
 
-    Learns on the drop's statistical EDU SINR table at the configured uplink
-    power, with ``ql_config`` (default: ``QlConfig`` capped at
-    ``config.fronthaul_ue_cap``) and the drop's ``"ql"`` RNG stream. A
-    ``ql_config`` with another cap than the config's raises ``ValueError``.
+    Learns on the drop's EDU SINR ``table`` (:func:`edu_sinr_table`), with
+    ``ql_config`` (default: ``QlConfig`` capped at
+    ``config.fronthaul_ue_cap``) and the drop's ``"ql"`` RNG stream. It
+    takes the table, not the statistics, so a caller can let the
+    statistics go before learning starts. A ``ql_config`` with another cap
+    than the config's raises ``ValueError``.
     """
     cap = config.fronthaul_ue_cap
     qcfg = ql_config or QlConfig(fronthaul_ue_cap=cap)
@@ -96,9 +108,6 @@ def ql_association(
             f"ql_config has fronthaul_ue_cap {qcfg.fronthaul_ue_cap} but the config "
             f"has fronthaul_ue_cap {cap}"
         )
-    table = EduSinrTable.from_statistics(
-        stats, genome, uplink_power(config.num_ue, config.ul_power_mw), stats.noise_mw
-    )
     return ql_associate(
         table,
         config.num_ue,
@@ -111,16 +120,14 @@ def ql_association(
 def _dcc_association(
     config: ScenarioConfig,
     genome: np.ndarray,
-    stats,
+    table: EduSinrTable | None,
     options: DropOptions,
     drop_index: int,
 ) -> tuple[Association, dict]:
+    """The drop's DCC association: from ``options``' file, learned on
+    ``table`` when there is one, or all-serve."""
     K, L, M = config.num_ue, config.num_oru, config.num_edu
-    mode = options.association_mode
-    dcc_used = any(SCHEMES[s].dcc for s in config.schemes)
-    if mode == "all" or (mode == "ql" and not dcc_used):  # QL only if a scheme uses it
-        return Association.all_serve(K, L), {}
-    if mode == "file":
+    if options.association_mode == "file":
         delta_km = options.association_delta
         if np.shape(delta_km) != (K, M):
             raise ValueError(
@@ -128,7 +135,9 @@ def _dcc_association(
                 f"{(K, M)}"
             )
         return Association.from_edu(delta_km, genome), {}
-    result = ql_association(config, stats, genome, drop_index, options.ql_config)
+    if table is None:
+        return Association.all_serve(K, L), {}
+    result = ql_association(config, table, drop_index, options.ql_config)
     meta = {"ql_best_r_sum": result.best_r_sum, "ql_r_sum_all": result.r_sum_all}
     return Association.from_edu(result.best_delta, genome), meta
 
@@ -153,9 +162,14 @@ def run_drop(
     drop's stream cursors), every scheme adds them to its running moment
     sums (its combiners for the block, answering each link by name, the
     uplink with its quantizer bits, the downlink with its drift phasors, if
-    any), and the block is dropped. So at its peak a drop holds its channel
-    statistics, one block's channels, estimates, combiners and products,
-    and each scheme's sums; no channel-sized array.
+    any), and the block is dropped.
+
+    The drop holds each statistic only until its last reader is done: R
+    and Phi until the EDU SINR table is made (before Q-learning starts),
+    C until the combiner workspaces have formed their covariances from it.
+    So in its moment pass a drop holds at most R^(1/2) and W (which
+    sampling reads), one block's channels, estimates, combiners and
+    products, and each scheme's sums; no channel-sized array.
     A report with a non-finite SINR or SE fails the drop. Deterministic in
     (master_seed, drop_index, genome), and the same bits as one pass over
     the whole batch.
@@ -167,8 +181,15 @@ def run_drop(
         genome = Partition(genome, config.num_edu).genome  # integer, in range, balanced
         topology = build_topology(config, drop_index)
         stats = build_statistics(config, topology, drop_index)
+        dcc_used = any(SCHEMES[s].dcc for s in config.schemes)
+        learns = options.association_mode == "ql" and dcc_used  # QL only if used
+        table = edu_sinr_table(config, stats, genome) if learns else None
+        C, beta, noise_mw = stats.C, stats.beta, stats.noise_mw
+        drawn = SimpleNamespace(sqrt_R=stats.sqrt_R, W=stats.W, noise_mw=noise_mw)
+        del stats  # R and Phi: their one reader, the SINR table, is done
         all_serve = Association.all_serve(config.num_ue, config.num_oru)
-        dcc, meta = _dcc_association(config, genome, stats, options, drop_index)
+        dcc, meta = _dcc_association(config, genome, table, options, drop_index)
+        del table  # and its memo of UE rates
 
         p_ul = uplink_power(config.num_ue, config.ul_power_mw)
         T = config.mc_realizations
@@ -180,14 +201,15 @@ def run_drop(
         links = {link: links[link] for link in LINKS if link in options.links}
         assocs = {s: dcc if SCHEMES[s].dcc else all_serve for s in config.schemes}
         workspaces = [
-            CombinerWorkspace(SCHEMES[s], assoc, genome, stats.C, p_ul, stats.noise_mw)
+            CombinerWorkspace(SCHEMES[s], assoc, genome, C, p_ul, noise_mw)
             for s, assoc in assocs.items()
         ]
+        del C  # the workspaces formed their covariances from it
         streams = drop_streams(config, drop_index, T)
         # sample_drop_channels is looked up per block, so a wrapper set on
         # this module's name (perfbench's tracer) sees every block
         passes = moment_pass(workspaces, links, T, lambda b: sample_drop_channels(
-            stats, b.stop - b.start, config, drop_index, streams
+            drawn, b.stop - b.start, config, drop_index, streams
         ))
 
         reports: dict[str, dict[str, SinrReport]] = {}
@@ -198,11 +220,11 @@ def run_drop(
                     scheme,
                     None,
                     None,
-                    stats.C,
+                    None,
                     assoc,
                     genome,
                     p_ul,
-                    stats.noise_mw,
+                    noise_mw,
                     quantizer_bits=config.quantizer_bits,
                     moments=moments["ul"],
                 )
@@ -211,13 +233,13 @@ def run_drop(
                     scheme,
                     None,
                     None,
-                    stats.C,
+                    None,
                     assoc,
                     genome,
-                    stats.beta,
+                    beta,
                     p_ul,
-                    stats.noise_mw,
-                    stats.noise_mw,
+                    noise_mw,
+                    noise_mw,
                     config.dl_pmax_mw,
                     phase_drift_deg=options.phase_drift_deg,
                     moments=moments["dl"],

@@ -15,8 +15,10 @@ the link products s[t, k, i] = v_k^H h_i of the moment sets its links read
 (one shared by an unquantized uplink and an undrifted downlink, a quantized
 uplink's, a drifted downlink's), and adds s_kk, |s_ki|^2 and the
 per-(UE, O-RU) combiner energies to running sums (``_MomentSums``) before
-the block is dropped. So at its peak a drop holds its channel statistics,
-one block's channels, estimates, combiners and products, and the sums.
+the block is dropped. So in its moment pass a drop holds at most the
+statistics that sampling reads (R^(1/2) and W; it has let R, Phi and C go
+once their readers were done), one block's channels, estimates, combiners
+and products, and the sums.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form

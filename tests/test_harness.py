@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +30,7 @@ from cfmimo.harness import (
 )
 from cfmimo.channel import build_statistics, sample_drop_channels
 from cfmimo.power import uplink_power
-from cfmimo.scenario import build_topology, config_from_dict, rng_stream
+from cfmimo.scenario import build_topology, config_from_dict, rng_stream, save_config
 from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
 
 from conftest import edu_consistent, nan_uplink_reports
@@ -94,6 +96,90 @@ def test_run_drop_skips_ql_when_no_scheme_uses_dcc(desk_config, monkeypatch):
             a, b = ql.reports[scheme][link], ref.reports[scheme][link]
             for name in ("signal", "interference", "noise", "gamma", "se"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class _StatisticsWatch:
+    """Weak references to the arrays of each ``ChannelStatistics`` that a
+    watched module's ``build_statistics`` makes."""
+
+    NAMES = ("R", "Phi", "C", "sqrt_R", "W")
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.refs = {}
+
+    def watch(self, module):
+        build = module.build_statistics
+
+        def wrapper(*args, **kwargs):
+            stats = build(*args, **kwargs)
+            self.refs.update({n: weakref.ref(getattr(stats, n)) for n in self.NAMES})
+            return stats
+
+        self.monkeypatch.setattr(module, "build_statistics", wrapper)
+
+    def alive(self):
+        return {n for n, ref in self.refs.items() if ref() is not None}
+
+    def record_alive_when_called(self, module, name, log):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            log.append((name, self.alive()))
+            return real(*args, **kwargs)
+
+        self.monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture
+def stats_watch(monkeypatch):
+    """A ``_StatisticsWatch``, with the cyclic collector off meanwhile, so
+    an array that only a reference cycle keeps counts as alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield _StatisticsWatch(monkeypatch)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["all", "ql", "file"])
+def test_run_drop_holds_each_statistic_only_until_its_last_reader(
+    desk_config, stats_watch, mode
+):
+    import cfmimo.harness as hz
+
+    stats_watch.watch(hz)
+    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_realizations": 6})
+    cfg.schemes = ("edu-pmmse", "edu-mmse")  # edu-pmmse runs the DCC association
+    genome = resolve_partition(cfg, "clustered")[0]
+    delta = np.ones((cfg.num_ue, cfg.num_edu), dtype=int) if mode == "file" else None
+    log = []
+    for name in ("ql_associate", "moment_pass"):
+        stats_watch.record_alive_when_called(hz, name, log)
+    run_drop(cfg, 0, genome, DropOptions(association_mode=mode, association_delta=delta))
+    expected = [("moment_pass", {"sqrt_R", "W"})]
+    if mode == "ql":
+        expected.insert(0, ("ql_associate", {"C", "sqrt_R", "W"}))
+    assert log == expected
+    assert stats_watch.alive() == set()  # nothing outlives the drop
+
+
+def test_associate_ql_holds_no_statistics_while_learning(
+    tmp_path, desk_config, stats_watch
+):
+    import cfmimo.cli as cli
+    import cfmimo.harness as hz
+
+    stats_watch.watch(cli)
+    save_config(desk_config, str(tmp_path / "cfg.json"))
+    log = []
+    stats_watch.record_alive_when_called(hz, "ql_associate", log)
+    argv = ["associate-ql", "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "ql"), "--episodes", "2"]
+    assert cli.main(argv) == 0
+    assert log == [("ql_associate", set())]
 
 
 @pytest.mark.parametrize(
