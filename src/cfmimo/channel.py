@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .scenario import ScenarioConfig, Topology, rng_stream
 
@@ -76,16 +75,40 @@ def large_scale_gain(
     raise ValueError(f"unknown pathloss model {model!r}")
 
 
-@cache
-def _quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes x on [-1, 1] and normalized weights of
-    a Gaussian axis truncated at +/-4 std.
+# The nonnegative nodes of the 40-node Gauss-Legendre rule on [-1, 1] and
+# their weights, in increasing node order: the float64 values that numpy's
+# polynomial.legendre.leggauss(40) returns (repr round-trips them), whose
+# rule is exactly symmetric. Stored, so that no run imports numpy.polynomial
+# or solves the companion-matrix eigenproblem that finds them.
+_LEGENDRE_NODES = (
+    0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+    0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+    0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+    0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+    0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591,
+)
+_LEGENDRE_WEIGHTS = (
+    0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+    0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+    0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+    0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+    0.022245849194166653, 0.016421058381906828, 0.010498284531153814, 0.004521277098536349,
+)
 
-    The node centre + 4*std*x has the Gaussian weight exp(-8 x^2) whatever
-    the centre and std, so one rule, made once per size, serves every link
-    and both axes; the joint weight of a node pair is the product.
+
+@cache
+def _quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``QUAD_NODES``-node Gauss-Legendre nodes x on [-1, 1] and
+    normalized weights of a Gaussian axis truncated at +/-4 std.
+
+    x and its Legendre weights mirror the stored nonnegative half. The node
+    centre + 4*std*x has the Gaussian weight exp(-8 x^2) whatever the centre
+    and std, so one rule, made once per process, serves every link and both
+    axes; the joint weight of a node pair is the product.
     """
-    x, w = leggauss(n_nodes)
+    half = np.array(_LEGENDRE_NODES)
+    x = np.concatenate([-half[::-1], half])
+    w = np.array(_LEGENDRE_WEIGHTS[::-1] + _LEGENDRE_WEIGHTS)
     w = w * np.exp(-0.5 * (ANGLE_TRUNC_SIGMAS * x) ** 2)
     w /= w.sum()
     x.flags.writeable = False
@@ -193,10 +216,10 @@ def spatial_correlation_batch(
     Entry (m, n) of each matrix is
     ``beta * E[exp(j*pi*(m-n)*sin(az)*cos(el))]`` with independent Gaussian
     azimuth/elevation scattering around the nominal geometric angles,
-    evaluated by fixed-node Gauss-Legendre quadrature on the truncated
-    supports. The weights sum to one, so the diagonal is exactly beta and
-    trace(R) = N*beta by construction; a zero spread puts every node on the
-    nominal angle.
+    evaluated by the fixed 40-node Gauss-Legendre rule (``_quadrature``,
+    stored constants) on the truncated supports. The weights sum to one, so
+    the diagonal is exactly beta and trace(R) = N*beta by construction; a
+    zero spread puts every node on the nominal angle.
 
     The quadrature sum is evaluated in closed form: the exponential of
     offset d expands in T_m(sin az) T_n(cos el) (see ``_expansion``). A
@@ -206,11 +229,13 @@ def spatial_correlation_batch(
     is one bilinear form of the scaled Chebyshev values g_m T_m, and no
     node-pair exponential is evaluated.
 
-    The quadrature rule, the expansion coefficients and g are made once per
-    call; the Chebyshev values and the bilinear forms then run in link
-    blocks sized by ``_blocks``, writing each link's expectations r into one
-    (P, N) array, from which R is assembled. Links are the batch axis of
-    every product, so a link's R does not depend on the block it falls in.
+    The quadrature rule is made once per process and the expansion
+    coefficients of offsets up to ``_EXPANSION_CACHE`` are cached; g is made
+    once per call. The Chebyshev values and the bilinear forms then run in
+    link blocks sized by ``_blocks``, writing each link's expectations r
+    into one (P, N) array, from which R is assembled. Links are the batch
+    axis of every product, so a link's R does not depend on the block it
+    falls in.
 
     Returns an array of shape (P, N, N), Hermitian PSD.
     """
@@ -229,7 +254,7 @@ def spatial_correlation_batch(
     # needs no expansion.
     r = np.ones((P, N), dtype=complex)
     if N > 1:
-        x, w = _quadrature(QUAD_NODES)
+        x, w = _quadrature()
         coefs = [
             _expansion(d) if d <= _EXPANSION_CACHE else _expansion.__wrapped__(d)
             for d in range(1, N)

@@ -158,6 +158,8 @@ def _drop_options(cfg: ScenarioConfig, args) -> DropOptions:
         _fail("--workers must be >= 1")
     if args.association_file and args.association != "file":
         _fail("--association-file needs --association file")
+    if args.association == "file" and not args.association_file:
+        _fail("--association file needs --association-file")
     delta = None
     if args.association_file:
         delta = _read_association_csv(args.association_file, cfg.num_ue, cfg.num_edu)

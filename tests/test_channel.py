@@ -191,14 +191,54 @@ def test_correlation_matches_frozen_per_link_quadrature(N, spread_deg):
     assert np.array_equal(R, np.conj(np.swapaxes(R, -1, -2)))
 
 
+def _leggauss_rule():
+    """The quadrature rule from numpy's leggauss(40), with the kernel's
+    Gaussian weighting and normalization: the stored rule equals it bit for
+    bit."""
+    x, w = np.polynomial.legendre.leggauss(ch.QUAD_NODES)
+    w = w * np.exp(-0.5 * (ch.ANGLE_TRUNC_SIGMAS * x) ** 2)
+    return x, w / w.sum()
+
+
 def test_quadrature_nodes_cached_read_only():
-    x, grid = ch._quadrature(ch.QUAD_NODES)
-    assert ch._quadrature(ch.QUAD_NODES)[1] is grid
+    x, grid = ch._quadrature()
+    assert ch._quadrature()[1] is grid
     assert not x.flags.writeable and not grid.flags.writeable
-    x_ref, w_ref = np.polynomial.legendre.leggauss(ch.QUAD_NODES)
+    x_ref, grid_ref = _leggauss_rule()
     np.testing.assert_array_equal(x, x_ref)
-    w_pdf = w_ref * np.exp(-0.5 * (ch.ANGLE_TRUNC_SIGMAS * x_ref) ** 2)
-    np.testing.assert_array_equal(grid, w_pdf / w_pdf.sum())
+    np.testing.assert_array_equal(grid, grid_ref)
+
+
+def test_stored_rule_is_a_gauss_legendre_rule():
+    # independent of numpy's eigensolver, so it holds on every platform: a
+    # mistyped leading digit of the stored table fails it
+    x, _ = ch._quadrature()
+    half = np.array(ch._LEGENDRE_NODES)
+    w = np.array(ch._LEGENDRE_WEIGHTS[::-1] + ch._LEGENDRE_WEIGHTS)
+    assert x.size == w.size == ch.QUAD_NODES == 2 * half.size
+    assert np.array_equal(x[half.size:], half)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0) and abs(w.sum() - 2.0) <= 1e-14
+    for j in range(ch.QUAD_NODES):  # exact up to degree 2 * 40 - 1
+        assert abs(w @ x ** (2 * j) - 2 / (2 * j + 1)) <= 1e-14
+
+
+def test_quadrature_rule_built_without_linear_algebra(monkeypatch):
+    # no eigensolve: building the rule calls no numpy.linalg routine
+    az, el, beta = _random_links(17, P=20)
+    s = np.deg2rad(15)
+    R = ch.spatial_correlation_batch(az, el, s, s, 4, beta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quadrature rule called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    ch._quadrature.cache_clear()
+    np.testing.assert_array_equal(ch.spatial_correlation_batch(az, el, s, s, 4, beta), R)
+    assert ch._quadrature.cache_info().misses == 1
 
 
 def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
@@ -209,7 +249,7 @@ def test_correlation_bit_identical_to_direct_leggauss(monkeypatch):
     beta = rng.uniform(0.01, 10.0, P)
     s = np.deg2rad(15)
     R = ch.spatial_correlation_batch(az, el, s, s, N, beta)
-    monkeypatch.setattr(ch, "_quadrature", ch._quadrature.__wrapped__)
+    monkeypatch.setattr(ch, "_quadrature", _leggauss_rule)
     ref = ch.spatial_correlation_batch(az, el, s, s, N, beta)
     np.testing.assert_array_equal(R, ref)
 

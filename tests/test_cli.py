@@ -463,6 +463,28 @@ def test_import_and_clustered_simulate_without_scipy(tmp_path, desk_config):
     assert summary["drops_completed"] == desk_config.mc_drops == 2
 
 
+def test_import_and_serial_desk_simulate_load_no_polynomial_module(tmp_path, desk_config):
+    """The correlation quadrature's rule is stored: neither the import nor a
+    serial campaign loads numpy.polynomial, and the campaign no numpy.ma."""
+    path = tmp_path / "cfg.json"
+    save_config(desk_config, str(path))
+    code = (
+        "import sys\n"
+        "import cfmimo\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'import cfmimo loaded it'\n"
+        "from cfmimo.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted({'numpy.polynomial', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--deployment", "clustered"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def _rejected(argv, monkeypatch, capsys):
     """Run ``argv`` with every drop, channel build and QL run forbidden,
     check that it exits 2, and return the JSON record that stderr ends with."""
@@ -678,18 +700,20 @@ def test_missing_association_file_exits_2(tmp_path, cfg_file, monkeypatch, capsy
 def test_association_file_mode_without_a_file_exits_2(
     tmp_path, cfg_file, monkeypatch, capsys
 ):
-    out = tmp_path / "sim"
-    record = _rejected(
-        [
-            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
-            "--deployment", "clustered", "--schemes", "p-mmse", "--association", "file",
-        ],
-        monkeypatch,
-        capsys,
-    )
-    assert record["error"] == "usage"
-    assert "'file' association needs association_delta" in record["detail"]
-    assert not out.exists()
+    # the detail names the flags, for a campaign and for a sweep
+    for argv in (["simulate"], ["sweep", "--param", "num_edu", "--values", "4"]):
+        out = tmp_path / argv[0]
+        record = _rejected(
+            argv + ["--config", cfg_file, "--out", str(out), "--links", "ul",
+                    "--deployment", "clustered", "--schemes", "p-mmse",
+                    "--association", "file"],
+            monkeypatch,
+            capsys,
+        )
+        assert record == {
+            "error": "usage", "detail": "--association file needs --association-file"
+        }
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
