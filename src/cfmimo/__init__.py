@@ -26,6 +26,7 @@ from .transceiver import (  # noqa: F401
     Association,
     SinrReport,
     uplink_sinr,
+    downlink_report,
     downlink_sinr,
     quantize,
     se_from_sinr,

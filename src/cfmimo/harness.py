@@ -29,10 +29,11 @@ from .transceiver import (
     Association,
     CombinerWorkspace,
     SinrReport,
-    downlink_sinr,
     moment_pass,
     uplink_sinr,
 )
+# perfbench's tracer wraps harness.downlink_sinr by name
+from .transceiver import downlink_report as downlink_sinr
 
 LINKS = ("ul", "dl")
 
@@ -162,7 +163,9 @@ def run_drop(
     drop's stream cursors), every scheme adds them to its running moment
     sums (its combiners for the block, answering each link by name, the
     uplink with its quantizer bits, the downlink with its drift phasors, if
-    any), and the block is dropped.
+    any), and the block is dropped. Each scheme's reports then read only
+    its links' moments (``transceiver.uplink_sinr``,
+    ``transceiver.downlink_report``).
 
     The drop holds each statistic only until its last reader is done: R
     and Phi until the EDU SINR table is made (before Q-learning starts),
@@ -216,33 +219,10 @@ def run_drop(
         for (scheme, assoc), moments in zip(assocs.items(), passes):
             per_link: dict[str, SinrReport] = {}
             if "ul" in moments:
-                per_link["ul"] = uplink_sinr(
-                    scheme,
-                    None,
-                    None,
-                    None,
-                    assoc,
-                    genome,
-                    p_ul,
-                    noise_mw,
-                    quantizer_bits=config.quantizer_bits,
-                    moments=moments["ul"],
-                )
+                per_link["ul"] = uplink_sinr(scheme, moments["ul"], assoc, p_ul, noise_mw)
             if "dl" in moments:
                 per_link["dl"] = downlink_sinr(
-                    scheme,
-                    None,
-                    None,
-                    None,
-                    assoc,
-                    genome,
-                    beta,
-                    p_ul,
-                    noise_mw,
-                    noise_mw,
-                    config.dl_pmax_mw,
-                    phase_drift_deg=options.phase_drift_deg,
-                    moments=moments["dl"],
+                    scheme, moments["dl"], assoc, beta, noise_mw, config.dl_pmax_mw
                 ).report
             for link, report in per_link.items():
                 if not np.isfinite([report.gamma, report.se]).all():

@@ -9,8 +9,7 @@ are sample means over the realization batch.
 
 One loop over realization blocks reduces the batch for every scheme and
 link (``moment_pass``). It draws each block's channels h and estimates hhat
-once (a drop samples them fresh, the standalone SINR calls slice given
-whole-batch arrays), and each scheme builds the block's combiners, forms
+once, and each scheme builds the block's combiners, forms
 the link products s[t, k, i] = v_k^H h_i of the moment sets its links read
 (one shared by an unquantized uplink and an undrifted downlink, a quantized
 uplink's, a drifted downlink's), and adds s_kk, |s_ki|^2 and the
@@ -18,7 +17,9 @@ per-(UE, O-RU) combiner energies to running sums (``_MomentSums``) before
 the block is dropped. So in its moment pass a drop holds at most the
 statistics that sampling reads (R^(1/2) and W; it has let R, Phi and C go
 once their readers were done), one block's channels, estimates, combiners
-and products, and the sums.
+and products, and the sums. The reports (``uplink_sinr``,
+``downlink_report``) read only a link's moments: workspaces, then one
+moment pass, then the reports.
 
 The uplink SINR is p_k |E[v_k^H h_k]|^2 over
 sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2: the UatF form
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _blocks, phase_drift
+from .channel import _blocks
 from .deployment import _one_hot, unit_labels
 from .power import downlink_power
 from .scenario import SCHEMES, SchemeSpec
@@ -342,29 +343,11 @@ class CombinerWorkspace:
 
 @dataclass(frozen=True)
 class LinkMoments:
-    """Moments of one link over a realization batch (see ``_MomentSums``)
-    and the link they belong to."""
+    """Moments of one link over a realization batch (see ``_MomentSums``)."""
 
     num: np.ndarray  # (K,) E[s_kk]
     isq: np.ndarray  # (K, K) E|s_ki|^2
     energy: np.ndarray  # (K, L) E||v_kl||^2
-    bits: int | str  # quantizer of the per-unit coefficients
-    drifted: bool  # channels rotated by per-O-RU phase drift
-
-
-def _check_moments(moments: LinkMoments, bits: int | str, drifted: bool) -> None:
-    """Raise ``ValueError`` unless given ``moments`` belong to a link that
-    quantizes to ``bits`` and is ``drifted`` or not."""
-
-    def kind(bits, drifted):
-        quant = "unquantized" if bits == "infinite" else f"quantized to {bits} bits"
-        return f"{quant}, {'drifted' if drifted else 'undrifted'}"
-
-    if (moments.bits, moments.drifted) != (bits, drifted):
-        raise ValueError(
-            f"given link moments are {kind(moments.bits, moments.drifted)}, "
-            f"not {kind(bits, drifted)}"
-        )
 
 
 class _MomentSums:
@@ -420,10 +403,10 @@ class _MomentSums:
     def finish(self, T: int) -> dict[str, LinkMoments]:
         """Each link's moments, by name."""
         energy = self.energy.sum(axis=0) / T
-        out = {}
-        for name, (num, isq) in self.sums.items():
-            kind = (self.bits, False) if name == "ul" else ("infinite", name == "dl")
-            out[name] = LinkMoments(num.sum(axis=0) / T, isq.sum(axis=0) / T, energy, *kind)
+        out = {
+            name: LinkMoments(num.sum(axis=0) / T, isq.sum(axis=0) / T, energy)
+            for name, (num, isq) in self.sums.items()
+        }
         return {link: out[name] for link, name in self.reads.items()}
 
 
@@ -475,17 +458,12 @@ def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
 
 def uplink_sinr(
     scheme: str,
-    h: np.ndarray | None,
-    hhat: np.ndarray | None,
-    C: np.ndarray,
+    moments: LinkMoments,
     association: Association,
-    genome: np.ndarray,
     p_mw: np.ndarray,
     noise_mw: float,
-    quantizer_bits: int | str = "infinite",
-    moments: LinkMoments | None = None,
 ) -> SinrReport:
-    """Uplink SINR/SE per UE, Monte Carlo over realizations.
+    """Uplink SINR/SE per UE from the uplink's ``moments``.
 
     gamma_k = p_k |E[v_k^H h_k]|^2 /
     (sum_{i != k} p_i E|v_k^H h_i|^2 + sigma^2 E||v_k||^2). This is the
@@ -493,22 +471,14 @@ def uplink_sinr(
     term p_k Var(v_k^H h_k), so it is at least the UatF bound and not a
     lower bound on capacity. A UE that is unserved or has p_k = 0 gets 0.
 
-    The combiners come from each realization's own estimates. The per-unit
-    detected-symbol coefficients are optionally quantized, each realization
-    on its own statistics, summed over units, and the coherent/interference/
-    noise moments averaged over the batch (``_link_moments``). The uplink may
-    be given its ``moments``, unquantized or quantized to ``quantizer_bits``
-    and undrifted, in place of that pass; then it reads neither ``h`` nor
-    ``hhat``, and K comes from the association.
+    The moments are those of the uplink of a ``moment_pass`` whose
+    combiners were made at the powers ``p_mw`` and noise ``noise_mw``: the
+    per-unit detected-symbol coefficients of each realization, quantized
+    or not, summed over units, and averaged over the batch. K comes from
+    the association.
     """
-    spec = SCHEMES[scheme]
     K = association.delta.shape[0]
     p = np.asarray(p_mw, dtype=float)
-    if moments is None:
-        ws = CombinerWorkspace(spec, association, genome, C, p, noise_mw)
-        moments = _link_moments(ws, hhat, h, {"ul": quantizer_bits})["ul"]
-    else:
-        _check_moments(moments, quantizer_bits, False)
     num, isq, energy = moments.num, moments.isq, moments.energy
 
     signal = p * np.abs(num) ** 2
@@ -568,51 +538,29 @@ class DownlinkResult:
     per_oru_radiated_mw: np.ndarray  # (L,)
 
 
-def downlink_sinr(
+def downlink_report(
     scheme: str,
-    h: np.ndarray | None,
-    hhat: np.ndarray | None,
-    C: np.ndarray,
+    moments: LinkMoments,
     association: Association,
-    genome: np.ndarray,
     beta: np.ndarray,
-    p_ul_mw: np.ndarray,
-    noise_ul_mw: float,
-    noise_dl_mw: float,
+    noise_mw: float,
     p_max_mw: float,
-    phase_drift_deg: float = 0.0,
-    drift_rng: np.random.Generator | None = None,
-    moments: LinkMoments | None = None,
 ) -> DownlinkResult:
-    """Downlink use-and-then-forget SINR/SE with heuristic power allocation.
+    """Downlink use-and-then-forget SINR/SE with heuristic power allocation,
+    from the downlink's ``moments``.
 
-    Raw precoders are the uplink combiners (by duality, with the uplink
-    noise level as printed in the design), are normalized to unit average
-    energy per UE, and carry the per-UE downlink powers allocated from
-    large-scale gains and the per-O-RU cap; both enter as the per-UE
-    amplitude a_k that scales the moments of the raw products w'_i^H h_k
-    (see the module docstring). Optional per-O-RU phase drift rotates the
-    true channels used for reception while the precoders stay matched to
-    the undrifted estimates. The downlink may be given its ``moments``,
-    unquantized and drifted exactly when ``phase_drift_deg`` > 0, in place
-    of that pass; they are the unquantized uplink's when undrifted, and
-    ``h`` and ``hhat`` are not read.
+    Raw precoders are the uplink combiners (by duality, made at the uplink
+    powers and noise level as printed in the design), are normalized to
+    unit average energy per UE, and carry the per-UE downlink powers
+    allocated from the large-scale gains ``beta`` and the per-O-RU cap
+    ``p_max_mw``; both enter as the per-UE amplitude a_k that scales the
+    moments of the raw products w'_i^H h_k (see the module docstring).
+    ``noise_mw`` is the downlink noise. The moments are the downlink's of a
+    ``moment_pass``: with per-O-RU phase drift, of the drifted channels
+    against precoders matched to the undrifted estimates.
     """
-    spec = SCHEMES[scheme]
-    K, L = association.delta.shape
-    drifted = phase_drift_deg > 0
-    if moments is None:
-        rot = None
-        if drifted:
-            if drift_rng is None:
-                raise ValueError("phase drift requires an rng")
-            rot = phase_drift(h.shape[0], L, phase_drift_deg, drift_rng)
-        p_ul = np.asarray(p_ul_mw, dtype=float)
-        ws = CombinerWorkspace(spec, association, genome, C, p_ul, noise_ul_mw)
-        # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
-        moments = _link_moments(ws, hhat, h, {"dl": rot})["dl"]
-    else:
-        _check_moments(moments, "infinite", drifted)
+    K = association.delta.shape[0]
+    # num[i] = E[w'_i^H h_i], isq[i, k] = E|w'_i^H h_k|^2
     num, isq, slice_energy = moments.num, moments.isq, moments.energy
 
     amp, omega, excluded = normalize_precoders(slice_energy, association)
@@ -625,13 +573,13 @@ def downlink_sinr(
     signal = a2 * coherent
     total_i = a2 @ isq  # sum_i a_i^2 E|w'_i^H h_k|^2
     interference = np.maximum(total_i - signal, 0.0)
-    gamma = signal / (interference + noise_dl_mw)
+    gamma = signal / (interference + noise_mw)
     report = SinrReport(
         scheme=scheme,
         link="dl",
         signal=signal,
         interference=interference,
-        noise=np.full(K, noise_dl_mw),
+        noise=np.full(K, noise_mw),
         gamma=gamma,
         se=se_from_sinr(gamma),
         uncertainty=a2 * (np.diagonal(isq) - coherent),
@@ -644,3 +592,29 @@ def downlink_sinr(
         omega=omega,
         per_oru_radiated_mw=per_oru,
     )
+
+
+def downlink_sinr(
+    scheme: str,
+    h: np.ndarray,
+    hhat: np.ndarray,
+    C: np.ndarray,
+    association: Association,
+    genome: np.ndarray,
+    beta: np.ndarray,
+    p_ul_mw: np.ndarray,
+    noise_ul_mw: float,
+    noise_dl_mw: float,
+    p_max_mw: float,
+) -> DownlinkResult:
+    """``downlink_report`` of an undrifted downlink over given whole-batch
+    (T, K, L, N) channels ``h`` and estimates ``hhat``, its precoders made
+    from the error covariances ``C`` at the uplink powers and noise.
+
+    This exists only for the benchmark's full-scale downlink check
+    (``perfbench/checks.py``), and goes once that check builds the moments
+    itself.
+    """
+    ws = CombinerWorkspace(SCHEMES[scheme], association, genome, C, p_ul_mw, noise_ul_mw)
+    moments = _link_moments(ws, hhat, h, {"dl": None})["dl"]
+    return downlink_report(scheme, moments, association, beta, noise_dl_mw, p_max_mw)

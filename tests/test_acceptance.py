@@ -19,10 +19,11 @@ from cfmimo.deployment import GaConfig, fitness, ga_optimize, is_balanced
 from cfmimo.harness import DropOptions, resolve_partition, run_drop
 from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology
-from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
+from cfmimo.transceiver import Association
 
 from conftest import random_channels, random_error_covs, spatial_correlation
 from reference_association import exhaustive_oracle
+from whole_batch import downlink_sinr, uplink_sinr
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

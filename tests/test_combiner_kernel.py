@@ -19,8 +19,6 @@ from cfmimo.transceiver import (
     Association,
     CombinerWorkspace,
     _solve_regularized,
-    downlink_sinr,
-    uplink_sinr,
 )
 
 from conftest import edu_consistent, random_channels, random_error_covs
@@ -33,6 +31,7 @@ from reference_combiner import (
     reference_uplink_gamma,
 )
 from reference_woodbury import full_inverse_combiners
+from whole_batch import downlink_sinr, uplink_sinr
 
 RTOL = 1e-8
 

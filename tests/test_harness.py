@@ -31,9 +31,10 @@ from cfmimo.harness import (
 from cfmimo.channel import build_statistics, sample_drop_channels
 from cfmimo.power import uplink_power
 from cfmimo.scenario import build_topology, config_from_dict, rng_stream, save_config
-from cfmimo.transceiver import Association, downlink_sinr, uplink_sinr
+from cfmimo.transceiver import Association
 
 from conftest import edu_consistent, nan_uplink_reports
+from whole_batch import downlink_sinr, uplink_sinr
 
 
 def _read_raw(path):

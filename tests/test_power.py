@@ -3,9 +3,10 @@ import pytest
 
 from cfmimo import channel as ch
 from cfmimo.power import downlink_power, uplink_power
-from cfmimo.transceiver import Association, downlink_sinr
+from cfmimo.transceiver import Association
 
 from conftest import random_channels, random_error_covs
+from whole_batch import downlink_sinr
 
 
 def test_uplink_fixed_power():

@@ -20,11 +20,9 @@ from cfmimo.transceiver import (
     CombinerWorkspace,
     SchemeSpec,
     _link_moments,
-    downlink_sinr,
     normalize_precoders,
     quantize,
     se_from_sinr,
-    uplink_sinr,
 )
 
 import reference_moments
@@ -34,6 +32,7 @@ from conftest import (
     random_error_covs,
     spatial_correlation,
 )
+from whole_batch import downlink_sinr, uplink_sinr
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +329,6 @@ def test_downlink_requires_two_realizations():
         )
 
 
-def test_given_moments_must_be_those_of_the_plain_links():
-    # a link given moments must be given its own: the plain ones serve an
-    # unquantized uplink and an undrifted downlink; a link that quantizes or
-    # drifts takes its own set of the same pass
-    rng = np.random.default_rng(11)
-    h, hhat, C, p = _setup(rng, T=4)
-    assoc, genome = Association.all_serve(3, 4), np.zeros(4, dtype=int)
-    ws = CombinerWorkspace(SCHEMES["joint-mrc"], assoc, genome, C, p, 0.5)
-    rot = ch.phase_drift(4, 4, 10.0, np.random.default_rng(0))
-    plain = _link_moments(ws, hhat, h, {"ul": "infinite", "dl": None})["dl"]
-    links = _link_moments(ws, hhat, h, {"ul": 4, "dl": rot})
-    quantized, drifted = links["ul"], links["dl"]
-    ul = ("joint-mrc", h, hhat, C, assoc, genome, p, 0.5)
-    np.testing.assert_array_equal(
-        uplink_sinr(*ul, moments=plain).gamma, uplink_sinr(*ul).gamma
-    )
-    np.testing.assert_array_equal(
-        uplink_sinr(*ul, 4, moments=quantized).gamma, uplink_sinr(*ul, 4).gamma
-    )
-    with pytest.raises(ValueError, match="unquantized"):
-        uplink_sinr(*ul, quantizer_bits=4, moments=plain)
-    for wrong in (quantized, drifted):
-        with pytest.raises(ValueError, match="given link moments"):
-            uplink_sinr(*ul, moments=wrong)
-    dl = ("joint-mrc", h, hhat, C, assoc, genome, np.ones((3, 4)), p, 0.5, 0.5, 4.0)
-    np.testing.assert_array_equal(
-        downlink_sinr(*dl, moments=plain).report.gamma,
-        downlink_sinr(*dl).report.gamma,
-    )
-    np.testing.assert_array_equal(
-        downlink_sinr(*dl, 10.0, moments=drifted).report.gamma,
-        downlink_sinr(*dl, 10.0, np.random.default_rng(0)).report.gamma,
-    )
-    with pytest.raises(ValueError, match="undrifted"):
-        downlink_sinr(*dl, 10.0, np.random.default_rng(0), moments=plain)
-    for wrong in (quantized, drifted):
-        with pytest.raises(ValueError, match="given link moments"):
-            downlink_sinr(*dl, moments=wrong)
-
-
 @pytest.mark.parametrize("N", range(1, 8))
 def test_link_energies_keep_the_bits_of_one_antenna_sum(N):
     # the per-(UE, O-RU) energies add the antennas in order, which for fewer
@@ -419,13 +378,10 @@ def test_one_pass_moments_bit_identical_to_frozen_whole_batch(
     monkeypatch.setattr(ch, "_BLOCK_BYTES", per_block * 16 * K * L * max(K, N))
     got = _link_moments(ws, hhat, h, {"ul": 3, "dl": rot})
     got = [_link_moments(ws, hhat, h, {"ul": "infinite"})["ul"], got["ul"], got["dl"]]
-    for moments, (num, isq, energy), bits, drifted in zip(
-        got, ref, ("infinite", 3, "infinite"), (False, False, True)
-    ):
+    for moments, (num, isq, energy) in zip(got, ref):
         np.testing.assert_array_equal(moments.num, num)
         np.testing.assert_array_equal(moments.isq, isq)
         np.testing.assert_array_equal(moments.energy, energy)
-        assert (moments.bits, moments.drifted) == (bits, drifted)
 
 
 def _moment_pass_case(T, scheme="edu-mmse"):
@@ -455,7 +411,6 @@ def test_plain_links_share_one_moment_set_and_one_combiner_build(monkeypatch):
     monkeypatch.setattr(ch, "_BLOCK_BYTES", 3 * 16 * 8 * 16 * 2)  # blocks of 3
     both = _link_moments(ws, hhat, h, {"ul": "infinite", "dl": None})
     assert both["ul"] is both["dl"]
-    assert (both["ul"].bits, both["ul"].drifted) == ("infinite", False)
     assert built == [3, 3, 3, 3, 1]
     alone = _link_moments(ws, hhat, h, {"dl": None})
     assert list(alone) == ["dl"]
