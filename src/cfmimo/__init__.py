@@ -9,7 +9,6 @@ from .scenario import (  # noqa: F401
     ConfigError,
     VALID_SCHEMES,
     build_topology,
-    validate_config,
     load_config,
     rng_stream,
 )

@@ -181,9 +181,9 @@ def ql_associate(
     """Learn a UE-EDU association maximizing the constrained sum rate.
 
     ``table`` rates associations: :meth:`EduSinrTable.r_sum` gives the
-    all-serve reference and the empty association that starts each episode.
-    An action toggles one (UE k, EDU m) entry, which changes only UE k's
-    term of the sum, so the loop keeps the K per-UE rates
+    all-serve reference; the empty association that starts each episode
+    rates 0. An action toggles one (UE k, EDU m) entry, which changes only
+    UE k's term of the sum, so the loop keeps the K per-UE rates
     (:meth:`EduSinrTable.ue_rate` of UE k's served-EDU bitmask) and sums
     them as ``r_sum`` does, to the same bits; no-ops and redundant toggles
     reuse the last rate. Actions per agent: no-op, associate UE k,
@@ -245,7 +245,7 @@ def ql_associate(
         over = 0  # the EDUs serving more than cap UEs
         rates[:] = 0.0
         chi = 1  # no EDU serves anyone
-        r_sum = float(table.r_sum(np.zeros((K, M), dtype=bool)))
+        r_sum = 0.0  # each UE's rate is log2(1)
         r = reward(chi, r_sum, r_sum_all)
         eps = epsilon_schedule(e, EPSILON_INIT, ATTENUATION, n_actions)
         acc_reward = 0.0

@@ -313,7 +313,7 @@ def _load_partition_file(path: str, num_oru: int) -> np.ndarray:
                     "not to an integer EDU index"
                 )
             try:
-                pairs.append((int(oru), edu))
+                pairs.append((_parse_index(oru), edu))
             except ValueError:
                 raise ValueError(
                     f"{path}: key {json.dumps(oru)} is not an integer O-RU index"
@@ -499,6 +499,16 @@ def write_csv(path: str, config: ScenarioConfig, header: list[str], rows) -> Non
         writer.writerows(rows)
 
 
+def _parse_index(text: str) -> int:
+    """An index in an input file: ASCII digits after an optional sign, spaces
+    around them allowed; the rest ``int`` reads (``1_0``, non-ASCII digits)
+    raises ``ValueError``."""
+    digits = text.strip().lstrip("+-")  # int rejects a second sign
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an index")
+    return int(text)
+
+
 def read_csv_rows(path: str, header: list[str]) -> dict[int, list[int]]:
     """Integer rows of a CSV input in :func:`write_csv`'s layout by line, not
     the ``#`` echo, blank lines and the ``header`` row; a row that is not one
@@ -510,7 +520,7 @@ def read_csv_rows(path: str, header: list[str]) -> dict[int, list[int]]:
             if line.startswith("#") or not row or row[0] == header[0]:
                 continue
             try:
-                rows[n] = [int(cell) for _, cell in zip(header, row, strict=True)]
+                rows[n] = [_parse_index(cell) for _, cell in zip(header, row, strict=True)]
             except ValueError:
                 raise ValueError(
                     f"{path}, line {n}: row {line.strip()!r} is not one integer "

@@ -67,9 +67,10 @@ def rng_stream(master_seed: int, drop_index: int, tag: str) -> np.random.Generat
     return default_rng(seq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """All simulation parameters. Defaults follow the dense urban setup.
+    """All simulation parameters, checked once, when made, and then frozen;
+    ``dataclasses.replace`` makes a checked copy. Defaults: dense urban setup.
 
     ``dl_pmax_mw`` is an assumption (no downlink budget is standard for this
     setup); it is applied as a per-O-RU radiated power cap.
@@ -99,6 +100,12 @@ class ScenarioConfig:
     mc_realizations: int = 100
     master_seed: int = 1
     schemes: tuple[str, ...] = ("joint-mmse", "joint-mrc", "l-mmse", "edu-mmse")
+
+    def __post_init__(self) -> None:
+        if isinstance(self.schemes, list):  # anything else fails the checks
+            object.__setattr__(self, "schemes", tuple(self.schemes))
+        if errors := _violations(self):
+            raise ConfigError("; ".join(errors))
 
     def noise_power_mw(self) -> float:
         """Thermal noise power over the transmission bandwidth, in mW."""
@@ -134,17 +141,10 @@ class Topology:
 
 
 def _grid_dims(L: int) -> tuple[int, int] | None:
-    """Most-square (rows, cols) factorization of L, or None if only a
-    degenerate 1-row strip exists for L >= 4."""
-    best = None
-    for r in range(1, int(math.isqrt(L)) + 1):
-        if L % r == 0:
-            best = (r, L // r)
-    if best is None:
-        return None
-    if best[0] == 1 and L >= 4:
-        return None
-    return best
+    """Most-square (rows, cols) factorization of L >= 1 (every config's
+    ``num_oru``), or None if only a degenerate 1-row strip exists for L >= 4."""
+    rows = max(r for r in range(1, math.isqrt(L) + 1) if L % r == 0)
+    return None if rows == 1 and L >= 4 else (rows, L // rows)
 
 
 # What each field annotation admits, and how a message names it. A bool is
@@ -164,8 +164,8 @@ def require_integers(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def validate_config(config: ScenarioConfig) -> list[str]:
-    """Return every violated invariant as a message; empty list means ok.
+def _violations(config: ScenarioConfig) -> list[str]:
+    """Every violated invariant of ``config`` as a message, in order.
 
     Fields of the wrong type are reported without the range checks, which
     need the declared types.
@@ -180,7 +180,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             ok = isinstance(value, types) and not isinstance(value, bool)
         elif f.name == "schemes":
             kind = "a list of scheme tags"
-            ok = isinstance(value, (tuple, list)) and all(isinstance(s, str) for s in value)
+            ok = isinstance(value, tuple) and all(isinstance(s, str) for s in value)
         else:  # quantizer_bits
             kind = 'an integer or "infinite"'
             ok = value == "infinite" or (
@@ -262,12 +262,8 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
     back to uniform random and is flagged. O-RU placement does not depend on
     drop_index: the infrastructure is fixed, only UEs are re-dropped. The
     O-RU to EDU partition is a campaign property (``resolve_partition``)
-    that ``run_drop`` takes as a genome.
+    that ``run_drop`` takes as a genome. A config is checked when made.
     """
-    errors = validate_config(config)
-    if errors:
-        raise ConfigError("; ".join(errors))
-
     L, K = config.num_oru, config.num_ue
     side = config.area_side_m
     height = config.antenna_height_m
@@ -306,7 +302,7 @@ def build_topology(config: ScenarioConfig, drop_index: int) -> Topology:
 
 def load_config(path: str, **overrides) -> ScenarioConfig:
     """Load a JSON config file using the exact ScenarioConfig field names;
-    ``overrides`` replace its fields before the one validation."""
+    ``overrides`` replace its fields before the one check."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -315,17 +311,11 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    """``ScenarioConfig(**raw)``; a key that is not a field raises ConfigError."""
+    unknown = set(raw) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if isinstance(raw.get("schemes"), list):  # anything else fails validation
-        raw = {**raw, "schemes": tuple(raw["schemes"])}
-    cfg = ScenarioConfig(**raw)
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return cfg
+    return ScenarioConfig(**raw)
 
 
 def save_config(config: ScenarioConfig, path: str) -> None:

@@ -76,8 +76,9 @@ def test_criterion_1_special_case_equivalence():
             b = res.reports["edu-mmse"][link].gamma
             worst = max(worst, float(np.abs(a - b).max() / np.abs(a).max()))
         # M = L, including a permuted EDU labeling
-        cfg_l = ScenarioConfig(**{**cfg.to_dict(), "num_edu": cfg.num_oru})
-        cfg_l.schemes = ("l-mmse", "edu-mmse")
+        cfg_l = ScenarioConfig(
+            **{**cfg.to_dict(), "num_edu": cfg.num_oru, "schemes": ("l-mmse", "edu-mmse")}
+        )
         for genome in (np.arange(cfg.num_oru), np.arange(cfg.num_oru)[::-1].copy()):
             res_l = run_drop(cfg_l, 0, genome=genome)
             for link in ("ul", "dl"):

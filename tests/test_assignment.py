@@ -6,6 +6,7 @@ matrix, ties included, so that clustered partitions stay those of the
 scipy-based code (``reference_clustering``).
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -114,12 +115,12 @@ def test_clustered_genomes_match_scipy_reference(desk_config, tiny_config):
             continue
         seen.add(key)
         for seed in range(1, 6):
-            config.master_seed = seed
-            topology = build_topology(config, 0)
+            seeded = dataclasses.replace(config, master_seed=seed)
+            topology = build_topology(seeded, 0)
             expected = reference_clustered_baseline(
                 topology.oru_positions[:, :2],
                 config.num_edu,
                 rng_stream(seed, 0, "clustering"),
             )
-            genome, _ = resolve_partition(config, "clustered")
+            genome, _ = resolve_partition(seeded, "clustered")
             assert np.array_equal(genome, expected), (key, seed)

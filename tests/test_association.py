@@ -40,7 +40,8 @@ class RescaledTable(EduSinrTable):
 class EvaluatingTable(EduSinrTable):
     """Hands ``evaluator`` the whole (K, M) association on every ``r_sum``
     call and on every per-UE rate, which the loop asks for once per change;
-    the rates themselves come from ``gamma``."""
+    the rates themselves come from ``gamma``. The loop rates an episode's
+    empty start without asking, so a test clears ``delta`` where one starts."""
 
     def __init__(self, gamma, evaluator):
         super().__init__(gamma)
@@ -524,7 +525,7 @@ def test_ql_rejects_a_table_of_another_shape(tiny_config):
         ql_associate(table, 4, 2, qcfg, np.random.default_rng(0))
 
 
-def test_ql_evaluates_once_per_association_change(tiny_config):
+def test_ql_evaluates_once_per_association_change(tiny_config, monkeypatch):
     table, _ = _toy_table(tiny_config)
     calls = []
 
@@ -532,8 +533,19 @@ def test_ql_evaluates_once_per_association_change(tiny_config):
         calls.append(delta.copy())
         return table.r_sum(delta)
 
+    evaluating = EvaluatingTable(table.gamma, evaluator)
+    real_schedule = association.epsilon_schedule
+
+    def epsilon_schedule(*args):
+        # called once as each episode starts, which asks no rate: record the
+        # empty association it starts from
+        evaluating.delta[:] = False
+        calls.append(evaluating.delta.copy())
+        return real_schedule(*args)
+
+    monkeypatch.setattr(association, "epsilon_schedule", epsilon_schedule)
     qcfg = QlConfig(episodes=30, fronthaul_ue_cap=2)
-    ql_associate(EvaluatingTable(table.gamma, evaluator), 4, 2, qcfg, np.random.default_rng(0))
+    ql_associate(evaluating, 4, 2, qcfg, np.random.default_rng(0))
     assert calls[0].all()  # the all-serve reference
     starts = [i for i, d in enumerate(calls) if not d.any()]
     assert len(starts) >= qcfg.episodes

@@ -368,7 +368,7 @@ def _random_links(seed, P=1000):
         (4, 5.0, 30.0),
         (4, 30.0, 5.0),
         (8, 1e-6, 1e-6),
-        (2, 40.0, 40.0),  # the corners of validate_config's region
+        (2, 40.0, 40.0),  # the corners of the region a ScenarioConfig accepts
         (3, 40.0, 40.0),
         (4, 30.0, 30.0),
         (10, 10.0, 10.0),

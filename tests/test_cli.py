@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,9 +13,7 @@ from conftest import nan_uplink_reports
 
 @pytest.fixture
 def cfg_file(tmp_path, desk_config):
-    cfg = desk_config
-    cfg.mc_drops = 1
-    cfg.mc_realizations = 8
+    cfg = dataclasses.replace(desk_config, mc_drops=1, mc_realizations=8)
     path = tmp_path / "cfg.json"
     save_config(cfg, str(path))
     return str(path)
@@ -69,10 +68,10 @@ def test_bogus_scheme_exits_2_and_lists_tags(tmp_path, cfg_file, capsys):
 
 def test_unresolved_angular_spread_exits_2(tmp_path, desk_config, capsys):
     path = tmp_path / "wide.json"
-    cfg = desk_config
-    cfg.antennas_per_oru = 16
-    cfg.asd_azimuth_deg = cfg.asd_elevation_deg = 40.0
-    path.write_text(json.dumps(cfg.to_dict()))
+    raw = desk_config.to_dict()  # no ScenarioConfig holds the wide spread
+    raw["antennas_per_oru"] = 16
+    raw["asd_azimuth_deg"] = raw["asd_elevation_deg"] = 40.0
+    path.write_text(json.dumps(raw))
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(path), "--out", str(out)])
@@ -93,9 +92,9 @@ def test_one_realization_exits_2_before_any_drop(
 
     monkeypatch.setattr(hz, "run_drop", no_drop)
     path = tmp_path / "one.json"
-    cfg = desk_config
-    cfg.mc_realizations = 1
-    path.write_text(json.dumps(cfg.to_dict()))
+    raw = desk_config.to_dict()  # no ScenarioConfig holds one realization
+    raw["mc_realizations"] = 1
+    path.write_text(json.dumps(raw))
     out = tmp_path / "o"
     rc = _exit_code(["simulate", "--config", str(path), "--out", str(out)])
     assert rc == 2
@@ -647,7 +646,8 @@ def test_partition_json_with_a_non_integer_edu_exits_2(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["x", "5.0"])
+# int() reads "0_5" and "\u0665" (Arabic-Indic 5) as 5, and " +1_5 " as 15
+@pytest.mark.parametrize("key", ["x", "5.0", "0_5", "\u0665", " +1_5 "])
 def test_partition_json_with_a_non_integer_oru_key_exits_2(
     tmp_path, cfg_file, key, monkeypatch, capsys
 ):
@@ -839,13 +839,20 @@ def test_repeated_value_exits_2_before_any_drop(
     assert not out.exists()
 
 
+# the row replaced is association 0,3,0 and partition 3,3; int() reads "0_3" as
+# 3, "1_0" as 10, "\u0663" as 3 and "\u0661\u0665" as 15 (Arabic-Indic digits)
 @pytest.mark.parametrize(
     "kind, bad_row",
     [
         ("association", "1,x,1"),
         ("association", "1,2"),
+        ("association", "0,0_3,0"),
+        ("association", "0,1_0,1"),
         ("partition", "3,x"),
         ("partition", "3"),
+        ("partition", "\u0663,3"),
+        ("partition", "\u0661\u0665,3"),
+        ("partition", "3,0_3"),
     ],
 )
 def test_malformed_input_row_exits_2_naming_file_and_row(
@@ -875,6 +882,29 @@ def test_malformed_input_row_exits_2_naming_file_and_row(
     if kind == "association":
         assert record["error"] == "usage"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_partition_index_with_a_sign_and_spaces_loads(tmp_path, cfg_file, suffix):
+    genome = [i % 4 for i in range(16)]
+    part = tmp_path / f"partition{suffix}"
+    if suffix == ".csv":
+        rows = [f"{i},{m}" for i, m in enumerate(genome)]
+        rows[3], rows[5] = " +3 , 3", "+5,1 "
+        part.write_text("oru_index,edu_index\n" + "\n".join(rows) + "\n")
+    else:
+        mapping = {str(i): m for i, m in enumerate(genome)}
+        mapping[" +3 "], mapping["+5"] = mapping.pop("3"), mapping.pop("5")
+        part.write_text(json.dumps(mapping))
+    out = tmp_path / "sim"
+    rc = main(
+        [
+            "simulate", "--config", cfg_file, "--out", str(out), "--links", "ul",
+            "--deployment", "file", "--partition-file", str(part),
+        ]
+    )
+    assert rc == 0
+    assert json.load(open(out / "partition.json")) == {str(i): m for i, m in enumerate(genome)}
 
 
 def _strict_json(path):
@@ -958,8 +988,7 @@ def test_associate_ql_negative_drop_exits_2_naming_the_flag(
 
 def test_one_edu_ga_campaign_writes_strict_json(tmp_path, desk_config):
     # one EDU leaves no cross-EDU spread, so every GA score is +inf
-    cfg = desk_config
-    cfg.num_edu, cfg.mc_drops, cfg.mc_realizations = 1, 1, 8
+    cfg = dataclasses.replace(desk_config, num_edu=1, mc_drops=1, mc_realizations=8)
     path = tmp_path / "one_edu.json"
     save_config(cfg, str(path))
     out = tmp_path / "out"

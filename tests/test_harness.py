@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -45,8 +46,7 @@ def _read_raw(path):
 
 
 def test_run_drop_special_case_identity(desk_config):
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "num_edu": 1})
-    cfg.schemes = ("joint-mmse", "edu-mmse")
+    cfg = dataclasses.replace(desk_config, num_edu=1, schemes=("joint-mmse", "edu-mmse"))
     res = run_drop(cfg, 0, genome=np.zeros(cfg.num_oru, dtype=int))
     for link in ("ul", "dl"):
         a = res.reports["joint-mmse"][link].se
@@ -66,8 +66,7 @@ def test_run_drop_deterministic(desk_config):
 
 
 def test_run_drop_ql_association_mode(tiny_config):
-    cfg = ScenarioConfig(**{**tiny_config.to_dict()})
-    cfg.schemes = ("edu-pmmse", "edu-mmse")
+    cfg = dataclasses.replace(tiny_config, schemes=("edu-pmmse", "edu-mmse"))
     genome = resolve_partition(cfg, "clustered")[0]
     res = run_drop(
         cfg, 0, genome, options=DropOptions(association_mode="ql", links=("ul",))
@@ -152,8 +151,8 @@ def test_run_drop_holds_each_statistic_only_until_its_last_reader(
     import cfmimo.harness as hz
 
     stats_watch.watch(hz)
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_realizations": 6})
-    cfg.schemes = ("edu-pmmse", "edu-mmse")  # edu-pmmse runs the DCC association
+    # edu-pmmse runs the DCC association
+    cfg = dataclasses.replace(desk_config, mc_realizations=6, schemes=("edu-pmmse", "edu-mmse"))
     genome = resolve_partition(cfg, "clustered")[0]
     delta = np.ones((cfg.num_ue, cfg.num_edu), dtype=int) if mode == "file" else None
     log = []
@@ -330,8 +329,7 @@ def test_summary_ratio_field(tmp_path):
 
 
 def test_parallel_matches_serial(desk_config):
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=3, schemes=("edu-mmse",))
     opts = DropOptions(links=("ul",))
     serial = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=1)
     parallel = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=2)
@@ -389,8 +387,7 @@ def test_parallel_matches_serial_on_random_configs(
 
 def test_parallel_matches_serial_when_drops_fail(desk_config):
     # a (K, M + 1) association fails every drop on both paths
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=3, schemes=("edu-mmse",))
     delta = np.ones((cfg.num_ue, cfg.num_edu + 1), dtype=bool)
     opts = DropOptions(
         links=("ul",), association_mode="file", association_delta=delta
@@ -414,8 +411,7 @@ def test_campaign_records_failures_and_continues(desk_config, monkeypatch):
         return real(config, drop_index, genome, options)
 
     monkeypatch.setattr(hz, "run_drop", flaky)
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=3, schemes=("edu-mmse",))
     campaign = hz.run_campaign(
         cfg, deployment_mode="clustered", options=DropOptions(links=("ul",))
     )
@@ -503,8 +499,7 @@ def test_campaign_starts_no_more_workers_than_drops(
 
     # run_campaign imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": drops})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=drops, schemes=("edu-mmse",))
     campaign = hz.run_campaign(
         cfg,
         deployment_mode="clustered",
@@ -517,8 +512,7 @@ def test_campaign_starts_no_more_workers_than_drops(
 
 def test_partition_file_roundtrip(tmp_path, desk_config):
     genome, _ = resolve_partition(desk_config, "clustered")
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 1})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=1, schemes=("edu-mmse",))
     campaign = run_campaign(
         cfg, out_dir=str(tmp_path), deployment_mode="clustered",
         options=DropOptions(links=("ul",)),
@@ -588,8 +582,7 @@ def test_clustered_campaign_clusters_once(desk_config, monkeypatch):
 
     monkeypatch.setattr(dp, "clustered_baseline", counting)
     monkeypatch.setattr(hz, "clustered_baseline", counting)
-    cfg = ScenarioConfig(**{**desk_config.to_dict(), "mc_drops": 3})
-    cfg.schemes = ("edu-mmse",)
+    cfg = dataclasses.replace(desk_config, mc_drops=3, schemes=("edu-mmse",))
     campaign = run_campaign(
         cfg, deployment_mode="clustered", options=DropOptions(links=("ul",))
     )

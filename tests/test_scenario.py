@@ -1,12 +1,13 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfmimo import ScenarioConfig, build_topology, validate_config
+from cfmimo import ScenarioConfig, build_topology
 from cfmimo.scenario import (
     ConfigError,
     _grid_dims,
@@ -62,40 +63,40 @@ def test_prime_oru_count_falls_back_to_random():
 
 
 def test_validate_defaults_ok():
-    assert validate_config(ScenarioConfig()) == []
+    ScenarioConfig()  # a default that broke a check would raise ConfigError here
 
 
 def test_validate_pilot_shortage():
-    errors = validate_config(ScenarioConfig(num_ue=25, pilot_count=24))
-    assert any("pilot shortage" in e for e in errors)
+    with pytest.raises(ConfigError, match="pilot shortage: num_ue=25 exceeds pilot_count=24"):
+        ScenarioConfig(num_ue=25, pilot_count=24)
 
 
 def test_validate_zero_edus():
-    errors = validate_config(ScenarioConfig(num_edu=0))
-    assert errors
+    with pytest.raises(ConfigError, match="num_edu must be >= 1"):
+        ScenarioConfig(num_edu=0)
 
 
 @pytest.mark.parametrize("T, ok", [(0, False), (1, False), (2, True)])
 def test_validate_needs_two_realizations(T, ok):
     # the link moments are sample means and variances over the realizations
-    errors = validate_config(ScenarioConfig(mc_realizations=T))
-    assert (errors == []) == ok
-    assert ok or errors == ["mc_realizations must be >= 2"]
+    if ok:
+        ScenarioConfig(mc_realizations=T)
+        return
+    with pytest.raises(ConfigError, match=r"^mc_realizations must be >= 2$"):
+        ScenarioConfig(mc_realizations=T)
 
 
 def test_validate_rejects_repeated_schemes():
-    errors = validate_config(
+    expected = "repeated scheme tags in ['joint-mmse', 'edu-mmse', 'joint-mmse']; name each once"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
         ScenarioConfig(schemes=("joint-mmse", "edu-mmse", "joint-mmse"))
-    )
-    assert len(errors) == 1
-    assert "repeated" in errors[0] and "joint-mmse" in errors[0]
 
 
 def test_validate_reports_every_violation():
-    errors = validate_config(
+    # every message, joined in the order the checks run
+    expected = "num_edu must be >= 1; ul_power_mw must be > 0; mc_drops must be >= 1"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
         ScenarioConfig(num_edu=0, ul_power_mw=-1.0, mc_drops=0)
-    )
-    assert len(errors) >= 3
 
 
 _FLOAT_FIELDS = [
@@ -122,8 +123,9 @@ _FLOAT_FIELDS = [
     ],
 )
 def test_validate_rejects_mistyped_fields(name, value):
-    errors = validate_config(ScenarioConfig(**{name: value}))
-    assert [e for e in errors if e.startswith(f"{name} must be ")]
+    # a mistyped field is reported alone, without the range checks
+    with pytest.raises(ConfigError, match=rf"^{name} must be [^;]*, got {re.escape(repr(value))}$"):
+        ScenarioConfig(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -140,11 +142,12 @@ def test_validate_rejects_mistyped_fields(name, value):
     ],
 )
 def test_validate_accepts_numpy_scalars_and_lists(name, value):
-    assert validate_config(ScenarioConfig(**{name: value})) == []
+    ScenarioConfig(**{name: value})
 
 
 def test_validate_rejects_negative_master_seed():
-    assert "master_seed must be >= 0" in validate_config(ScenarioConfig(master_seed=-1))
+    with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+        ScenarioConfig(master_seed=-1)
 
 
 def test_numpy_scalar_fields_echo_as_json_numbers():
@@ -161,10 +164,12 @@ def test_float_fields_found():
 @pytest.mark.parametrize("name", _FLOAT_FIELDS)
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_validate_rejects_non_finite_floats(name, value):
-    errors = validate_config(ScenarioConfig(**{name: value}))
-    assert errors
-    if not name.startswith("asd_"):  # the spread check reports those
-        assert f"{name} must be finite, got {value}" in errors
+    if name.startswith("asd_"):  # the spread check reports those
+        message = "angular spread"
+    else:
+        message = re.escape(f"{name} must be finite, got {value}")
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -184,21 +189,81 @@ def test_validate_rejects_non_finite_floats(name, value):
     ],
 )
 def test_validate_angular_spread_within_quadrature(N, az, el, ok):
-    cfg = ScenarioConfig(antennas_per_oru=N, asd_azimuth_deg=az, asd_elevation_deg=el)
-    errors = validate_config(cfg)
+    fields = dict(antennas_per_oru=N, asd_azimuth_deg=az, asd_elevation_deg=el)
     if ok:
-        assert errors == []
-    else:
-        assert len(errors) == 1
-        assert "(antennas_per_oru - 1) * max(asd) <= 90 deg" in errors[0]
-        assert "max(asd) <= 40 deg" in errors[0]
+        ScenarioConfig(**fields)
+        return
+    # one message, naming both limits
+    expected = (
+        r"^angular spread [^;]* deg with antennas_per_oru=\d+ is not resolved by the "
+        r"correlation quadrature: it needs max\(asd\) <= 40 deg and "
+        r"\(antennas_per_oru - 1\) \* max\(asd\) <= 90 deg$"
+    )
+    with pytest.raises(ConfigError, match=expected):
+        ScenarioConfig(**fields)
 
 
 @pytest.mark.parametrize("az, el, ok", [(-50.0, 15.0, False), (15.0, -50.0, False), (-15.0, 15.0, True)])
 def test_validate_compares_spread_magnitudes(az, el, ok):
     # the correlation depends on a spread through its magnitude only
-    errors = validate_config(ScenarioConfig(asd_azimuth_deg=az, asd_elevation_deg=el))
-    assert (errors == []) == ok
+    if ok:
+        ScenarioConfig(asd_azimuth_deg=az, asd_elevation_deg=el)
+        return
+    with pytest.raises(ConfigError, match="angular spread 50 deg"):
+        ScenarioConfig(asd_azimuth_deg=az, asd_elevation_deg=el)
+
+
+# One value of each field that the checks reject, with a message naming it.
+_BAD_FIELDS = {
+    "area_side_m": 0.0,
+    "num_oru": 0,
+    "antennas_per_oru": 0,
+    "num_ue": 0,
+    "num_edu": 0,
+    "carrier_hz": -1.0,
+    "bandwidth_hz": 0.0,
+    "noise_psd_dbm_hz": float("nan"),
+    "ul_power_mw": 0.0,
+    "dl_pmax_mw": -200.0,
+    "pathloss_model": "free-space",
+    "pathloss_exponent": float("inf"),
+    "pathloss_intercept_db": "-30.5",
+    "shadow_sigma_db": -4.0,
+    "asd_azimuth_deg": "15",
+    "asd_elevation_deg": None,
+    "antenna_height_m": 0.0,
+    "pilot_count": 23,
+    "quantizer_bits": 0,
+    "fronthaul_ue_cap": -1,
+    "mc_drops": 0,
+    "mc_realizations": 1,
+    "master_seed": -1,
+    "schemes": (),
+}
+
+
+def test_every_field_has_a_rejected_value():
+    assert list(_BAD_FIELDS) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+
+
+@pytest.mark.parametrize("name, value", _BAD_FIELDS.items(), ids=list(_BAD_FIELDS))
+def test_invalid_field_raises_when_made_and_when_replaced(name, value):
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig(**{name: value})
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(ScenarioConfig(), **{name: value})
+
+
+def test_config_is_frozen():
+    cfg = ScenarioConfig(schemes=["joint-mmse", "edu-mmse"])
+    assert cfg.schemes == ("joint-mmse", "edu-mmse")  # a list is kept as a tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.num_edu = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.schemes = ("joint-mmse",)
+    assert cfg.num_edu == 8 and cfg.schemes == ("joint-mmse", "edu-mmse")
+    copy = dataclasses.replace(cfg, num_edu=4)
+    assert copy.num_edu == 4 and cfg.num_edu == 8
 
 
 def test_benchmark_configs_within_quadrature():
@@ -208,7 +273,8 @@ def test_benchmark_configs_within_quadrature():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for name in workloads.WORKLOADS:
-        assert validate_config(config_from_dict(workloads.config(name, 1))) == []
+        # a config outside the quadrature's limits raises ConfigError here
+        assert isinstance(config_from_dict(workloads.config(name, 1)), ScenarioConfig)
 
 
 def test_rng_streams_independent():
@@ -235,7 +301,7 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_invalid(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"num_edu": 0}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="num_edu must be >= 1"):
         load_config(str(path))
 
 
