@@ -196,24 +196,31 @@ def _read_association_csv(path: str, K: int, M: int) -> np.ndarray:
     return delta_km
 
 
+def _run_campaigns(args, runs) -> list:
+    """The campaign of each ``(out_dir, deployment_mode, config overrides)``
+    run, in order; ``simulate`` is the one-run case. Every run's config,
+    partition file and drop options are checked before the first starts."""
+    plans = []
+    for out_dir, mode, overrides in runs:
+        cfg = _load(args, **overrides)
+        if mode == "file":
+            resolve_partition(cfg, mode, genome_file=args.partition_file)
+        # run_campaign's config, out_dir, deployment_mode and options
+        plans.append((cfg, out_dir, mode, _drop_options(cfg, args)))
+    shared = {"genome_file": args.partition_file, "workers": args.workers}
+    return [run_campaign(*plan, **shared) for plan in plans]
+
+
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    options = _drop_options(cfg, args)
-    campaign = run_campaign(
-        cfg,
-        out_dir=args.out,
-        deployment_mode=args.deployment or "ga",
-        options=options,
-        genome_file=args.partition_file,
-        workers=args.workers,
-    )
-    print(f"wrote {args.out}/summary.json ({len(campaign.drops)} drops)")
-    return _failed_drops_exit(campaign.failures)
+    campaigns = _run_campaigns(args, [(args.out, args.deployment or "ga", {})])
+    print(f"wrote {args.out}/summary.json ({len(campaigns[0].drops)} drops)")
+    return _failed_drops_exit(campaigns)
 
 
-def _failed_drops_exit(failures) -> int:
-    if failures:
-        print(f"{len(failures)} drop(s) failed; see summary.json")
+def _failed_drops_exit(campaigns) -> int:
+    failed = sum(len(c.failures) for c in campaigns)
+    if failed:
+        print(f"{failed} drop(s) failed; see summary.json")
         return 1
     return 0
 
@@ -299,30 +306,14 @@ def cmd_sweep(args) -> int:
             if value is not None:
                 _fail(f"--param deployment runs ga and clustered; it takes no {flag}")
         runs = [(f"deployment={m}", m, {}) for m in ("ga", "clustered")]
-    # Every run's config, partition file and options are checked first.
-    plans = []
-    for label, mode, overrides in runs:
-        run_cfg = _load(args, **overrides)
-        if mode == "file":
-            resolve_partition(run_cfg, mode, genome_file=args.partition_file)
-        plans.append((label, run_cfg, mode, _drop_options(run_cfg, args)))
-    summaries = {}
-    failures = []
-    for label, run_cfg, mode, options in plans:
-        campaign = run_campaign(
-            run_cfg,
-            out_dir=os.path.join(args.out, label),
-            deployment_mode=mode,
-            options=options,
-            genome_file=args.partition_file,
-            workers=args.workers,
-        )
-        summaries[label] = campaign.summary
-        failures += campaign.failures
+    campaigns = _run_campaigns(
+        args, [(os.path.join(args.out, label), mode, o) for label, mode, o in runs]
+    )
     os.makedirs(args.out, exist_ok=True)
+    summaries = {label: c.summary for (label, _, _), c in zip(runs, campaigns)}
     write_json(os.path.join(args.out, "sweep_summary.json"), summaries)
     print(f"wrote {args.out}/sweep_summary.json")
-    return _failed_drops_exit(failures)
+    return _failed_drops_exit(campaigns)
 
 
 def _check_out(out: str) -> None:

@@ -42,7 +42,8 @@ LINKS = ("ul", "dl")
 class DropOptions:
     """Per-drop behavior switches shared by the CLI and campaign loop. A bad
     field raises ``ValueError`` when it is made; each drop checks the shape
-    of ``association_delta`` against its config."""
+    of ``association_delta`` (held as a read-only bool copy) and the cap of
+    ``ql_config`` (taken with mode ``"ql"`` only) against its config."""
 
     links: tuple[str, ...] = LINKS
     association_mode: str = "all"  # "all" | "ql" | "file"
@@ -61,11 +62,23 @@ class DropOptions:
             msg = "'file' association needs association_delta; only 'file' takes one"
             raise ValueError(msg)
         delta = self.association_delta
-        if delta is not None and not np.isin(delta, (0, 1)).all():
-            raise ValueError("association_delta entries must be 0 or 1")
-        if not 0.0 <= self.phase_drift_deg < np.inf:
+        if delta is not None:
+            if not np.isin(delta, (0, 1)).all():
+                raise ValueError("association_delta entries must be 0 or 1")
+            delta = np.array(delta, dtype=bool)  # later writes by the caller miss it
+            delta.flags.writeable = False
+            object.__setattr__(self, "association_delta", delta)
+        if self.ql_config is not None and self.association_mode != "ql":
+            raise ValueError("only association mode 'ql' takes a ql_config")
+        if not isinstance(self.ql_config, (QlConfig, type(None))):
+            raise ValueError(f"ql_config must be a QlConfig, got {self.ql_config!r}")
+        drift = self.phase_drift_deg
+        real = isinstance(drift, (int, float, np.integer, np.floating))
+        if not real or isinstance(drift, bool):
+            raise ValueError(f"phase_drift_deg must be a real number, got {drift!r}")
+        if not 0.0 <= drift < np.inf:
             raise ValueError("phase_drift_deg must be a finite angle >= 0")
-        if self.phase_drift_deg > 0 and "dl" not in links:
+        if drift > 0 and "dl" not in links:
             raise ValueError("phase_drift_deg rotates only the downlink; links need dl")
 
 
@@ -229,7 +242,6 @@ def run_drop(
                     raise ValueError(f"{scheme} {link}: non-finite SINR or SE")
             reports[scheme] = per_link
 
-        meta["placement"] = topology.placement
         return DropResult(
             drop_index=drop_index,
             reports=reports,
@@ -369,11 +381,7 @@ def summarize(
     for scheme in schemes:
         out["schemes"][scheme] = {}
         for link in links:
-            sums = np.array(
-                [d.reports[scheme][link].sum_se for d in drops if scheme in d.reports]
-            )
-            if sums.size == 0:
-                continue
+            sums = np.array([d.reports[scheme][link].sum_se for d in drops])
             xs, n = np.sort(sums), sums.size
             # np.median's rule: the mean of the two middle values for even n
             mid = xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2

@@ -162,6 +162,22 @@ def test_sweep_num_edu(tmp_path, cfg_file):
     assert set(combined) == {"num_edu=1", "num_edu=2"}
 
 
+def test_sweep_deployment_writes_each_simulate_run(tmp_path, cfg_file):
+    flags = ["--config", cfg_file, "--links", "ul"]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), "--param", "deployment"] + flags) == 0
+    combined = json.load(open(out / "sweep_summary.json"))
+    assert set(combined) == {"deployment=ga", "deployment=clustered"}
+    for mode in ("ga", "clustered"):
+        run = out / f"deployment={mode}"
+        assert combined[f"deployment={mode}"] == json.load(open(run / "summary.json"))
+        alone = tmp_path / mode
+        argv = ["simulate", "--out", str(alone), "--deployment", mode] + flags
+        assert main(argv) == 0
+        for name in ("raw_samples.csv", "summary.json", "partition.csv", "partition.json"):
+            assert (run / name).read_bytes() == (alone / name).read_bytes()
+
+
 def _write_association(path, num_ue, num_edu):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ue_index,edu_index,served\n")

@@ -221,11 +221,24 @@ def test_run_drop_rejects_genome_of_wrong_length(tiny_config):
             {"association_mode": "file", "association_delta": np.array([[0.5, 2.0]])},
             "association_delta entries must be 0 or 1",
         ),
+        # every drop would fail on the int's missing fronthaul_ue_cap
+        ({"association_mode": "ql", "ql_config": 5}, "ql_config must be a QlConfig"),
+        # neither mode reads a QlConfig, nor compares its cap with the config's
+        ({"ql_config": QlConfig(fronthaul_ue_cap=1)}, "ql_config"),
+        (
+            {"association_mode": "file", "association_delta": np.ones((8, 4), dtype=bool),
+             "ql_config": QlConfig(fronthaul_ue_cap=1)},
+            "ql_config",
+        ),
+        # True would run as a 1 degree drift; "10" would raise a TypeError
+        ({"phase_drift_deg": True}, "phase_drift_deg must be a real number"),
+        ({"phase_drift_deg": "10"}, "phase_drift_deg must be a real number"),
     ],
 )
 def test_drop_options_reject_a_bad_field_when_made(fields, match):
     # unchecked, each would run: with no report, with drift 0 (or an uplink-only
-    # drift, which rotates nothing), or failing every drop
+    # drift, which rotates nothing), with an option no drop reads, or failing
+    # every drop
     with pytest.raises(ValueError, match=match):
         DropOptions(**fields)
 
@@ -249,6 +262,24 @@ def test_ql_config_with_another_fronthaul_cap_fails_the_drop(tiny_config):
         ql_config=QlConfig(episodes=5, fronthaul_ue_cap=2),
     )
     assert "ql_best_r_sum" in run_drop(cfg, 0, genome, same).metadata
+
+
+def test_drop_options_hold_a_read_only_copy_of_the_association(desk_config):
+    # the record's 0/1 check must still hold when the caller writes the array
+    delta = np.zeros((8, 4), dtype=int)
+    delta[:, 0] = 1
+    opts = DropOptions(association_mode="file", association_delta=delta)
+    delta[0, 1] = 5
+    assert opts.association_delta is not delta
+    assert opts.association_delta.dtype == bool
+    np.testing.assert_array_equal(opts.association_delta[:, 1], False)
+    with pytest.raises(ValueError, match="read-only"):
+        opts.association_delta[0, 1] = True
+    cfg = dataclasses.replace(desk_config, mc_realizations=4, schemes=("edu-pmmse",))
+    genome = resolve_partition(cfg, "clustered")[0]
+    result = run_drop(cfg, 0, genome, dataclasses.replace(opts, links=("ul",)))
+    # UE 0 is served by EDU 0's O-RUs alone, as every other UE
+    np.testing.assert_array_equal(result.association_delta, np.tile(genome == 0, (8, 1)))
 
 
 def test_drop_options_are_frozen_and_hold_links_as_a_tuple():
@@ -366,10 +397,8 @@ def test_parallel_matches_serial_on_random_configs(
         master_seed=seed,
         schemes=tuple(schemes),
     )
-    opts = DropOptions(
-        association_mode=mode,
-        ql_config=QlConfig(episodes=5, fronthaul_ue_cap=cfg.fronthaul_ue_cap),
-    )
+    qcfg = QlConfig(episodes=5, fronthaul_ue_cap=cfg.fronthaul_ue_cap)
+    opts = DropOptions(association_mode=mode, ql_config=qcfg if mode == "ql" else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # zero-norm precoders
         serial = run_campaign(cfg, deployment_mode="clustered", options=opts, workers=1)
